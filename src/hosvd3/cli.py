@@ -19,13 +19,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ShapeError, ValidationError
 from .hosvd import hosvd
-from .qubit3 import (
-    PolytopePoint,
-    classify,
-    normalize,
-    polytope_membership,
-    polytope_point,
-)
+from .qubit3 import PolytopePoint, classify, normalize, polytope_membership
 from .tensor import make_tensor
 
 EXIT_OK = 0
@@ -141,7 +135,7 @@ def cmd_classify(args) -> int:
         raise InputError(f"classify needs dims [2, 2, 2], got {dims}")
     state = normalize(amps)
     cls = classify(state, tol=tol, sigma_tol=args.sigma_tol)
-    point = polytope_point(state, tag=cls.separability)
+    point = PolytopePoint(*cls.sigma_triple, cls.separability)
     membership = polytope_membership(point, tol=tol)
     doc = {
         "command": "classify",
@@ -193,10 +187,6 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _linspace(lo: float, hi: float, count: int) -> np.ndarray:
-    return np.linspace(lo, hi, count)
-
-
 def _facet_triangles(resolution: int):
     # barycentric subdivision of the parameter triangle with corners
     # (0.5, 1.0), (1.0, 0.5), (1.0, 1.0); every point stays on the facet.
@@ -226,7 +216,7 @@ def cmd_polytope_mesh(args) -> int:
         for idx, (s1, s2, s3) in enumerate(triples):
             lines.append(f"{section},{idx},0,{s1:.12g},{s2:.12g},{s3:.12g}")
 
-    grid = _linspace(0.5, 1.0, res)
+    grid = np.linspace(0.5, 1.0, res)
     emit_points("diagonal", [(v, v, v) for v in grid])
     emit_points("axis_1", [(v, 0.5, 0.5) for v in grid])
     emit_points("axis_2", [(0.5, v, 0.5) for v in grid])
@@ -238,7 +228,7 @@ def cmd_polytope_mesh(args) -> int:
     def slice_points(placement):
         pts = []
         for u in grid:
-            for v in _linspace(max(0.5, 2.0 * u - 1.0), 1.0, res):
+            for v in np.linspace(max(0.5, 2.0 * u - 1.0), 1.0, res):
                 pts.append(placement(u, v))
         return pts
 

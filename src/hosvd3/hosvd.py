@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, ValidationError
 from .smalllinalg import gram, hermitian_eig
 from .tensor import ComplexTensor, inner, multilinear_transform, norm, subtensor, unfold
 
@@ -35,9 +35,9 @@ class HosvdResult:
 
     ``spectra[n-1]`` holds the mode-n singular values, descending; their
     squares are the eigenvalues of gram(unfold(input, n)).  Modes whose
-    Gram spectrum has a gap at or below the decomposition tolerance are
-    listed in ``degenerate_modes`` (1-based); core element patterns are
-    gauge-dependent there.
+    Gram spectrum has a gap at or below tol * ||input||^2 (the decomposition
+    tolerance relative to the Gram trace) are listed in ``degenerate_modes``
+    (1-based); core element patterns are gauge-dependent there.
     """
 
     factors: tuple[np.ndarray, ...]
@@ -81,6 +81,8 @@ def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:
     t transformed by the conjugate transposes.  `tol` controls hermiticity
     validation inside the eigensolver and the degeneracy flags.
     """
+    if not np.all(np.isfinite(t.data)):
+        raise ValidationError("tensor entries must be finite")
     total = norm(t)
     if total == 0.0:
         raise DomainError("HOSVD of the zero tensor is undefined")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ShapeError, ValidationError
 from .hosvd import hosvd, verify_all_orthogonality
-from .smalllinalg import gram, hermitian_eig
+from .smalllinalg import gram
 from .tensor import ComplexTensor, norm, unfold
 
 SEPARABILITY_TAGS = (
@@ -56,7 +56,7 @@ class ThreeQubitState:
             raise ShapeError(f"need 8 amplitudes, got {arr.size}")
         arr = arr.reshape(2, 2, 2)
         total = np.linalg.norm(arr.ravel())
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValidationError(
                 f"state is not normalized (norm {total!r}); use normalize()"
             )
@@ -91,14 +91,21 @@ class DensityMatrix:
 
 
 def normalize(amplitudes) -> ThreeQubitState:
-    """Scale 8 amplitudes to unit norm, preserving relative phases."""
-    arr = np.asarray(amplitudes, dtype=np.complex128)
-    if arr.size != 8:
-        raise ShapeError(f"need 8 amplitudes, got {arr.size}")
-    total = np.linalg.norm(arr.ravel())
-    if total == 0.0:
+    """Scale 8 amplitudes to unit norm, preserving relative phases.
+
+    An exact power-of-two prescale of the largest part keeps the norm from
+    overflowing or underflowing; ordinary inputs keep their bits.
+    """
+    parts = np.asarray(amplitudes, dtype=np.complex128).ravel().view(np.float64)
+    if parts.size != 16:
+        raise ShapeError(f"need 8 amplitudes, got {parts.size // 2}")
+    if not np.all(np.isfinite(parts)):
+        raise ValidationError("amplitudes must be finite")
+    largest = np.max(np.abs(parts))
+    if largest == 0.0:
         raise DomainError("cannot normalize the zero vector")
-    return ThreeQubitState(arr.reshape(2, 2, 2) / total)
+    arr = np.ldexp(parts, -np.frexp(largest)[1]).view(np.complex128)
+    return ThreeQubitState(arr.reshape(2, 2, 2) / np.linalg.norm(arr))
 
 
 def one_body_rdms(s: ThreeQubitState):
@@ -121,14 +128,19 @@ def two_body_rdms(s: ThreeQubitState):
     return tuple(out)
 
 
-def _sigma_squares(s: ThreeQubitState) -> tuple[float, float, float]:
-    """Largest eigenvalue of each one-body reduced density matrix."""
-    t = s.as_tensor()
-    out = []
-    for mode in (1, 2, 3):
-        eig = hermitian_eig(gram(unfold(t, mode).entries))
-        out.append(float(eig.eigenvalues[0]))
-    return tuple(out)
+def _sigma_triple(result) -> tuple[float, float, float]:
+    """sigma1(n)^2 per mode: the top eigenvalue of each one-body RDM."""
+    return tuple(float(spec[0]) ** 2 for spec in result.spectra)
+
+
+def _separability(sig: tuple[float, float, float], tol: float) -> str:
+    pure = [n for n in range(3) if sig[n] >= 1.0 - tol]
+    # two pure one-body matrices force the third, so >= 2 is the product case
+    if len(pure) >= 2:
+        return "fully_separable"
+    if len(pure) == 1:
+        return ("biseparable_A_BC", "biseparable_B_CA", "biseparable_C_AB")[pure[0]]
+    return "genuine"
 
 
 def batch_sigma_squares(amplitudes) -> np.ndarray:
@@ -178,14 +190,7 @@ def separability_class(s: ThreeQubitState, tol: float = 1e-10) -> str:
     means the state is bi-separable across that qubit's cut; all three pure
     means fully separable; none means genuine.
     """
-    sig = _sigma_squares(s)
-    pure = [n for n in range(3) if sig[n] >= 1.0 - tol]
-    # two pure one-body matrices force the third, so >= 2 is the product case
-    if len(pure) >= 2:
-        return "fully_separable"
-    if len(pure) == 1:
-        return ("biseparable_A_BC", "biseparable_B_CA", "biseparable_C_AB")[pure[0]]
-    return "genuine"
+    return _separability(_sigma_triple(hosvd(s.as_tensor(), tol=tol)), tol)
 
 
 def core_biseparability_residual(core: ComplexTensor, cut: str, tol: float = 1e-10) -> float:
@@ -200,18 +205,31 @@ def core_biseparability_residual(core: ComplexTensor, cut: str, tol: float = 1e-
     """
     if cut not in _CUT_MODE:
         raise ValueError(f"unknown cut {cut!r}; expected one of {CUTS}")
+    entries = _core_entries(core)
+    _require_core(core, verify_all_orthogonality(core), tol)
+    return _core_bisep(entries, cut)
+
+
+def _core_entries(core: ComplexTensor) -> list:
+    """t111, t112, t121, t122, t211, t212, t221, t222 as Python complex numbers."""
     if core.dims != (2, 2, 2):
         raise ShapeError(f"expected a 2x2x2 core, got dims {core.dims}")
-    scale = norm(core) ** 2
-    if verify_all_orthogonality(core) > tol * max(1.0, scale):
+    return core.data.ravel().tolist()
+
+
+def _require_core(core: ComplexTensor, all_orthogonality: float, tol: float) -> None:
+    if all_orthogonality > tol * max(1.0, norm(core) ** 2):
         raise ValidationError("input violates all-orthogonality; not an HOSVD core")
-    t = core.__getitem__
+
+
+def _core_bisep(entries: list, cut: str) -> float:
+    _, t112, t121, t122, t211, t212, t221, _ = entries
     if cut == "A_BC":
-        lhs, rhs = t((1, 1, 2)) * t((2, 2, 1)), t((2, 1, 2)) * t((1, 2, 1))
+        lhs, rhs = t112 * t221, t212 * t121
     elif cut == "B_CA":
-        lhs, rhs = t((1, 1, 2)) * t((2, 2, 1)), t((2, 1, 1)) * t((1, 2, 2))
+        lhs, rhs = t112 * t221, t211 * t122
     else:
-        lhs, rhs = t((2, 1, 1)) * t((1, 2, 2)), t((2, 1, 2)) * t((1, 2, 1))
+        lhs, rhs = t211 * t122, t212 * t121
     return abs(lhs - rhs)
 
 
@@ -220,10 +238,10 @@ def plane_coefficients(core: ComplexTensor) -> tuple[float, float, float]:
     the normal of the plane a s1 + b s2 + c s3 = 0 satisfied by the core's
     sigma triple.  a + b + c == 0 by construction.
     """
-    t = core.__getitem__
-    x = abs(t((1, 1, 2))) ** 2
-    y = abs(t((1, 2, 1))) ** 2
-    z = abs(t((2, 1, 1))) ** 2
+    _, t112, t121, _, t211, _, _, _ = _core_entries(core)
+    x = abs(t112) ** 2
+    y = abs(t121) ** 2
+    z = abs(t211) ** 2
     return (x - y, z - x, y - z)
 
 
@@ -245,19 +263,17 @@ def plane_identity_residual(core: ComplexTensor) -> float:
     algebraically identical; both are evaluated and must agree to 1e-12
     (floating-point consistency), else a NumericalError is raised.
     """
-    if core.dims != (2, 2, 2):
-        raise ShapeError(f"expected a 2x2x2 core, got dims {core.dims}")
+    _, t112, t121, t122, t211, t212, t221, _ = _core_entries(core)
     s1, s2, s3 = _first_slice_squares(core)
-    t = core.__getitem__
     form_a = (
-        abs(t((1, 1, 2))) ** 2 * (s1 - s2)
-        + abs(t((2, 1, 1))) ** 2 * (s2 - s3)
-        + abs(t((1, 2, 1))) ** 2 * (s3 - s1)
+        abs(t112) ** 2 * (s1 - s2)
+        + abs(t211) ** 2 * (s2 - s3)
+        + abs(t121) ** 2 * (s3 - s1)
     )
     form_b = (
-        abs(t((2, 2, 1))) ** 2 * (s1 - s2)
-        + abs(t((1, 2, 2))) ** 2 * (s2 - s3)
-        + abs(t((2, 1, 2))) ** 2 * (s3 - s1)
+        abs(t221) ** 2 * (s1 - s2)
+        + abs(t122) ** 2 * (s2 - s3)
+        + abs(t212) ** 2 * (s3 - s1)
     )
     scale = max(1.0, norm(core) ** 4)
     if abs(form_a - form_b) > 1e-12 * scale:
@@ -274,12 +290,10 @@ def phase_identity_residual(core: ComplexTensor) -> float:
       + conj(t121 t212) (t112 t221 - t122 t211)
       + conj(t122 t211) (t121 t212 - t112 t221)  = 0
     """
-    if core.dims != (2, 2, 2):
-        raise ShapeError(f"expected a 2x2x2 core, got dims {core.dims}")
-    t = core.__getitem__
-    x = t((1, 1, 2)) * t((2, 2, 1))
-    y = t((1, 2, 1)) * t((2, 1, 2))
-    z = t((1, 2, 2)) * t((2, 1, 1))
+    _, t112, t121, t122, t211, t212, t221, _ = _core_entries(core)
+    x = t112 * t221
+    y = t121 * t212
+    z = t122 * t211
     return abs(np.conj(x) * (z - y) + np.conj(y) * (x - z) + np.conj(z) * (y - x))
 
 
@@ -289,11 +303,7 @@ def guarded_t111_t222_check(core: ComplexTensor, tol: float = 1e-10):
     or None when the shared denominator t212 conj(t211) - t122 conj(t121)
     is within tol of zero (formulas undefined there).
     """
-    if core.dims != (2, 2, 2):
-        raise ShapeError(f"expected a 2x2x2 core, got dims {core.dims}")
-    t = core.__getitem__
-    t112, t121, t122 = t((1, 1, 2)), t((1, 2, 1)), t((1, 2, 2))
-    t211, t212, t221 = t((2, 1, 1)), t((2, 1, 2)), t((2, 2, 1))
+    t111, t112, t121, t122, t211, t212, t221, t222 = _core_entries(core)
     denom = t212 * np.conj(t211) - t122 * np.conj(t121)
     if abs(denom) <= tol:
         return None
@@ -304,7 +314,7 @@ def guarded_t111_t222_check(core: ComplexTensor, tol: float = 1e-10):
     t222_formula = (
         np.conj(t112) * cross + t221 * (abs(t121) ** 2 - abs(t211) ** 2)
     ) / np.conj(denom)
-    return (abs(t((1, 1, 1)) - t111_formula), abs(t((2, 2, 2)) - t222_formula))
+    return (abs(t111 - t111_formula), abs(t222 - t222_formula))
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,8 +345,7 @@ class PolytopeMembership:
 
 def polytope_point(s: ThreeQubitState, tag: str = "") -> PolytopePoint:
     """Map a state to its (sigma1(1)^2, sigma1(2)^2, sigma1(3)^2) triple."""
-    sig = _sigma_squares(s)
-    return PolytopePoint(sig[0], sig[1], sig[2], tag)
+    return PolytopePoint(*_sigma_triple(hosvd(s.as_tensor())), tag)
 
 
 def polytope_membership(p: PolytopePoint, tol: float = 1e-10) -> PolytopeMembership:
@@ -421,16 +430,8 @@ def classify(
     ``gauge_warning=True`` instead of being trusted against the case.
     """
     result = hosvd(s.as_tensor(), tol=tol)
-    sig = tuple(float(spec[0]) ** 2 for spec in result.spectra)
-
-    pure = [n for n in range(3) if sig[n] >= 1.0 - tol]
-    if len(pure) >= 2:
-        separability = "fully_separable"
-    elif len(pure) == 1:
-        separability = ("biseparable_A_BC", "biseparable_B_CA", "biseparable_C_AB")[pure[0]]
-    else:
-        separability = "genuine"
-
+    sig = _sigma_triple(result)
+    separability = _separability(sig, tol)
     case = _decide_case(sig, sigma_tol)
 
     degenerate = bool(result.degenerate_modes)
@@ -453,10 +454,10 @@ def classify(
         "plane_c": c,
         "plane_coefficient_sum": a + b + c,
     }
+    _require_core(result.core, result.residuals.all_orthogonality, tol)
+    entries = _core_entries(result.core)
     for cut in CUTS:
-        residuals[f"core_bisep_{cut}"] = core_biseparability_residual(
-            result.core, cut, tol=tol
-        )
+        residuals[f"core_bisep_{cut}"] = _core_bisep(entries, cut)
         residuals[f"minors_{cut}"] = separability_minor_residual(s, cut)
     guarded = guarded_t111_t222_check(result.core, tol=tol)
     if guarded is not None:

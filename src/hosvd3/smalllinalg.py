@@ -1,10 +1,11 @@
 """Self-contained dense complex linear algebra for small matrices.
 
-Hermitian eigenproblems are solved by cyclic complex Jacobi rotations.
-At the sizes this package needs (2x2 for qubit modes, 4x4 for pair
-density matrices, generically n <= 8) Jacobi is unconditionally stable,
-and a handwritten kernel keeps results bit-for-bit deterministic across
-platforms and BLAS builds, which the golden-file outputs rely on.
+Hermitian eigenproblems are solved by cyclic complex Jacobi rotations,
+which are unconditionally stable.  The sweep order, pivot test and gauge
+are fixed, so the same input gives the same output bits on one platform
+and numpy build, which the golden-file outputs rely on.  Rotations and
+Gram products go through numpy's matrix product (BLAS), so other builds
+may differ in the last bits.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ class EigenDecomposition:
     """Eigenvalues (real, descending) and a unitary whose columns are eigenvectors.
 
     ``degenerate`` is set when two consecutive sorted eigenvalues are within
-    the tolerance passed to :func:`hermitian_eig`; the eigenvectors are still
+    tol * sum(|eigenvalues|) (tol * ||X||^2 for a Gram matrix of X), with the
+    tolerance passed to :func:`hermitian_eig`; the eigenvectors are still
     orthonormal but individual columns are then gauge-dependent.
     """
 
@@ -82,7 +84,8 @@ def hermitian_eig(h, tol: float = 1e-10) -> EigenDecomposition:
     Parameters
     ----------
     h : square complex matrix, Hermitian within `tol` (elementwise).
-    tol : hermiticity slack and degeneracy threshold.
+    tol : hermiticity slack, and the degeneracy threshold relative to
+        sum(|eigenvalues|).
 
     Eigenvalues are returned descending.  Each eigenvector column is gauge
     fixed: its largest-magnitude entry (lowest row on ties) is made real
@@ -135,7 +138,8 @@ def hermitian_eig(h, tol: float = 1e-10) -> EigenDecomposition:
         if mag > 0.0:
             v[:, j] = col * (np.conj(pivot) / mag)
 
-    degenerate = bool(n > 1 and np.any(np.abs(np.diff(eigenvalues)) <= tol))
+    gap_limit = tol * np.sum(np.abs(eigenvalues))
+    degenerate = bool(n > 1 and np.any(np.abs(np.diff(eigenvalues)) <= gap_limit))
     eigenvalues.setflags(write=False)
     v.setflags(write=False)
     return EigenDecomposition(eigenvalues=eigenvalues, unitary=v, degenerate=degenerate)

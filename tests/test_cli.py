@@ -131,6 +131,15 @@ class TestClassify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["separability"] == "biseparable_C_AB"
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-170])
+    def test_extreme_scales_classify_like_unit_scale(self, tmp_path, capsys, scale):
+        unit = write_state(tmp_path / "unit.json", np.ones(8))
+        scaled = write_state(tmp_path / "scaled.json", scale * np.ones(8))
+        assert run(["classify", unit]) == EXIT_OK
+        want = json.loads(capsys.readouterr().out)["sigma"]
+        assert run(["classify", scaled]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["sigma"] == want
+
     def test_unnormalized_input_renormalized(self, tmp_path, capsys):
         path = write_state(tmp_path / "u.json", amplitudes(a111=3, a222=3))
         assert run(["classify", path]) == EXIT_OK

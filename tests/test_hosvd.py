@@ -4,6 +4,7 @@ import pytest
 from hosvd3 import (
     ComplexTensor,
     DomainError,
+    ValidationError,
     hosvd,
     inner,
     make_tensor,
@@ -201,6 +202,21 @@ class TestInvariants:
 def test_zero_tensor_rejected():
     with pytest.raises(DomainError):
         hosvd(make_tensor([2, 2, 2], np.zeros(8)))
+
+
+def test_nan_rejected_before_eigensolve():
+    data = np.ones((2, 2, 2), dtype=complex)
+    data[1, 0, 1] = np.nan
+    with pytest.raises(ValidationError, match="must be finite"):
+        hosvd(ComplexTensor(data))
+
+
+def test_degenerate_modes_scale_free(rng, b1_fixture):
+    generic = ComplexTensor(rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2)))
+    for t in (generic, b1_fixture.as_tensor()):
+        want = hosvd(t).degenerate_modes
+        for c in (1e-6, 1e6):
+            assert hosvd(ComplexTensor(c * t.data)).degenerate_modes == want
 
 
 def test_degenerate_modes_flagged(ghz_equal, b1_fixture):

@@ -86,6 +86,26 @@ class TestNormalize:
         with pytest.raises(ValidationError):
             ThreeQubitState(amplitudes(a111=2))
 
+    def test_nan_constructor_rejected(self):
+        with pytest.raises(ValidationError):
+            ThreeQubitState(np.full(8, np.nan))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_rejected(self, bad):
+        amps = np.ones(8, dtype=complex)
+        amps[3] = bad
+        with pytest.raises(ValidationError):
+            normalize(amps)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-170, 1e-310, 2.0**1000])
+    def test_extreme_scales_same_as_unit_scale(self, scale):
+        unit = normalize(np.ones(8))
+        scaled = normalize(scale * np.ones(8))
+        np.testing.assert_allclose(scaled.amplitudes, unit.amplitudes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            classify(scaled).sigma_triple, classify(unit).sigma_triple, rtol=0, atol=1e-15
+        )
+
 
 class TestOneBodyRdms:
     def test_basis_state(self):
@@ -417,6 +437,21 @@ class TestQubitPermutation:
     def test_bisep_maps_under_1_3_swap(self, bisep_cab):
         swapped = normalize(np.transpose(bisep_cab.amplitudes, (2, 1, 0)))
         assert classify(swapped).separability == "biseparable_A_BC"
+
+
+class TestOneDecomposition:
+    """polytope_point and separability_class read the same HOSVD as classify."""
+
+    FIXTURES = ("ghz_86", "w_state", "s1_fixture", "b1_fixture", "bisep_cab")
+
+    def test_fixtures_and_haar_states_bit_for_bit(self, request, rng):
+        states = [request.getfixturevalue(name) for name in self.FIXTURES]
+        states += [haar_3q(rng) for _ in range(100)]
+        for s in states:
+            c = classify(s)
+            p = polytope_point(s)
+            assert (p.s1, p.s2, p.s3) == c.sigma_triple
+            assert separability_class(s) == c.separability
 
 
 class TestPolytope:

@@ -102,6 +102,10 @@ class TestHermitianEig:
         assert not hermitian_eig(np.diag([1.0, 0.5])).degenerate
         assert hermitian_eig(np.diag([0.5, 0.5 + 1e-12]), tol=1e-10).degenerate
 
+    def test_degenerate_flag_relative_to_trace(self):
+        assert not hermitian_eig(np.diag([1e-6, 0.5e-6])).degenerate
+        assert hermitian_eig(np.diag([0.5e6, 0.5e6 + 1e-6])).degenerate
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValidationError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]), tol=1e-10)
