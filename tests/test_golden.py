@@ -30,16 +30,26 @@ FIXTURES = (
     ("bisep_cab", dict(a111=1, a221=1)),
 )
 TOL = ["--tol", "1e-10"]
+# Seeded complex Gaussian tensors beyond 2x2x2, as (name, dims, Philox seed),
+# so the n > 2 bits of decompose are pinned too.
+GAUSSIAN = (
+    ("gaussian_3x4x5", (3, 4, 5), 11),
+    ("gaussian_8x8", (8, 8), 12),
+)
 
 
 def fixture_state(kwargs):
     return normalize(amplitudes(**kwargs))
 
 
-def write_state_file(path, name, kwargs):
-    amps = fixture_state(kwargs).amplitudes.ravel()
-    doc = {"dims": [2, 2, 2],
-           "amplitudes": [[float(v.real), float(v.imag)] for v in amps],
+def gaussian_amplitudes(dims, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    return rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+
+
+def write_state_file(path, name, amps):
+    doc = {"dims": list(amps.shape),
+           "amplitudes": [[float(v.real), float(v.imag)] for v in amps.ravel()],
            "label": name}
     path.write_text(json.dumps(doc))
     return str(path)
@@ -49,9 +59,14 @@ def cases(workdir):
     """(golden file name, argv without --output) for every golden."""
     out = []
     for name, kwargs in FIXTURES:
-        state = write_state_file(workdir / f"{name}.json", name, kwargs)
+        amps = fixture_state(kwargs).amplitudes
+        state = write_state_file(workdir / f"{name}.json", name, amps)
         out.append((f"decompose_{name}.json", ["decompose", state, *TOL]))
         out.append((f"classify_{name}.json", ["classify", state, *TOL]))
+    for name, dims, seed in GAUSSIAN:
+        amps = gaussian_amplitudes(dims, seed)
+        state = write_state_file(workdir / f"{name}.json", name, amps)
+        out.append((f"decompose_{name}.json", ["decompose", state, *TOL]))
     out.append(("sample_count200_seed7.csv",
                 ["sample", "--count", "200", "--seed", "7", *TOL]))
     out.append(("polytope_mesh_resolution5.csv",
