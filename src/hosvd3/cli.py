@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -29,12 +28,11 @@ EXIT_IO = 4
 
 DEFAULT_TOL = 1e-10
 DEFAULT_SIGMA_TOL = 1e-8
-TOL_ENV_VAR = "HOSVD3_TOL"
 GENERATOR_NAME = "philox4x64"
 
 
 class InputError(ValueError):
-    """Input file, flag value, or environment setting is unusable."""
+    """Input file or flag value is unusable."""
 
 
 def read_state_file(path):
@@ -49,10 +47,13 @@ def read_state_file(path):
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be an object")
     try:
-        dims = [int(d) for d in doc["dims"]]
+        dims = doc["dims"]
         pairs = doc["amplitudes"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise InputError(f"{path}: need 'dims' and 'amplitudes' fields") from exc
+    # bool is a subclass of int, and JSON true must not read as 1
+    if not isinstance(dims, list) or any(type(d) is not int for d in dims):
+        raise InputError(f"{path}: dims must be a list of integers, got {dims!r}")
     if any(d < 1 for d in dims):
         raise InputError(f"{path}: dims must be positive, got {dims}")
     try:
@@ -78,16 +79,10 @@ def haar_random_amplitudes(rng) -> np.ndarray:
     return (z / np.linalg.norm(z)).reshape(2, 2, 2)
 
 
-def _resolve_tol(args) -> float:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get(TOL_ENV_VAR)
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError:
-            raise InputError(f"{TOL_ENV_VAR}={env!r} is not a number")
-    return DEFAULT_TOL
+def _tolerance(flag: str, value: float) -> float:
+    if not 0.0 <= value < math.inf:
+        raise InputError(f"{flag} must be finite and >= 0, got {value!r}")
+    return value
 
 
 def _complex_pairs(values) -> list:
@@ -107,7 +102,7 @@ def _emit(text: str, output) -> None:
 
 
 def cmd_decompose(args) -> int:
-    tol = _resolve_tol(args)
+    tol = _tolerance("--tol", args.tol)
     dims, amps, label = read_state_file(args.input)
     result = hosvd(make_tensor(dims, amps), tol=tol)
     doc = {
@@ -116,7 +111,7 @@ def cmd_decompose(args) -> int:
         "dims": dims,
         "tol": tol,
         "factors": [_matrix_pairs(u) for u in result.factors],
-        "core": _complex_pairs(result.core.elements),
+        "core": _complex_pairs(result.core.data),
         "spectra": [[float(v) for v in spec] for spec in result.spectra],
         "residuals": {
             "reconstruction": result.residuals.reconstruction,
@@ -129,19 +124,20 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    tol = _resolve_tol(args)
+    tol = _tolerance("--tol", args.tol)
+    sigma_tol = _tolerance("--sigma-tol", args.sigma_tol)
     dims, amps, label = read_state_file(args.input)
     if dims != [2, 2, 2]:
         raise InputError(f"classify needs dims [2, 2, 2], got {dims}")
     state = normalize(amps)
-    cls = classify(state, tol=tol, sigma_tol=args.sigma_tol)
+    cls = classify(state, tol=tol, sigma_tol=sigma_tol)
     point = PolytopePoint(*cls.sigma_triple, cls.separability)
     membership = polytope_membership(point, tol=tol)
     doc = {
         "command": "classify",
         "label": label,
         "tol": tol,
-        "sigma_tol": args.sigma_tol,
+        "sigma_tol": sigma_tol,
         "separability": cls.separability,
         "case": cls.case,
         "special": cls.special,
@@ -161,19 +157,22 @@ def cmd_classify(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    tol = _resolve_tol(args)
+    tol = _tolerance("--tol", args.tol)
+    sigma_tol = _tolerance("--sigma-tol", args.sigma_tol)
     if args.count < 1:
         raise InputError(f"--count must be >= 1, got {args.count}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.Generator(np.random.Philox(args.seed))
     lines = [
         f"# generator={GENERATOR_NAME} seed={args.seed} count={args.count}"
-        f" tol={tol:g} sigma_tol={args.sigma_tol:g}",
+        f" tol={tol:g} sigma_tol={sigma_tol:g}",
         "id,s1,s2,s3,separability,case,special",
     ]
     violations = 0
     for i in range(args.count):
         state = normalize(haar_random_amplitudes(rng))
-        cls = classify(state, tol=tol, sigma_tol=args.sigma_tol)
+        cls = classify(state, tol=tol, sigma_tol=sigma_tol)
         s1, s2, s3 = cls.sigma_triple
         point = PolytopePoint(s1, s2, s3, cls.separability)
         if not polytope_membership(point, tol=tol):
@@ -261,10 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, sigma=False):
-        p.add_argument("--tol", type=float, default=None,
-                       help=f"arithmetic tolerance (default {DEFAULT_TOL:g}, "
-                            f"or ${TOL_ENV_VAR})")
+    def common(p, tol=True, sigma=False):
+        if tol:
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                           help=f"arithmetic tolerance (default {DEFAULT_TOL:g})")
         if sigma:
             p.add_argument("--sigma-tol", dest="sigma_tol", type=float,
                            default=DEFAULT_SIGMA_TOL,
@@ -290,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("polytope-mesh", help="emit polytope plot data as CSV")
     p.add_argument("--resolution", type=int, default=17,
                    help="points per parameter direction (>= 2)")
-    common(p)
+    common(p, tol=False)
     p.set_defaults(func=cmd_polytope_mesh)
 
     return parser

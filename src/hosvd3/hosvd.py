@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
 from .smalllinalg import gram, hermitian_eig
-from .tensor import ComplexTensor, inner, multilinear_transform, norm, subtensor, unfold
+from .tensor import ComplexTensor, multilinear_transform, norm, unfold
 
 
 @dataclass(frozen=True)
@@ -47,30 +47,37 @@ class HosvdResult:
     degenerate_modes: frozenset[int]
 
 
+def _mode_rows(core: ComplexTensor, mode: int) -> np.ndarray:
+    """Row i is subtensor(core, mode, i + 1), flattened in C order."""
+    # np.moveaxis(core.data, mode - 1, 0) without its per-call argument checks
+    axes = (mode - 1, *range(mode - 1), *range(mode, core.order))
+    return core.data.transpose(axes).reshape(core.dims[mode - 1], -1)
+
+
 def mode_singular_values(core: ComplexTensor, mode: int) -> np.ndarray:
     """Norms of the mode-n subtensors: entry i is norm(subtensor(core, mode, i))."""
     if not 1 <= mode <= core.order:
         raise ValueError(f"mode {mode} out of range 1..{core.order}")
-    rows = np.moveaxis(core.data, mode - 1, 0).reshape(core.dims[mode - 1], -1)
-    return np.sqrt(np.sum(np.abs(rows) ** 2, axis=1))
+    return np.sqrt(np.sum(np.abs(_mode_rows(core, mode)) ** 2, axis=1))
 
 
 def verify_all_orthogonality(core: ComplexTensor) -> float:
     """Max over modes n and index pairs a != b of |<subtensor(n,a), subtensor(n,b)>|.
 
     For a 2x2x2 core this evaluates exactly the three off-diagonal sums
-    conj(t_1jk) t_2jk of the one-body density matrices.
+    conj(t_1jk) t_2jk of the one-body density matrices.  A vector (order 1)
+    has no subtensors, so its residual is 0.0.
     """
+    if core.order == 1:
+        return 0.0
     worst = 0.0
     for mode in range(1, core.order + 1):
-        size = core.dims[mode - 1]
-        if core.order == 1:
-            continue
-        slices = [subtensor(core, mode, i) for i in range(1, size + 1)]
-        for a in range(size):
-            for b in range(a + 1, size):
-                worst = max(worst, abs(inner(slices[a], slices[b])))
-    return worst
+        # own buffers: the BLAS dot's last bits depend on operand alignment
+        rows = [row.copy() for row in _mode_rows(core, mode)]
+        for a in range(len(rows)):
+            for b in range(a + 1, len(rows)):
+                worst = max(worst, abs(np.vdot(rows[a], rows[b])))
+    return float(worst)
 
 
 def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:

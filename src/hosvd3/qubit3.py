@@ -15,19 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, ShapeError, ValidationError
-from .hosvd import hosvd, verify_all_orthogonality
+from .hosvd import _mode_rows, hosvd, verify_all_orthogonality
 from .smalllinalg import gram
 from .tensor import ComplexTensor, norm, unfold
-
-SEPARABILITY_TAGS = (
-    "fully_separable",
-    "biseparable_A_BC",
-    "biseparable_B_CA",
-    "biseparable_C_AB",
-    "genuine",
-)
-CASE_TAGS = ("case1", "case2_12", "case2_13", "case2_23", "case3")
-SPECIAL_TAGS = ("ghz", "s1", "s2", "s3", "b1", "b2", "none")
 
 CUTS = ("A_BC", "B_CA", "C_AB")
 _CUT_MODE = {"A_BC": 1, "B_CA": 2, "C_AB": 3}
@@ -118,14 +108,13 @@ def one_body_rdms(s: ThreeQubitState):
 
 
 def two_body_rdms(s: ThreeQubitState):
-    """rho^{AB}, rho^{CA}, rho^{BC}; each is unfolding.T @ conj(unfolding)."""
+    """rho^{AB}, rho^{CA}, rho^{BC}; each is gram(unfolding.T), i.e.
+    unfolding.T @ conj(unfolding)."""
     t = s.as_tensor()
-    out = []
-    for mode, label in ((3, "AB"), (2, "CA"), (1, "BC")):
-        m = unfold(t, mode).entries
-        rho = m.T @ m.conj()
-        out.append(DensityMatrix(label, (rho + rho.conj().T) / 2.0))
-    return tuple(out)
+    return tuple(
+        DensityMatrix(label, gram(unfold(t, mode).entries.T))
+        for mode, label in ((3, "AB"), (2, "CA"), (1, "BC"))
+    )
 
 
 def _sigma_triple(result) -> tuple[float, float, float]:
@@ -246,11 +235,8 @@ def plane_coefficients(core: ComplexTensor) -> tuple[float, float, float]:
 
 
 def _first_slice_squares(core: ComplexTensor) -> tuple[float, float, float]:
-    a = core.data
-    return (
-        float(np.sum(np.abs(a[0, :, :]) ** 2)),
-        float(np.sum(np.abs(a[:, 0, :]) ** 2)),
-        float(np.sum(np.abs(a[:, :, 0]) ** 2)),
+    return tuple(
+        float(np.sum(np.abs(_mode_rows(core, m)[0]) ** 2)) for m in (1, 2, 3)
     )
 
 
@@ -325,9 +311,6 @@ class PolytopePoint:
     s2: float
     s3: float
     tag: str = ""
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.s1, self.s2, self.s3])
 
     def clamped(self) -> tuple[float, float, float]:
         """Values clipped to [1/2, 1] for reporting; raw fields stay untouched."""

@@ -69,6 +69,19 @@ class TestStateFileErrors:
     def test_bad_resolution(self):
         assert run(["polytope-mesh", "--resolution", "1"]) == EXIT_INPUT
 
+    def test_negative_seed(self, capsys):
+        assert run(["sample", "--seed", "-1", "--count", "1"]) == EXIT_INPUT
+        assert "--seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "dims", [[2.7, 2, 2], [2.0, 2, 2], [True, 2, 2], ["2", 2, 2], 8]
+    )
+    def test_dims_must_be_json_integers(self, tmp_path, capsys, dims):
+        path = tmp_path / "dims.json"
+        path.write_text(json.dumps({"dims": dims, "amplitudes": [[1.0, 0.0]] * 8}))
+        assert run(["decompose", str(path)]) == EXIT_INPUT
+        assert "dims must be a list of integers" in capsys.readouterr().err
+
 
 class TestDecompose:
     def test_ghz_spectra(self, ghz_file, capsys):
@@ -148,24 +161,30 @@ class TestClassify:
 
 
 class TestTolerances:
-    def test_env_override(self, ghz_file, capsys, monkeypatch):
-        monkeypatch.setenv("HOSVD3_TOL", "1e-9")
-        assert run(["classify", ghz_file]) == EXIT_OK
-        assert json.loads(capsys.readouterr().out)["tol"] == 1e-9
-
-    def test_flag_beats_env(self, ghz_file, capsys, monkeypatch):
-        monkeypatch.setenv("HOSVD3_TOL", "1e-9")
+    def test_flag_beats_env(self, ghz_file, capsys):
         assert run(["classify", ghz_file, "--tol", "1e-7"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["tol"] == 1e-7
 
-    def test_bad_env_value(self, ghz_file, monkeypatch):
-        monkeypatch.setenv("HOSVD3_TOL", "banana")
-        assert run(["classify", ghz_file]) == EXIT_INPUT
-
-    def test_default(self, ghz_file, capsys, monkeypatch):
-        monkeypatch.delenv("HOSVD3_TOL", raising=False)
+    def test_default(self, ghz_file, capsys):
         assert run(["classify", ghz_file]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["tol"] == 1e-10
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_value_rejected(self, ghz_file, capsys, value):
+        for argv in (
+            ["decompose", ghz_file, "--tol"],
+            ["classify", ghz_file, "--tol"],
+            ["classify", ghz_file, "--sigma-tol"],
+            ["sample", "--count", "1", "--tol"],
+            ["sample", "--count", "1", "--sigma-tol"],
+        ):
+            assert run([*argv, value]) == EXIT_INPUT
+            assert f"{argv[-1]} must be finite and >= 0" in capsys.readouterr().err
+
+    def test_mesh_takes_no_tol(self):
+        with pytest.raises(SystemExit) as exc:
+            run(["polytope-mesh", "--tol", "1e-10"])
+        assert exc.value.code == EXIT_INPUT
 
 
 class TestSample:

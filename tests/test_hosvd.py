@@ -130,6 +130,25 @@ class TestAllOrthogonality:
         ]
         assert verify_all_orthogonality(t) == pytest.approx(max(sums), abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "dims", [(2, 2, 2), (3, 4, 5), (3, 4, 5, 6), (8, 8, 8), (16, 16, 16), (32, 32)]
+    )
+    def test_equals_subtensor_definition_bit_for_bit(self, rng, dims):
+        data = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+        core = hosvd(ComplexTensor(data)).core
+        want = max(
+            abs(inner(subtensor(core, n, a), subtensor(core, n, b)))
+            for n in range(1, core.order + 1)
+            for a in range(1, core.dims[n - 1] + 1)
+            for b in range(a + 1, core.dims[n - 1] + 1)
+        )
+        got = verify_all_orthogonality(core)
+        assert type(got) is float
+        assert got == want
+
+    def test_vector_is_zero(self):
+        assert verify_all_orthogonality(make_tensor([3], [3, 0, 4])) == 0.0
+
 
 class TestReconstruct:
     def test_basis(self):
