@@ -85,12 +85,9 @@ def _tolerance(flag: str, value: float) -> float:
     return value
 
 
-def _complex_pairs(values) -> list:
-    return [[float(v.real), float(v.imag)] for v in np.asarray(values).ravel()]
-
-
-def _matrix_pairs(m) -> list:
-    return [_complex_pairs(row) for row in np.asarray(m)]
+def _pairs(values: np.ndarray) -> list:
+    """[re, im] pairs of Python floats, nested like values."""
+    return np.stack((values.real, values.imag), axis=-1).tolist()
 
 
 def _emit(text: str, output) -> None:
@@ -110,8 +107,8 @@ def cmd_decompose(args) -> int:
         "label": label,
         "dims": dims,
         "tol": tol,
-        "factors": [_matrix_pairs(u) for u in result.factors],
-        "core": _complex_pairs(result.core.data),
+        "factors": [_pairs(u) for u in result.factors],
+        "core": _pairs(result.core.data.ravel()),
         "spectra": [[float(v) for v in spec] for spec in result.spectra],
         "residuals": {
             "reconstruction": result.residuals.reconstruction,
@@ -131,7 +128,7 @@ def cmd_classify(args) -> int:
         raise InputError(f"classify needs dims [2, 2, 2], got {dims}")
     state = normalize(amps)
     cls = classify(state, tol=tol, sigma_tol=sigma_tol)
-    point = PolytopePoint(*cls.sigma_triple, cls.separability)
+    point = PolytopePoint(*cls.sigma_triple)
     membership = polytope_membership(point, tol=tol)
     doc = {
         "command": "classify",
@@ -174,7 +171,7 @@ def cmd_sample(args) -> int:
         state = normalize(haar_random_amplitudes(rng))
         cls = classify(state, tol=tol, sigma_tol=sigma_tol)
         s1, s2, s3 = cls.sigma_triple
-        point = PolytopePoint(s1, s2, s3, cls.separability)
+        point = PolytopePoint(s1, s2, s3)
         if not polytope_membership(point, tol=tol):
             violations += 1
         lines.append(

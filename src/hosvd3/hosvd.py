@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
 from .smalllinalg import gram, hermitian_eig
-from .tensor import ComplexTensor, multilinear_transform, norm, unfold
+from .tensor import ComplexTensor, _mode_rows, multilinear_transform, norm, unfold
 
 
 @dataclass(frozen=True)
@@ -47,18 +47,11 @@ class HosvdResult:
     degenerate_modes: frozenset[int]
 
 
-def _mode_rows(core: ComplexTensor, mode: int) -> np.ndarray:
-    """Row i is subtensor(core, mode, i + 1), flattened in C order."""
-    # np.moveaxis(core.data, mode - 1, 0) without its per-call argument checks
-    axes = (mode - 1, *range(mode - 1), *range(mode, core.order))
-    return core.data.transpose(axes).reshape(core.dims[mode - 1], -1)
-
-
 def mode_singular_values(core: ComplexTensor, mode: int) -> np.ndarray:
     """Norms of the mode-n subtensors: entry i is norm(subtensor(core, mode, i))."""
     if not 1 <= mode <= core.order:
         raise ValueError(f"mode {mode} out of range 1..{core.order}")
-    return np.sqrt(np.sum(np.abs(_mode_rows(core, mode)) ** 2, axis=1))
+    return np.sqrt(np.sum(np.abs(_mode_rows(core.data, mode)) ** 2, axis=1))
 
 
 def verify_all_orthogonality(core: ComplexTensor) -> float:
@@ -73,7 +66,7 @@ def verify_all_orthogonality(core: ComplexTensor) -> float:
     worst = 0.0
     for mode in range(1, core.order + 1):
         # own buffers: the BLAS dot's last bits depend on operand alignment
-        rows = [row.copy() for row in _mode_rows(core, mode)]
+        rows = [row.copy() for row in _mode_rows(core.data, mode)]
         for a in range(len(rows)):
             for b in range(a + 1, len(rows)):
                 worst = max(worst, abs(np.vdot(rows[a], rows[b])))

@@ -10,14 +10,14 @@ polytope  1/2 <= s_i <= 1,  s_i + s_j - s_k <= 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, ShapeError, ValidationError
-from .hosvd import _mode_rows, hosvd, verify_all_orthogonality
+from .hosvd import hosvd, verify_all_orthogonality
 from .smalllinalg import gram
-from .tensor import ComplexTensor, norm, unfold
+from .tensor import ComplexTensor, _cyclic_axes, _mode_rows, norm, unfold
 
 CUTS = ("A_BC", "B_CA", "C_AB")
 _CUT_MODE = {"A_BC": 1, "B_CA": 2, "C_AB": 3}
@@ -39,26 +39,28 @@ class ThreeQubitState:
     """Normalized pure state of three qubits; amplitudes indexed (i1, i2, i3)."""
 
     amplitudes: np.ndarray
+    _tensor: ComplexTensor = field(init=False, repr=False)
 
     def __post_init__(self):
-        arr = np.array(self.amplitudes, dtype=np.complex128, copy=True)
+        arr = np.asarray(self.amplitudes, dtype=np.complex128)
         if arr.size != 8:
             raise ShapeError(f"need 8 amplitudes, got {arr.size}")
-        arr = arr.reshape(2, 2, 2)
-        total = np.linalg.norm(arr.ravel())
+        tensor = ComplexTensor(arr.reshape(2, 2, 2))
+        total = np.linalg.norm(tensor.data.ravel())
         if not abs(total - 1.0) <= 1e-10:
             raise ValidationError(
                 f"state is not normalized (norm {total!r}); use normalize()"
             )
-        arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
+        object.__setattr__(self, "_tensor", tensor)
+        object.__setattr__(self, "amplitudes", tensor.data)
 
     def amplitude(self, i1: int, i2: int, i3: int) -> complex:
-        """psi_{i1 i2 i3} with 1-based indices."""
-        return complex(self.amplitudes[i1 - 1, i2 - 1, i3 - 1])
+        """psi_{i1 i2 i3} with 1-based indices; others raise ValueError."""
+        return self._tensor[i1, i2, i3]
 
     def as_tensor(self) -> ComplexTensor:
-        return ComplexTensor(self.amplitudes)
+        """The state as a 2x2x2 tensor, ``amplitudes`` its data; never a copy."""
+        return self._tensor
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,12 +144,9 @@ def batch_sigma_squares(amplitudes) -> np.ndarray:
     """
     a = np.asarray(amplitudes, dtype=np.complex128).reshape(-1, 2, 2, 2)
     out = np.empty((a.shape[0], 3))
-    unfoldings = (
-        a.reshape(-1, 2, 4),
-        a.transpose(0, 2, 3, 1).reshape(-1, 2, 4),
-        a.transpose(0, 3, 1, 2).reshape(-1, 2, 4),
-    )
-    for n, m in enumerate(unfoldings):
+    for n in range(3):
+        # mode-(n+1) unfolding of every state, behind the batch axis
+        m = a.transpose(0, *(ax + 1 for ax in _cyclic_axes(3, n + 1))).reshape(-1, 2, 4)
         g = m @ m.conj().transpose(0, 2, 1)
         p = g[:, 0, 0].real
         q = g[:, 1, 1].real
@@ -236,7 +235,7 @@ def plane_coefficients(core: ComplexTensor) -> tuple[float, float, float]:
 
 def _first_slice_squares(core: ComplexTensor) -> tuple[float, float, float]:
     return tuple(
-        float(np.sum(np.abs(_mode_rows(core, m)[0]) ** 2)) for m in (1, 2, 3)
+        float(np.sum(np.abs(_mode_rows(core.data, m)[0]) ** 2)) for m in (1, 2, 3)
     )
 
 
@@ -305,12 +304,11 @@ def guarded_t111_t222_check(core: ComplexTensor, tol: float = 1e-10):
 
 @dataclass(frozen=True, eq=False)
 class PolytopePoint:
-    """Triple of largest one-body eigenvalues, plus an optional class tag."""
+    """Triple of largest one-body eigenvalues."""
 
     s1: float
     s2: float
     s3: float
-    tag: str = ""
 
     def clamped(self) -> tuple[float, float, float]:
         """Values clipped to [1/2, 1] for reporting; raw fields stay untouched."""
@@ -326,9 +324,9 @@ class PolytopeMembership:
         return self.member
 
 
-def polytope_point(s: ThreeQubitState, tag: str = "") -> PolytopePoint:
+def polytope_point(s: ThreeQubitState) -> PolytopePoint:
     """Map a state to its (sigma1(1)^2, sigma1(2)^2, sigma1(3)^2) triple."""
-    return PolytopePoint(*_sigma_triple(hosvd(s.as_tensor())), tag)
+    return PolytopePoint(*_sigma_triple(hosvd(s.as_tensor())))
 
 
 def polytope_membership(p: PolytopePoint, tol: float = 1e-10) -> PolytopeMembership:

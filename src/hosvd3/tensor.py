@@ -117,6 +117,13 @@ def _cyclic_axes(order: int, mode: int) -> list[int]:
     return [mode - 1] + list(range(mode, order)) + list(range(0, mode - 1))
 
 
+def _mode_rows(data: np.ndarray, mode: int) -> np.ndarray:
+    """Mode-n matricization of an ndarray: row i is the slice data[..., i, ...]
+    at axis mode - 1, flattened in C order (unlike :func:`unfold`, not cyclic)."""
+    axes = (mode - 1, *range(mode - 1), *range(mode, data.ndim))
+    return data.transpose(axes).reshape(data.shape[mode - 1], -1)
+
+
 def unfold(t: ComplexTensor, mode: int) -> UnfoldedMatrix:
     """Mode-n unfolding with the cyclic column ordering (see module docstring)."""
     if not 1 <= mode <= t.order:
@@ -159,8 +166,10 @@ def multilinear_transform(t: ComplexTensor, mats) -> ComplexTensor:
         if m.shape != (d, d):
             raise ShapeError(f"matrix for mode {n} has shape {m.shape}, need ({d}, {d})")
     out = t.data
-    for axis, m in enumerate(mats):
-        out = np.moveaxis(np.tensordot(m, out, axes=([1], [axis])), 0, axis)
+    for mode, m in enumerate(mats, start=1):
+        rows = _mode_rows(out, mode)
+        out = np.dot(m, rows).reshape(-1, *out.shape[:mode - 1], *out.shape[mode:])
+        out = out.transpose(*range(1, mode), 0, *range(mode, out.ndim))
     return ComplexTensor(out)
 
 

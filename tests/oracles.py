@@ -26,6 +26,15 @@ def transform_by_summation(mats, data):
     return out
 
 
+def transform_by_tensordot(mats, data):
+    """The multilinear transform as numpy composes it: contract each matrix
+    into its axis, then move the new axis back into place."""
+    out = data
+    for axis, m in enumerate(mats):
+        out = np.moveaxis(np.tensordot(m, out, axes=([1], [axis])), 0, axis)
+    return np.ascontiguousarray(out)
+
+
 def one_body_rdm_by_summation(amps, qubit):
     """rho for one qubit of a 3-qubit state by direct amplitude sums.
 

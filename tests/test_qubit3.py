@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,26 @@ class TestNormalize:
         np.testing.assert_allclose(
             classify(scaled).sigma_triple, classify(unit).sigma_triple, rtol=0, atol=1e-15
         )
+
+
+class TestThreeQubitState:
+    def test_one_tensor(self, w_state):
+        t = w_state.as_tensor()
+        assert w_state.as_tensor() is t
+        assert t.data is w_state.amplitudes
+        assert not t.data.flags.writeable
+
+    @pytest.mark.parametrize("indices", [(0, 1, 1), (0, 0, 0), (3, 1, 1), (1, 2, 3)])
+    def test_amplitude_index_out_of_range(self, w_state, indices):
+        with pytest.raises(ValueError):
+            w_state.amplitude(*indices)
+
+    def test_amplitude_is_one_based(self, rng):
+        s = haar_3q(rng)
+        for i1, i2, i3 in itertools.product((1, 2), repeat=3):
+            value = s.amplitude(i1, i2, i3)
+            assert type(value) is complex
+            assert value == s.amplitudes[i1 - 1, i2 - 1, i3 - 1]
 
 
 class TestOneBodyRdms:

@@ -14,7 +14,13 @@ from hosvd3 import (
     subtensor,
     unfold,
 )
-from oracles import haar_state, haar_unitary, transform_by_summation, unfold_column_index
+from oracles import (
+    haar_state,
+    haar_unitary,
+    transform_by_summation,
+    transform_by_tensordot,
+    unfold_column_index,
+)
 
 
 def random_tensor(rng, dims):
@@ -183,6 +189,20 @@ class TestMultilinearTransform:
         expected = transform_by_summation(mats, t.data)
         out = multilinear_transform(t, mats)
         np.testing.assert_allclose(out.data, expected, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "dims",
+        [(2, 2, 2), (3, 4, 5), (3, 4, 5, 6), (16, 16, 16), (32, 32), (7,), (4, 1, 3)],
+    )
+    def test_bit_for_bit_tensordot_definition(self, rng, dims):
+        t = random_tensor(rng, dims)
+        mats = [
+            rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            for d in dims
+        ]
+        out = multilinear_transform(t, mats).data
+        expected = transform_by_tensordot(mats, t.data)
+        assert np.array_equal(out.view(np.float64), expected.view(np.float64))
 
     def test_unfolded_form(self, rng):
         # unfold(result, n) == M_n @ unfold(t, n) @ kron(cyclic others).T
