@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ValidationError
-from .smalllinalg import gram, hermitian_eig
+from .errors import DomainError, NumericalError
+from .smalllinalg import gram, hermitian_eig, pow2_prescale
 from .tensor import ComplexTensor, _mode_rows, multilinear_transform, norm, unfold
 
 
@@ -80,17 +80,22 @@ def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:
     gram(unfold(t, n)) ordered by descending eigenvalue; the core is then
     t transformed by the conjugate transposes.  `tol` controls hermiticity
     validation inside the eigensolver and the degeneracy flags.
+
+    The work is done on t scaled by an exact power of two (see
+    :func:`pow2_prescale`), and the core, spectra and all-orthogonality
+    residual are scaled back, so the result does not depend on the scale
+    of t: no Gram entry overflows or underflows.
     """
-    if not np.all(np.isfinite(t.data)):
-        raise ValidationError("tensor entries must be finite")
-    total = norm(t)
+    data, e = pow2_prescale(t.data)
+    x = ComplexTensor(data)
+    total = norm(x)
     if total == 0.0:
         raise DomainError("HOSVD of the zero tensor is undefined")
 
     factors = []
     degenerate = set()
-    for mode in range(1, t.order + 1):
-        g = gram(unfold(t, mode).entries)
+    for mode in range(1, x.order + 1):
+        g = gram(unfold(x, mode).entries)
         try:
             eig = hermitian_eig(g, tol=tol)
         except NumericalError as exc:
@@ -101,12 +106,15 @@ def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:
         if eig.degenerate:
             degenerate.add(mode)
 
-    core = multilinear_transform(t, [u.conj().T for u in factors])
-    spectra = tuple(mode_singular_values(core, m) for m in range(1, t.order + 1))
+    core = multilinear_transform(x, [u.conj().T for u in factors])
+    spectra = tuple(
+        np.ldexp(mode_singular_values(core, m), e) for m in range(1, x.order + 1)
+    )
 
     recon = multilinear_transform(core, factors)
-    rec_residual = float(np.linalg.norm((recon.data - t.data).ravel())) / total
-    ao_residual = verify_all_orthogonality(core)
+    rec_residual = float(np.linalg.norm((recon.data - x.data).ravel())) / total
+    ao_residual = float(np.ldexp(verify_all_orthogonality(core), 2 * e))
+    core = ComplexTensor(np.ldexp(core.data.view(np.float64), e).view(np.complex128))
 
     return HosvdResult(
         factors=tuple(factors),

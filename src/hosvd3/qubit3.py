@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ShapeError, ValidationError
 from .hosvd import hosvd, verify_all_orthogonality
-from .smalllinalg import gram
+from .smalllinalg import gram, pow2_prescale
 from .tensor import ComplexTensor, _cyclic_axes, _mode_rows, norm, unfold
 
 CUTS = ("A_BC", "B_CA", "C_AB")
@@ -88,15 +88,12 @@ def normalize(amplitudes) -> ThreeQubitState:
     An exact power-of-two prescale of the largest part keeps the norm from
     overflowing or underflowing; ordinary inputs keep their bits.
     """
-    parts = np.asarray(amplitudes, dtype=np.complex128).ravel().view(np.float64)
-    if parts.size != 16:
-        raise ShapeError(f"need 8 amplitudes, got {parts.size // 2}")
-    if not np.all(np.isfinite(parts)):
-        raise ValidationError("amplitudes must be finite")
-    largest = np.max(np.abs(parts))
-    if largest == 0.0:
+    amps = np.asarray(amplitudes, dtype=np.complex128).ravel()
+    if amps.size != 8:
+        raise ShapeError(f"need 8 amplitudes, got {amps.size}")
+    arr, _ = pow2_prescale(amps)
+    if not arr.any():
         raise DomainError("cannot normalize the zero vector")
-    arr = np.ldexp(parts, -np.frexp(largest)[1]).view(np.complex128)
     return ThreeQubitState(arr.reshape(2, 2, 2) / np.linalg.norm(arr))
 
 

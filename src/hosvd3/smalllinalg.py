@@ -1,22 +1,37 @@
 """Self-contained dense complex linear algebra for small matrices.
 
-Hermitian eigenproblems are solved by cyclic complex Jacobi rotations,
-which are unconditionally stable.  The sweep order, pivot test and gauge
-are fixed, so the same input gives the same output bits on one platform
-and numpy build, which the golden-file outputs rely on.  Rotations and
-Gram products go through numpy's matrix product (BLAS), so other builds
-may differ in the last bits.
+Hermitian eigenproblems are solved by complex Jacobi rotations, which are
+unconditionally stable, in the round-robin (parallel) order of Brent and
+Luk: each sweep is a fixed sequence of steps of disjoint index pairs, and
+every pair is rotated at most once per sweep.  A rotation is elementwise
+work on two rows and two columns.  Below ``_VECTOR_MIN`` the rotations are
+applied pair by pair on Python complex lists; from ``_VECTOR_MIN`` up, the
+rotations of one step are applied together as one numpy update.  No
+rotation goes through a matrix product, so the eigensolver uses no BLAS
+and its output does not depend on the memory layout of its input.  The
+order, pivot test and gauge are fixed, so the same input gives the same
+output bits.  Gram products and the multilinear transforms do use numpy's
+matrix product (BLAS), so full outputs are reproducible on one machine and
+numpy build, and other BLAS builds may differ in the last bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 
 _MAX_SWEEPS = 60
+# pivots at or below this are not rotated, in a matrix prescaled so that its
+# largest part lies in [0.5, 1); a sweep that rotates nothing ends the solve
+_PIVOT_TOL = 1e-15
+# smallest n solved by whole-step numpy updates; measured crossover with
+# the pair-by-pair list sweeps
+_VECTOR_MIN = 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,93 +68,181 @@ def validate_unitary(u) -> float:
     return float(np.linalg.norm(u.conj().T @ u - eye, "fro"))
 
 
-def _rotation(n: int, p: int, q: int, app: float, aqq: float, apq: complex) -> np.ndarray:
-    # Unitary zeroing the (p, q) entry: a phase on column q making the pivot
-    # real-positive, followed by the classical Jacobi rotation angle.
-    mag = abs(apq)
-    phase = apq / mag
-    tau = (aqq - app) / (2.0 * mag)
-    if tau >= 0.0:
-        tee = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-    else:
-        tee = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-    c = 1.0 / np.sqrt(1.0 + tee * tee)
-    s = tee * c
-    rot = np.eye(n, dtype=np.complex128)
-    rot[p, p] = c
-    rot[p, q] = s
-    rot[q, p] = -s * np.conj(phase)
-    rot[q, q] = c * np.conj(phase)
-    return rot
+def pow2_prescale(x) -> tuple[np.ndarray, int]:
+    """(x * 2^-e, e) for a complex array x, with e chosen so that the largest
+    real or imaginary part of the result lies in [0.5, 1) (e = 0 when x is
+    zero).  The scaling is exact for normal numbers, so ordinary inputs keep
+    their bits; a Gram matrix of the result cannot overflow, and its largest
+    entries are far from underflow.  Non-finite entries raise
+    ValidationError."""
+    parts = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
+    largest = float(np.abs(parts).max(initial=0.0))
+    if not largest < math.inf:
+        raise ValidationError("entries must be finite")
+    e = math.frexp(largest)[1]
+    return np.ldexp(parts, -e).view(np.complex128), e
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off, "fro"))
+@cache
+def _round_robin(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """One sweep of the round-robin tournament on n indices.
+
+    Each step is a pair (ps, qs) of index tuples with ps[k] < qs[k]; the
+    pairs of a step are disjoint, and over the steps every pair p < q
+    appears exactly once.  For odd n the tournament has a dummy index n,
+    so each step leaves out the one index paired with it.
+    """
+    m = n + n % 2
+    ring = list(range(1, m))
+    steps = []
+    for _ in range(m - 1):
+        seats = [0, *ring]
+        pairs = sorted(
+            (min(a, b), max(a, b))
+            for a, b in zip(seats[: m // 2], seats[: m // 2 - 1 : -1])
+            if max(a, b) < n
+        )
+        steps.append((tuple(p for p, _ in pairs), tuple(q for _, q in pairs)))
+        ring = ring[-1:] + ring[:-1]
+    return tuple(steps)
+
+
+def _sweep_lists(a: list, vt: list, n: int) -> bool:
+    # One sweep, rotating pair by pair.  a holds the rows of the matrix, vt
+    # the columns of V.  Each off-pivot entry of columns p and q is rotated
+    # once and mirrored by its conjugate, so a stays exactly Hermitian.
+    rotated = False
+    for ps, qs in _round_robin(n):
+        for p, q in zip(ps, qs):
+            rp, rq = a[p], a[q]
+            apq = rp[q]
+            mag = abs(apq)
+            if not mag > _PIVOT_TOL:
+                continue
+            rotated = True
+            app, aqq = rp[p].real, rq[q].real
+            d, m2 = aqq - app, 2.0 * mag
+            t = math.copysign(m2 / (abs(d) + math.hypot(d, m2)), d)
+            c = 1.0 / math.hypot(1.0, t)
+            s = t * c
+            phase = (apq / mag).conjugate()
+            sp, cp = s * phase, c * phase
+            for k in range(n):
+                if k == p or k == q:
+                    continue
+                rk = a[k]
+                akp, akq = rk[p], rk[q]
+                x = c * akp - sp * akq
+                y = s * akp + cp * akq
+                rk[p], rk[q] = x, y
+                rp[k], rq[k] = x.conjugate(), y.conjugate()
+            rp[p] = app - t * mag
+            rq[q] = aqq + t * mag
+            rp[q] = rq[p] = 0j
+            vp, vq = vt[p], vt[q]
+            vt[p] = [c * x - sp * y for x, y in zip(vp, vq)]
+            vt[q] = [s * x + cp * y for x, y in zip(vp, vq)]
+    return rotated
+
+
+def _sweep_arrays(w: np.ndarray, n: int, steps) -> bool:
+    # One sweep, each step's disjoint rotations applied at once.  w stacks
+    # a (rows :n) over V (rows n:); the column rotation acts on both, the
+    # row rotation on a only.  Pivots at or below _PIVOT_TOL are dropped
+    # before any division.
+    rotated = False
+    a = w[:n]
+    for ps, qs in steps:
+        apq = a[ps, qs]
+        mag = np.abs(apq)
+        big = mag > _PIVOT_TOL
+        if not big.all():
+            if not big.any():
+                continue
+            ps, qs, apq, mag = ps[big], qs[big], apq[big], mag[big]
+        rotated = True
+        app, aqq = a[ps, ps].real, a[qs, qs].real
+        d, m2 = aqq - app, 2.0 * mag
+        t = np.copysign(m2 / (np.abs(d) + np.hypot(d, m2)), d)
+        c = 1.0 / np.hypot(1.0, t)
+        s = t * c
+        phase = apq.conj() / mag
+        sp, cp = s * phase, c * phase
+        wp, wq = w[:, ps], w[:, qs]
+        w[:, ps] = c * wp - sp * wq
+        w[:, qs] = s * wp + cp * wq
+        c, s = c[:, None], s[:, None]
+        sp, cp = sp.conj()[:, None], cp.conj()[:, None]
+        ap, aq = a[ps], a[qs]
+        a[ps] = c * ap - sp * aq
+        a[qs] = s * ap + cp * aq
+        a[ps, ps] = app - t * mag
+        a[qs, qs] = aqq + t * mag
+        a[ps, qs] = a[qs, ps] = 0.0
+    return rotated
+
+
+def _converge(sweep, *args) -> None:
+    # the one stop test: sweep until a sweep rotates nothing
+    for _ in range(_MAX_SWEEPS):
+        if not sweep(*args):
+            return
+    raise NumericalError(f"Jacobi sweeps did not converge in {_MAX_SWEEPS} iterations")
 
 
 def hermitian_eig(h, tol: float = 1e-10) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a Hermitian matrix by round-robin Jacobi sweeps.
 
     Parameters
     ----------
-    h : square complex matrix, Hermitian within `tol` (elementwise).
+    h : square complex matrix with finite entries, Hermitian within `tol`
+        (elementwise, before scaling).
     tol : hermiticity slack, and the degeneracy threshold relative to
         sum(|eigenvalues|).
 
-    Eigenvalues are returned descending.  Each eigenvector column is gauge
-    fixed: its largest-magnitude entry (lowest row on ties) is made real
-    and nonnegative, so identical input bits give identical output bits.
+    The matrix is first scaled by an exact power of two (see
+    :func:`pow2_prescale`), which makes the pivot threshold relative and
+    the result independent of scale: the eigenvalues of 2^k h are exactly
+    2^k times those of h, with the same eigenvectors.  Eigenvalues
+    are returned descending.  Each eigenvector column is gauge fixed: its
+    largest-magnitude entry (lowest row on ties) is made real and
+    nonnegative, so identical input bits give identical output bits.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValidationError("eigendecomposition expects a square matrix")
-    herm_defect = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
+    a, e = pow2_prescale(h)
+    herm_defect = float(np.abs(h - h.conj().T).max(initial=0.0))
     if herm_defect > tol:
         raise ValidationError(
             f"matrix is not Hermitian within {tol} (defect {herm_defect:.3e})"
         )
     n = h.shape[0]
-    a = (h + h.conj().T) / 2.0
-    v = np.eye(n, dtype=np.complex128)
+    a = (a + a.conj().T) / 2.0
 
-    scale = float(np.linalg.norm(a, "fro"))
-    stop = max(scale * 1e-15 * n, 1e-300)
-    converged = _offdiag_norm(a) <= stop
-    for _ in range(_MAX_SWEEPS):
-        if converged:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= stop / max(n, 1):
-                    continue
-                rot = _rotation(n, p, q, a[p, p].real, a[q, q].real, apq)
-                a = rot.conj().T @ a @ rot
-                v = v @ rot
-        converged = _offdiag_norm(a) <= stop
+    if n < _VECTOR_MIN:
+        rows = a.tolist()
+        vt = [[float(i == j) for j in range(n)] for i in range(n)]
+        _converge(_sweep_lists, rows, vt, n)
+        eigenvalues = np.array([rows[k][k].real for k in range(n)])
+        v = np.array(vt, dtype=np.complex128).reshape(n, n).T
     else:
-        if not converged:
-            raise NumericalError(
-                f"Jacobi sweeps did not converge in {_MAX_SWEEPS} iterations"
-            )
-
-    eigenvalues = np.diag(a).real.copy()
-    order = np.argsort(-eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    v = v[:, order]
+        w = np.vstack((a, np.eye(n, dtype=np.complex128)))
+        steps = [(np.array(ps), np.array(qs)) for ps, qs in _round_robin(n)]
+        _converge(_sweep_arrays, w, n, steps)
+        eigenvalues = w[:n].diagonal().real.copy()
+        v = w[n:]
 
     # gauge: largest-magnitude entry of each column real >= 0
-    for j in range(n):
-        col = v[:, j]
-        k = int(np.argmax(np.abs(col)))
-        pivot = col[k]
-        mag = abs(pivot)
-        if mag > 0.0:
-            v[:, j] = col * (np.conj(pivot) / mag)
+    at = np.abs(v).argmax(axis=0) if n else np.zeros(0, dtype=np.intp)
+    pivots = v[at, np.arange(n)]
+    order = (-eigenvalues).argsort(kind="stable")
+    eigenvalues = eigenvalues[order]
+    v = (v * (pivots.conj() / np.abs(pivots)))[:, order]
 
-    gap_limit = tol * np.sum(np.abs(eigenvalues))
-    degenerate = bool(n > 1 and np.any(np.abs(np.diff(eigenvalues)) <= gap_limit))
+    gaps = eigenvalues[:-1] - eigenvalues[1:]
+    degenerate = bool((gaps <= tol * np.abs(eigenvalues).sum()).any())
+    eigenvalues = np.ldexp(eigenvalues, e)
     eigenvalues.setflags(write=False)
     v.setflags(write=False)
     return EigenDecomposition(eigenvalues=eigenvalues, unitary=v, degenerate=degenerate)

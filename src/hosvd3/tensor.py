@@ -21,6 +21,7 @@ caller storage.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,12 +58,15 @@ class ComplexTensor:
         return self.data.ravel().copy()
 
     def __getitem__(self, indices):
-        """Element access with 1-based indices, e.g. ``t[1, 2, 2]``."""
+        """Element access with 1-based integer indices, e.g. ``t[1, 2, 2]``;
+        bools, floats and other non-integers raise ValueError."""
         if np.ndim(indices) == 0:
             indices = (indices,)
         if len(indices) != self.order:
             raise ShapeError(f"expected {self.order} indices, got {len(indices)}")
         for i, (idx, d) in enumerate(zip(indices, self.dims), start=1):
+            if isinstance(idx, bool) or not isinstance(idx, numbers.Integral):
+                raise ValueError(f"index {idx!r} in mode {i} is not an integer")
             if not 1 <= idx <= d:
                 raise ValueError(f"index {idx} out of range 1..{d} in mode {i}")
         return complex(self.data[tuple(i - 1 for i in indices)])

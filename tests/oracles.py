@@ -71,6 +71,11 @@ def eig2_closed_form(h):
     return np.array([tr / 2.0 + disc, tr / 2.0 - disc])
 
 
+def eigh_descending(h):
+    """Eigenvalues, descending, of a Hermitian matrix by numpy's LAPACK eigh."""
+    return np.linalg.eigvalsh(h)[::-1]
+
+
 def unfold_column_index(dims, idx, mode):
     """1-based column position of element `idx` in the mode-n unfolding,
     written exactly as the cyclic defining formula."""

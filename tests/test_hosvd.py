@@ -238,6 +238,39 @@ def test_degenerate_modes_scale_free(rng, b1_fixture):
             assert hosvd(ComplexTensor(c * t.data)).degenerate_modes == want
 
 
+def test_scale_exact(rng):
+    # Gram entries near 1e-300 and 1e300 sit at the ends of the float range;
+    # the relative figures must not depend on the scale
+    t = haar_tensor(rng)
+    ref = hosvd(t)
+    for c in (1e-150, 1.0, 1e150):
+        r = hosvd(ComplexTensor(c * t.data))
+        assert r.degenerate_modes == ref.degenerate_modes
+        assert r.residuals.reconstruction < 1e-13
+        assert r.residuals.all_orthogonality / c**2 < 1e-13
+        for got, want in zip(r.spectra, ref.spectra):
+            np.testing.assert_allclose(got / c, want, rtol=1e-13)
+        np.testing.assert_allclose(
+            reconstruct(r).data / c, t.data, rtol=0, atol=1e-13
+        )
+
+
+def test_power_of_two_scale_keeps_bits(rng):
+    t = ComplexTensor(rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5)))
+    ref = hosvd(t)
+    # the absolute all-orthogonality residual scales as 4^k, so |k| stays
+    # where it is representable
+    for k in (-500, -3, 7, 500):
+        r = hosvd(ComplexTensor(np.ldexp(1.0, k) * t.data))
+        assert r.core.data.tobytes() == (np.ldexp(1.0, k) * ref.core.data).tobytes()
+        for got, want in zip(r.factors, ref.factors):
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(r.spectra, ref.spectra):
+            assert got.tobytes() == np.ldexp(want, k).tobytes()
+        assert r.residuals.reconstruction == ref.residuals.reconstruction
+        assert r.residuals.all_orthogonality == np.ldexp(ref.residuals.all_orthogonality, 2 * k)
+
+
 def test_degenerate_modes_flagged(ghz_equal, b1_fixture):
     assert hosvd(ghz_equal.as_tensor()).degenerate_modes == frozenset({1, 2, 3})
     assert hosvd(b1_fixture.as_tensor()).degenerate_modes == frozenset({1, 2, 3})

@@ -121,6 +121,11 @@ class TestThreeQubitState:
         with pytest.raises(ValueError):
             w_state.amplitude(*indices)
 
+    @pytest.mark.parametrize("indices", [(1.5, 1, 1), (True, 1, 1), (1, 2.0, 1), (1, 1, "2")])
+    def test_amplitude_index_not_an_integer(self, w_state, indices):
+        with pytest.raises(ValueError, match="not an integer"):
+            w_state.amplitude(*indices)
+
     def test_amplitude_is_one_based(self, rng):
         s = haar_3q(rng)
         for i1, i2, i3 in itertools.product((1, 2), repeat=3):

@@ -9,7 +9,13 @@ from hosvd3 import (
     unfold,
     validate_unitary,
 )
-from oracles import eig2_closed_form, one_body_rdm_by_summation
+from hosvd3.smalllinalg import _VECTOR_MIN, _round_robin
+from oracles import (
+    eig2_closed_form,
+    eigh_descending,
+    haar_unitary,
+    one_body_rdm_by_summation,
+)
 
 
 def random_hermitian(rng, n):
@@ -113,6 +119,109 @@ class TestHermitianEig:
     def test_non_square_rejected(self):
         with pytest.raises(ValidationError):
             hermitian_eig(np.zeros((2, 3)))
+
+
+# both sides of the list/array crossover, odd n included
+DIFFERENTIAL_SIZES = [*range(1, 13), 16, 31, 32, 33, 64, 128]
+
+
+def differential_cases(rng, n):
+    """(label, Hermitian matrix) pairs of size n, degenerate spectra included."""
+    q = haar_unitary(rng, n)
+    blocks = np.repeat([3.0, 1.0, -2.0], -(-n // 3))[:n]
+    # the wide k x n mode-1 unfolding of a k x n tensor: gram(M^T) has rank k < n
+    k = max(1, n // 3)
+    x = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    wide = unfold(make_tensor([k, n], x), 1).entries
+    return [
+        ("random", random_hermitian(rng, n)),
+        ("gram", gram(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))),
+        ("identity", np.eye(n)),
+        ("diagonal", np.diag(rng.standard_normal(n))),
+        ("repeated blocks", (q * blocks) @ q.conj().T),
+        ("rank-deficient gram", gram(wide.T)),
+    ]
+
+
+class TestDifferential:
+    """hermitian_eig against numpy's LAPACK eigh."""
+
+    @pytest.mark.parametrize("n", DIFFERENTIAL_SIZES)
+    def test_against_eigh(self, rng, n):
+        for label, h in differential_cases(rng, n):
+            e = hermitian_eig(h)
+            want = eigh_descending(h)
+            top = np.abs(want).max()
+            assert np.abs(e.eigenvalues - want).max() <= 1e-13 * top, label
+            assert validate_unitary(e.unitary) <= 1e-12, label
+            residual = h @ e.unitary - e.unitary * e.eigenvalues
+            assert np.abs(residual).max() <= 1e-13 * top, label
+            assert np.all(np.diff(e.eigenvalues) <= 0.0), label
+            for k in range(n):
+                col = e.unitary[:, k]
+                pivot = col[np.argmax(np.abs(col))]
+                assert abs(pivot.imag) <= 1e-15 and pivot.real > 0.0, label
+
+    def test_crossover_is_covered(self):
+        assert min(DIFFERENTIAL_SIZES) < _VECTOR_MIN <= max(DIFFERENTIAL_SIZES)
+
+    def test_exact_cases(self):
+        # no rotation runs: the diagonal comes back sorted, the unitary a permutation
+        np.testing.assert_array_equal(hermitian_eig(np.eye(5)).unitary, np.eye(5))
+        e = hermitian_eig(np.diag([1.0, 3.0, 2.0]))
+        np.testing.assert_array_equal(e.eigenvalues, [3.0, 2.0, 1.0])
+        np.testing.assert_array_equal(e.unitary, np.eye(3)[:, [1, 2, 0]])
+        e = hermitian_eig([[-2.5]])
+        assert e.eigenvalues.tolist() == [-2.5] and e.unitary.tolist() == [[1.0]]
+        e = hermitian_eig(np.zeros((0, 0)))
+        assert e.eigenvalues.shape == (0,) and e.unitary.shape == (0, 0)
+        assert not e.degenerate
+
+
+class TestRoundRobin:
+    @pytest.mark.parametrize("n", range(1, 66))
+    def test_each_pair_once_per_sweep(self, n):
+        seen = []
+        steps = _round_robin(n)
+        assert len(steps) == n - 1 + n % 2
+        for ps, qs in steps:
+            assert len(ps) == len(qs) == n // 2
+            assert len(set(ps + qs)) == 2 * len(ps)  # disjoint within the step
+            assert all(p < q for p, q in zip(ps, qs))
+            seen.extend(zip(ps, qs))
+        assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+class TestScaleAndLayout:
+    @pytest.mark.parametrize("n", [3, 16])
+    @pytest.mark.parametrize("k", [-1000, 1000])
+    def test_power_of_two_scale_is_exact(self, rng, n, k):
+        h = random_hermitian(rng, n)
+        ref = hermitian_eig(h)
+        e = hermitian_eig(np.ldexp(1.0, k) * h)
+        assert e.eigenvalues.tobytes() == np.ldexp(ref.eigenvalues, k).tobytes()
+        assert e.unitary.tobytes() == ref.unitary.tobytes()
+        assert e.degenerate == ref.degenerate
+
+    def test_non_finite_rejected(self):
+        for bad in (np.nan, np.inf):
+            h = np.eye(3, dtype=complex)
+            h[1, 1] = bad
+            with pytest.raises(ValidationError, match="must be finite"):
+                hermitian_eig(h)
+
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_layout_independent_bits(self, rng, n):
+        # elementwise sweeps only: no BLAS path whose bits follow the layout
+        h = random_hermitian(rng, n)
+        host = np.zeros((2 * n, 3 * n), dtype=complex)
+        host[::2, ::3] = h
+        copies = [np.ascontiguousarray(h), np.asfortranarray(h), host[::2, ::3]]
+        assert copies[1].flags.f_contiguous and not copies[2].flags.c_contiguous
+        results = [hermitian_eig(c) for c in copies]
+        for r in results[1:]:
+            assert r.eigenvalues.tobytes() == results[0].eigenvalues.tobytes()
+            assert r.unitary.tobytes() == results[0].unitary.tobytes()
 
 
 class TestValidateUnitary:
