@@ -31,11 +31,17 @@ FIXTURES = (
 )
 TOL = ["--tol", "1e-10"]
 # Seeded complex Gaussian tensors beyond 2x2x2, as (name, dims, Philox seed),
-# so the n > 2 bits of decompose are pinned too.
+# so the n > 2 bits of decompose are pinned too, and so are orders 1 and 4
+# and a mode of size 1.
 GAUSSIAN = (
     ("gaussian_3x4x5", (3, 4, 5), 11),
     ("gaussian_8x8", (8, 8), 12),
+    ("gaussian_3x4x5x6", (3, 4, 5, 6), 13),
+    ("gaussian_7", (7,), 14),
+    ("gaussian_2x1x3", (2, 1, 3), 15),
 )
+# A label that the report must escape: non-ASCII text, a quote and a tab.
+ESCAPED_LABEL = ("label_escapes", (2, 2), 16, 'ψ "psi"\tstate')
 
 
 def fixture_state(kwargs):
@@ -47,10 +53,10 @@ def gaussian_amplitudes(dims, seed):
     return rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
 
 
-def write_state_file(path, name, amps):
+def write_state_file(path, label, amps):
     doc = {"dims": list(amps.shape),
            "amplitudes": [[float(v.real), float(v.imag)] for v in amps.ravel()],
-           "label": name}
+           "label": label}
     path.write_text(json.dumps(doc))
     return str(path)
 
@@ -67,6 +73,10 @@ def cases(workdir):
         amps = gaussian_amplitudes(dims, seed)
         state = write_state_file(workdir / f"{name}.json", name, amps)
         out.append((f"decompose_{name}.json", ["decompose", state, *TOL]))
+    name, dims, seed, label = ESCAPED_LABEL
+    state = write_state_file(workdir / f"{name}.json", label,
+                             gaussian_amplitudes(dims, seed))
+    out.append((f"decompose_{name}.json", ["decompose", state, *TOL]))
     out.append(("sample_count200_seed7.csv",
                 ["sample", "--count", "200", "--seed", "7", *TOL]))
     out.append(("polytope_mesh_resolution5.csv",
