@@ -40,12 +40,10 @@ from .smalllinalg import EigenDecomposition, gram, hermitian_eig, validate_unita
 from .tensor import (
     ComplexTensor,
     UnfoldedMatrix,
-    inner,
     make_tensor,
     multilinear_transform,
     norm,
     refold,
-    subtensor,
     unfold,
 )
 
@@ -58,9 +56,7 @@ __all__ = [
     "unfold",
     "refold",
     "multilinear_transform",
-    "inner",
     "norm",
-    "subtensor",
     "EigenDecomposition",
     "gram",
     "hermitian_eig",

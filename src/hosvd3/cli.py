@@ -12,7 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+import tempfile
+from functools import cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -85,17 +89,92 @@ def _tolerance(flag: str, value: float) -> float:
     return value
 
 
-def _pairs(values: np.ndarray) -> list:
-    """[re, im] pairs of Python floats, nested like values."""
-    return np.stack((values.real, values.imag), axis=-1).tolist()
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _floats(values) -> list:
+    """Floats as json writes them: float.__repr__, and NaN, Infinity and
+    -Infinity for the non-finite values."""
+    texts = list(map(float.__repr__, values))
+    return list(map(_NONFINITE.get, texts, texts))
+
+
+def _block(items, level: int, brackets: str = "[]") -> str:
+    # a non-empty container at nesting level `level`, one item a line
+    inner = "\n" + "  " * (level + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + inner[:-2] + brackets[1]
+
+
+def _array_text(values: np.ndarray, level: int) -> str:
+    # values nested as [re, im] pairs.  Only the outer axes recurse; the
+    # pairs of the last axis are formatted by C-level map and join.
+    if not len(values):
+        return "[]"
+    if values.ndim > 1:
+        return _block([_array_text(row, level + 1) for row in values], level)
+    inner = "\n" + "  " * (level + 1)
+    pair = "[" + inner + "  {}," + inner + "  {}" + inner + "]"
+    return _block(map(pair.format, _floats(values.real.tolist()),
+                      _floats(values.imag.tolist())), level)
+
+
+def _json_text(obj, level: int = 0) -> str:
+    """obj as json.dumps(obj, indent=2) writes it, where a complex ndarray
+    stands for its nested [re, im] pairs of Python floats.  A dict key that
+    is not a str, and a value of any other type, raise TypeError."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _NONFINITE.get(text, text)
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "c" and obj.ndim:
+        return _array_text(obj, level)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return _block((_json_text(v, level + 1) for v in obj), level)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return _block((f"{encode_basestring_ascii(k)}: {_json_text(v, level + 1)}"
+                       for k, v in obj.items()), level, "{}")
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _umask() -> int:
+    # the process umask can be read only by setting it
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
 
 
 def _emit(text: str, output) -> None:
+    """Write text to stdout, or replace the file output with it atomically:
+    the text goes to a temporary file beside the real path of output (a
+    symlink keeps its link), which gets the mode open(output, "w") gives a
+    new file and then takes output's place.  On any failure the temporary
+    file is removed and output is left as it was."""
     if output is None:
         sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
+        return
+    target = os.path.realpath(output)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".hosvd3-")
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~_umask())
+        os.replace(tmp, target)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def cmd_decompose(args) -> int:
@@ -107,16 +186,16 @@ def cmd_decompose(args) -> int:
         "label": label,
         "dims": dims,
         "tol": tol,
-        "factors": [_pairs(u) for u in result.factors],
-        "core": _pairs(result.core.data.ravel()),
-        "spectra": [[float(v) for v in spec] for spec in result.spectra],
+        "factors": result.factors,
+        "core": result.core.data.ravel(),
+        "spectra": [spec.tolist() for spec in result.spectra],
         "residuals": {
             "reconstruction": result.residuals.reconstruction,
             "all_orthogonality": result.residuals.all_orthogonality,
         },
         "degenerate_modes": sorted(result.degenerate_modes),
     }
-    _emit(json.dumps(doc, indent=2) + "\n", args.output)
+    _emit(_json_text(doc) + "\n", args.output)
     return EXIT_OK
 
 
@@ -149,7 +228,7 @@ def cmd_classify(args) -> int:
         },
         "residuals": cls.residuals,
     }
-    _emit(json.dumps(doc, indent=2) + "\n", args.output)
+    _emit(_json_text(doc) + "\n", args.output)
     return EXIT_OK
 
 
@@ -250,7 +329,10 @@ def cmd_polytope_mesh(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; parse_args keeps no
+    state from one call to the next."""
     parser = argparse.ArgumentParser(
         prog="hosvd3",
         description="HOSVD decomposition and three-qubit classification tools",

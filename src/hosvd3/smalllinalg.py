@@ -196,9 +196,10 @@ def hermitian_eig(h, tol: float = 1e-10) -> EigenDecomposition:
     Parameters
     ----------
     h : square complex matrix with finite entries, Hermitian within `tol`
-        (elementwise, before scaling).
-    tol : hermiticity slack, and the degeneracy threshold relative to
-        sum(|eigenvalues|).
+        relative to its scale: elementwise, after the scaling below, which
+        puts the largest real or imaginary part of h in [0.5, 1).
+    tol : relative hermiticity slack (see h), and the degeneracy threshold
+        relative to sum(|eigenvalues|).
 
     The matrix is first scaled by an exact power of two (see
     :func:`pow2_prescale`), which makes the pivot threshold relative and
@@ -212,10 +213,10 @@ def hermitian_eig(h, tol: float = 1e-10) -> EigenDecomposition:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValidationError("eigendecomposition expects a square matrix")
     a, e = pow2_prescale(h)
-    herm_defect = float(np.abs(h - h.conj().T).max(initial=0.0))
+    herm_defect = float(np.abs(a - a.conj().T).max(initial=0.0))
     if herm_defect > tol:
         raise ValidationError(
-            f"matrix is not Hermitian within {tol} (defect {herm_defect:.3e})"
+            f"matrix is not Hermitian within {tol} (relative defect {herm_defect:.3e})"
         )
     n = h.shape[0]
     a = (a + a.conj().T) / 2.0

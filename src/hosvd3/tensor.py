@@ -177,26 +177,6 @@ def multilinear_transform(t: ComplexTensor, mats) -> ComplexTensor:
     return ComplexTensor(out)
 
 
-def inner(a: ComplexTensor, b: ComplexTensor) -> complex:
-    """Conjugate-first inner product <a, b> = sum conj(a) * b."""
-    if a.dims != b.dims:
-        raise ShapeError(f"dims differ: {a.dims} vs {b.dims}")
-    return complex(np.vdot(a.data, b.data))
-
-
 def norm(t: ComplexTensor) -> float:
-    """Frobenius norm, sqrt(inner(t, t))."""
+    """Frobenius norm, sqrt(sum |t|^2)."""
     return float(np.linalg.norm(t.data.ravel()))
-
-
-def subtensor(t: ComplexTensor, mode: int, index: int) -> ComplexTensor:
-    """Order N-1 tensor obtained by fixing the given mode's index (1-based)."""
-    if t.order < 2:
-        raise ValueError("subtensor requires order >= 2")
-    if not 1 <= mode <= t.order:
-        raise ValueError(f"mode {mode} out of range 1..{t.order}")
-    if not 1 <= index <= t.dims[mode - 1]:
-        raise ValueError(
-            f"index {index} out of range 1..{t.dims[mode - 1]} in mode {mode}"
-        )
-    return ComplexTensor(np.take(t.data, index - 1, axis=mode - 1))

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from hosvd3 import ComplexTensor, ShapeError
+
 
 def transform_by_summation(mats, data):
     """Elementwise multilinear transform: out_j = sum_i prod_n M_n[j_n, i_n] x_i."""
@@ -33,6 +35,26 @@ def transform_by_tensordot(mats, data):
     for axis, m in enumerate(mats):
         out = np.moveaxis(np.tensordot(m, out, axes=([1], [axis])), 0, axis)
     return np.ascontiguousarray(out)
+
+
+def inner(a, b):
+    """Conjugate-first inner product <a, b> = sum conj(a) * b of two tensors."""
+    if a.dims != b.dims:
+        raise ShapeError(f"dims differ: {a.dims} vs {b.dims}")
+    return complex(np.vdot(a.data, b.data))
+
+
+def subtensor(t, mode, index):
+    """Order N-1 tensor obtained by fixing the given mode's index (1-based)."""
+    if t.order < 2:
+        raise ValueError("subtensor requires order >= 2")
+    if not 1 <= mode <= t.order:
+        raise ValueError(f"mode {mode} out of range 1..{t.order}")
+    if not 1 <= index <= t.dims[mode - 1]:
+        raise ValueError(
+            f"index {index} out of range 1..{t.dims[mode - 1]} in mode {mode}"
+        )
+    return ComplexTensor(np.take(t.data, index - 1, axis=mode - 1))
 
 
 def one_body_rdm_by_summation(amps, qubit):

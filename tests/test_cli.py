@@ -1,9 +1,15 @@
 import json
+import math
+import os
+import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.extra import numpy as hnp
+from hypothesis import strategies as st
 
-from hosvd3 import make_tensor, multilinear_transform
+from hosvd3 import cli, make_tensor, multilinear_transform
 from hosvd3.cli import (
     EXIT_INPUT,
     EXIT_IO,
@@ -13,6 +19,7 @@ from hosvd3.cli import (
 )
 from conftest import amplitudes
 from oracles import haar_state
+from test_golden import GOLDEN, fixture_state
 
 
 def write_state(path, amps, dims=(2, 2, 2), label=""):
@@ -302,3 +309,130 @@ class TestDeterminism:
         run(["polytope-mesh", "--resolution", "6", "--output", str(out1)])
         run(["polytope-mesh", "--resolution", "6", "--output", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def json_oracle(doc):
+    """doc as json.dumps(indent=2) writes it once each complex array is
+    turned into nested [re, im] pairs of Python floats."""
+    def plain(obj):
+        if isinstance(obj, np.ndarray):
+            return np.stack((obj.real, obj.imag), axis=-1).tolist()
+        if isinstance(obj, dict):
+            return {k: plain(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [plain(v) for v in obj]
+        return obj
+
+    return json.dumps(plain(doc), indent=2)
+
+
+def _layout(arr, kind):
+    if kind == "F":
+        return np.asfortranarray(arr)
+    if kind == "strided":
+        return np.stack((arr, -arr), axis=-1)[..., 0]
+    return np.ascontiguousarray(arr)
+
+
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2e-308, 1e308, math.inf, -math.inf, math.nan]),
+    st.floats().map(np.float64),
+)
+COMPLEX_ARRAYS = st.builds(
+    _layout,
+    hnp.arrays(np.complex128, hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=3),
+               elements=st.complex_numbers()),
+    st.sampled_from(["C", "F", "strided"]),
+)
+LEAVES = st.one_of(st.text(), st.integers(), st.booleans(), st.none(), FLOATS, COMPLEX_ARRAYS)
+DOCS = st.recursive(
+    LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestReportWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(DOCS)
+    def test_matches_json_dumps(self, doc):
+        assert cli._json_text(doc) == json_oracle(doc)
+
+    @pytest.mark.parametrize("value", [
+        object(), 1j, np.int64(1), np.bool_(True), np.array([1.0]),
+        np.array(1 + 2j), {1: "int key"},
+    ])
+    def test_rejects_what_it_cannot_write(self, value):
+        with pytest.raises(TypeError):
+            cli._json_text({"x": [value]})
+
+
+class TestRunKeepsNoState:
+    def test_flags_do_not_carry_over(self, tmp_path, capsys):
+        state = write_state(tmp_path / "ghz_86.json", fixture_state(dict(a111=0.8, a222=0.6)).amplitudes,
+                            label="ghz_86")
+        out = tmp_path / "out.json"
+        for command in ("classify", "decompose"):
+            golden = (GOLDEN / f"{command}_ghz_86.json").read_bytes()
+            assert run([command, state, "--tol", "1e-7", "--output", str(out)]) == EXIT_OK
+            assert json.loads(out.read_text())["tol"] == 1e-7
+            assert capsys.readouterr().out == ""
+            assert run([command, state]) == EXIT_OK
+            assert capsys.readouterr().out.encode() == golden
+            assert run([command, state, "--output", str(out)]) == EXIT_OK
+            assert out.read_bytes() == golden
+            assert run([command, state]) == EXIT_OK
+            assert capsys.readouterr().out.encode() == golden
+
+
+class TestAtomicOutput:
+    @pytest.mark.parametrize("step", ["chmod", "replace"])
+    def test_failed_write_leaves_output_alone(self, tmp_path, ghz_file, monkeypatch, capsys, step):
+        out = tmp_path / "out.json"
+        out.write_text("previous report")
+        before = sorted(tmp_path.iterdir())
+
+        def fail(*args, **kwargs):
+            raise OSError("injected failure")
+
+        monkeypatch.setattr(cli.os, step, fail)
+        assert run(["decompose", ghz_file, "--output", str(out)]) == EXIT_IO
+        assert "injected failure" in capsys.readouterr().err
+        assert out.read_text() == "previous report"
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_directory_target_leaves_no_temp_file(self, tmp_path, ghz_file):
+        target = tmp_path / "taken"
+        (target / "inside").mkdir(parents=True)
+        before = sorted(tmp_path.iterdir())
+        assert run(["decompose", ghz_file, "--output", str(target)]) == EXIT_IO
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_mode_matches_open(self, tmp_path, ghz_file):
+        old = os.umask(0o027)
+        try:
+            assert run(["decompose", ghz_file, "--output", str(tmp_path / "out.json")]) == EXIT_OK
+            with open(tmp_path / "by_open.json", "w"):
+                pass
+        finally:
+            os.umask(old)
+        modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+                 for name in ("out.json", "by_open.json")]
+        assert modes == [0o640, 0o640]
+
+    def test_symlink_keeps_its_link(self, tmp_path, ghz_file):
+        (tmp_path / "real").mkdir()
+        real = tmp_path / "real" / "report.json"
+        real.write_text("previous report")
+        link = tmp_path / "link.json"
+        link.symlink_to(real)
+        assert run(["decompose", ghz_file, "--output", str(link)]) == EXIT_OK
+        assert link.is_symlink()
+        assert json.loads(real.read_text())["command"] == "decompose"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ghz.json", "link.json", "real"]
+        assert [p.name for p in (tmp_path / "real").iterdir()] == ["report.json"]

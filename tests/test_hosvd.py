@@ -6,17 +6,15 @@ from hosvd3 import (
     DomainError,
     ValidationError,
     hosvd,
-    inner,
     make_tensor,
     mode_singular_values,
     multilinear_transform,
     norm,
     reconstruct,
-    subtensor,
     validate_unitary,
     verify_all_orthogonality,
 )
-from oracles import haar_state, haar_unitary, rdm_eigenvalues
+from oracles import haar_state, haar_unitary, inner, rdm_eigenvalues, subtensor
 
 
 def haar_tensor(rng):

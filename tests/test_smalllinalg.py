@@ -116,6 +116,17 @@ class TestHermitianEig:
         with pytest.raises(ValidationError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]), tol=1e-10)
 
+    @pytest.mark.parametrize("defect, accepted", [(1e-12, True), (1e-6, False)])
+    def test_hermiticity_check_is_relative(self, rng, defect, accepted):
+        h = random_hermitian(rng, 3)
+        h[0, 1] += defect * np.abs(h).max()
+        for c in (1e-3, 1.0, 1e3):
+            if accepted:
+                hermitian_eig(c * h)
+            else:
+                with pytest.raises(ValidationError, match="not Hermitian"):
+                    hermitian_eig(c * h)
+
     def test_non_square_rejected(self):
         with pytest.raises(ValidationError):
             hermitian_eig(np.zeros((2, 3)))

@@ -6,17 +6,17 @@ from hypothesis import strategies as st
 from hosvd3 import (
     ComplexTensor,
     ShapeError,
-    inner,
     make_tensor,
     multilinear_transform,
     norm,
     refold,
-    subtensor,
     unfold,
 )
 from oracles import (
     haar_state,
     haar_unitary,
+    inner,
+    subtensor,
     transform_by_summation,
     transform_by_tensordot,
     unfold_column_index,
