@@ -161,11 +161,17 @@ def _emit(text: str, output) -> None:
     the text goes to a temporary file beside the real path of output (a
     symlink keeps its link), which gets the mode open(output, "w") gives a
     new file and then takes output's place.  On any failure the temporary
-    file is removed and output is left as it was."""
+    file is removed and output is left as it was.  An output that exists
+    and is not a regular file, such as /dev/null, is written in place."""
     if output is None:
         sys.stdout.write(text)
         return
     target = os.path.realpath(output)
+    if os.path.exists(target) and not os.path.isfile(target):
+        # replacing a device or a pipe would put a regular file in its place
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        return
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".hosvd3-")
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:

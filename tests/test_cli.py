@@ -413,6 +413,10 @@ class TestAtomicOutput:
         assert run(["decompose", ghz_file, "--output", str(target)]) == EXIT_IO
         assert sorted(tmp_path.iterdir()) == before
 
+    def test_device_is_written_not_replaced(self, ghz_file):
+        assert run(["decompose", ghz_file, "--output", os.devnull]) == EXIT_OK
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
     def test_mode_matches_open(self, tmp_path, ghz_file):
         old = os.umask(0o027)
         try:
