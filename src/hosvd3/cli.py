@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from functools import cache
@@ -159,24 +160,30 @@ def _umask() -> int:
 def _emit(text: str, output) -> None:
     """Write text to stdout, or replace the file output with it atomically:
     the text goes to a temporary file beside the real path of output (a
-    symlink keeps its link), which gets the mode open(output, "w") gives a
-    new file and then takes output's place.  On any failure the temporary
-    file is removed and output is left as it was.  An output that exists
-    and is not a regular file, such as /dev/null, is written in place."""
+    symlink keeps its link), which gets the mode open(output, "w") leaves
+    (that of the file it replaces, or 0o666 & ~umask for a new one) and
+    then takes output's place.  On any failure the temporary file is
+    removed and output is left as it was.  An output that exists and is
+    not a regular file, such as /dev/null, is written in place."""
     if output is None:
         sys.stdout.write(text)
         return
     target = os.path.realpath(output)
-    if os.path.exists(target) and not os.path.isfile(target):
-        # replacing a device or a pipe would put a regular file in its place
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        return
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = 0o666 & ~_umask()
+    else:
+        if not stat.S_ISREG(mode):
+            # replacing a device or a pipe would put a regular file in its place
+            with open(target, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            return
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".hosvd3-")
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        os.chmod(tmp, 0o666 & ~_umask())
+        os.chmod(tmp, stat.S_IMODE(mode))
         os.replace(tmp, target)
     except BaseException:
         os.remove(tmp)

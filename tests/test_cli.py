@@ -418,16 +418,20 @@ class TestAtomicOutput:
         assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
     def test_mode_matches_open(self, tmp_path, ghz_file):
+        kept = tmp_path / "kept.json"
+        kept.write_text("previous report")
+        kept.chmod(0o604)
         old = os.umask(0o027)
         try:
-            assert run(["decompose", ghz_file, "--output", str(tmp_path / "out.json")]) == EXIT_OK
+            for name in ("new.json", "kept.json"):
+                assert run(["decompose", ghz_file, "--output", str(tmp_path / name)]) == EXIT_OK
             with open(tmp_path / "by_open.json", "w"):
                 pass
         finally:
             os.umask(old)
         modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode)
-                 for name in ("out.json", "by_open.json")]
-        assert modes == [0o640, 0o640]
+                 for name in ("new.json", "by_open.json", "kept.json")]
+        assert modes == [0o640, 0o640, 0o604]
 
     def test_symlink_keeps_its_link(self, tmp_path, ghz_file):
         (tmp_path / "real").mkdir()
