@@ -150,13 +150,6 @@ def _json_text(obj, level: int = 0) -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _umask() -> int:
-    # the process umask can be read only by setting it
-    mask = os.umask(0o022)
-    os.umask(mask)
-    return mask
-
-
 def _emit(text: str, output) -> None:
     """Write text to stdout, or replace the file output with it atomically:
     the text goes to a temporary file beside the real path of output (a
@@ -172,7 +165,9 @@ def _emit(text: str, output) -> None:
     try:
         mode = os.stat(target).st_mode
     except FileNotFoundError:
-        mode = 0o666 & ~_umask()
+        umask = os.umask(0o022)  # the umask can be read only by setting it
+        os.umask(umask)
+        mode = 0o666 & ~umask
     else:
         if not stat.S_ISREG(mode):
             # replacing a device or a pipe would put a regular file in its place
