@@ -17,24 +17,23 @@ w[0b001] = w[0b010] = w[0b100] = 1 / np.sqrt(3)  # |112>, |121>, |211>
 psi = make_tensor([2, 2, 2], w)
 print("dims:", psi.dims, " norm:", norm(psi))
 
-# Each mode-n unfolding is a 2x4 matrix: row = i_n, columns ranked by the
-# remaining indices in cyclic order (i_{n+1}, ..., i_{n-1}).
+# Each mode-n unfolding is a read-only 2x4 array: row = i_n, columns ranked
+# by the remaining indices in cyclic order (i_{n+1}, ..., i_{n-1}).
 for mode, qubit in ((1, "A"), (2, "B"), (3, "C")):
-    m = unfold(psi, mode)
     print(f"\nmode-{mode} unfolding (rows indexed by qubit {qubit}):")
-    print(m.entries)
+    print(unfold(psi, mode))
 
 # The Gram matrix of the mode-n unfolding IS the reduced density matrix of
 # qubit n.  For W every one-body density matrix is diag(2/3, 1/3).
 print("\n=== one-body reduced density matrices ===")
 for mode, qubit in ((1, "A"), (2, "B"), (3, "C")):
-    rho = gram(unfold(psi, mode).entries)
+    rho = gram(unfold(psi, mode))
     print(f"rho^{qubit} =")
     print(rho.real)
 
 # Unfolding loses nothing: refolding restores the tensor bit for bit.
 print("\n=== round trip ===")
 for mode in (1, 2, 3):
-    back = refold(unfold(psi, mode), psi.dims)
+    back = refold(unfold(psi, mode), mode, psi.dims)
     print(f"mode {mode}: refold(unfold(psi)) identical:",
           bool(np.array_equal(back.data, psi.data)))

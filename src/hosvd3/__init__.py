@@ -17,9 +17,7 @@ from .hosvd import (
 )
 from .qubit3 import (
     Classification,
-    DensityMatrix,
     PolytopeMembership,
-    PolytopePoint,
     ThreeQubitState,
     batch_sigma_squares,
     classify,
@@ -31,15 +29,12 @@ from .qubit3 import (
     plane_coefficients,
     plane_identity_residual,
     polytope_membership,
-    polytope_point,
-    separability_class,
     separability_minor_residual,
     two_body_rdms,
 )
 from .smalllinalg import EigenDecomposition, gram, hermitian_eig, validate_unitary
 from .tensor import (
     ComplexTensor,
-    UnfoldedMatrix,
     make_tensor,
     multilinear_transform,
     norm,
@@ -51,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComplexTensor",
-    "UnfoldedMatrix",
     "make_tensor",
     "unfold",
     "refold",
@@ -68,21 +62,17 @@ __all__ = [
     "verify_all_orthogonality",
     "reconstruct",
     "ThreeQubitState",
-    "DensityMatrix",
     "Classification",
-    "PolytopePoint",
     "PolytopeMembership",
     "normalize",
     "one_body_rdms",
     "two_body_rdms",
-    "separability_class",
     "separability_minor_residual",
     "core_biseparability_residual",
     "plane_identity_residual",
     "phase_identity_residual",
     "plane_coefficients",
     "classify",
-    "polytope_point",
     "polytope_membership",
     "guarded_t111_t222_check",
     "batch_sigma_squares",

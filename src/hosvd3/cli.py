@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ShapeError, ValidationError
 from .hosvd import hosvd
-from .qubit3 import PolytopePoint, classify, normalize, polytope_membership
+from .qubit3 import classify, normalize, polytope_membership
 from .tensor import make_tensor
 
 EXIT_OK = 0
@@ -157,7 +157,12 @@ def _emit(text: str, output) -> None:
     (that of the file it replaces, or 0o666 & ~umask for a new one) and
     then takes output's place.  On any failure the temporary file is
     removed and output is left as it was.  An output that exists and is
-    not a regular file, such as /dev/null, is written in place."""
+    not a regular file, such as /dev/null, is written in place.
+
+    Since a regular file is replaced, not rewritten, a hard link to it keeps
+    the old text and the new file belongs to the running user.  Nothing is
+    fsynced: readers see the old or the new text, never a mix, but the
+    replacement may not survive a crash."""
     if output is None:
         sys.stdout.write(text)
         return
@@ -215,8 +220,7 @@ def cmd_classify(args) -> int:
         raise InputError(f"classify needs dims [2, 2, 2], got {dims}")
     state = normalize(amps)
     cls = classify(state, tol=tol, sigma_tol=sigma_tol)
-    point = PolytopePoint(*cls.sigma_triple)
-    membership = polytope_membership(point, tol=tol)
+    membership = polytope_membership(cls.sigma_triple, tol=tol)
     doc = {
         "command": "classify",
         "label": label,
@@ -229,8 +233,9 @@ def cmd_classify(args) -> int:
         "degenerate_modes": sorted(cls.degenerate_modes),
         "gauge_warning": cls.gauge_warning,
         "polytope": {
-            "point": [point.s1, point.s2, point.s3],
-            "clamped": list(point.clamped()),
+            "point": list(cls.sigma_triple),
+            # clipped to [1/2, 1] for plotting; "point" keeps the raw values
+            "clamped": [min(1.0, max(0.5, v)) for v in cls.sigma_triple],
             "member": membership.member,
             "facet_residuals": membership.residuals,
         },
@@ -258,8 +263,7 @@ def cmd_sample(args) -> int:
         state = normalize(haar_random_amplitudes(rng))
         cls = classify(state, tol=tol, sigma_tol=sigma_tol)
         s1, s2, s3 = cls.sigma_triple
-        point = PolytopePoint(s1, s2, s3)
-        if not polytope_membership(point, tol=tol):
+        if not polytope_membership(cls.sigma_triple, tol=tol):
             violations += 1
         lines.append(
             f"{i},{s1:.12g},{s2:.12g},{s3:.12g},"

@@ -95,7 +95,7 @@ def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:
     factors = []
     degenerate = set()
     for mode in range(1, x.order + 1):
-        g = gram(unfold(x, mode).entries)
+        g = gram(unfold(x, mode))
         try:
             eig = hermitian_eig(g, tol=tol)
         except NumericalError as exc:

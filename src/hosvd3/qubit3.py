@@ -63,25 +63,6 @@ class ThreeQubitState:
         return self._tensor
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Reduced density matrix of the labeled subsystem (A, B, C, AB, CA, BC)."""
-
-    label: str
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.matrix, dtype=np.complex128, copy=True)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ShapeError("density matrix must be square")
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-
 def normalize(amplitudes) -> ThreeQubitState:
     """Scale 8 amplitudes to unit norm, preserving relative phases.
 
@@ -97,31 +78,31 @@ def normalize(amplitudes) -> ThreeQubitState:
     return ThreeQubitState(arr.reshape(2, 2, 2) / np.linalg.norm(arr))
 
 
-def one_body_rdms(s: ThreeQubitState):
-    """rho^A, rho^B, rho^C as Gram matrices of the three unfoldings."""
+def one_body_rdms(s: ThreeQubitState) -> tuple[np.ndarray, ...]:
+    """rho^A, rho^B, rho^C, in that order: the Gram matrices of the three
+    unfoldings, as read-only 2x2 arrays."""
     t = s.as_tensor()
-    return tuple(
-        DensityMatrix(label, gram(unfold(t, mode).entries))
-        for mode, label in ((1, "A"), (2, "B"), (3, "C"))
-    )
+    return _read_only(gram(unfold(t, mode)) for mode in (1, 2, 3))
 
 
-def two_body_rdms(s: ThreeQubitState):
-    """rho^{AB}, rho^{CA}, rho^{BC}; each is gram(unfolding.T), i.e.
-    unfolding.T @ conj(unfolding)."""
+def two_body_rdms(s: ThreeQubitState) -> tuple[np.ndarray, ...]:
+    """rho^{AB}, rho^{CA}, rho^{BC}, in that order, as read-only 4x4 arrays;
+    each is gram(unfolding.T), i.e. unfolding.T @ conj(unfolding), of the
+    unfolding of the remaining qubit."""
     t = s.as_tensor()
-    return tuple(
-        DensityMatrix(label, gram(unfold(t, mode).entries.T))
-        for mode, label in ((3, "AB"), (2, "CA"), (1, "BC"))
-    )
+    return _read_only(gram(unfold(t, mode).T) for mode in (3, 2, 1))
 
 
-def _sigma_triple(result) -> tuple[float, float, float]:
-    """sigma1(n)^2 per mode: the top eigenvalue of each one-body RDM."""
-    return tuple(float(spec[0]) ** 2 for spec in result.spectra)
+def _read_only(arrays) -> tuple[np.ndarray, ...]:
+    out = tuple(arrays)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def _separability(sig: tuple[float, float, float], tol: float) -> str:
+    """Separability decided by one-body purity: sigma1(n)^2 >= 1 - tol means
+    the state is bi-separable across that qubit's cut."""
     pure = [n for n in range(3) if sig[n] >= 1.0 - tol]
     # two pure one-body matrices force the third, so >= 2 is the product case
     if len(pure) >= 2:
@@ -162,20 +143,12 @@ def separability_minor_residual(s: ThreeQubitState, cut: str) -> float:
     """
     if cut not in _CUT_MODE:
         raise ValueError(f"unknown cut {cut!r}; expected one of {CUTS}")
-    m = unfold(s.as_tensor(), _CUT_MODE[cut]).entries
+    m = unfold(s.as_tensor(), _CUT_MODE[cut])
     worst = 0.0
     for a in range(4):
         for b in range(a + 1, 4):
             worst = max(worst, abs(m[0, a] * m[1, b] - m[0, b] * m[1, a]))
     return worst
-
-
-def separability_class(s: ThreeQubitState, tol: float = 1e-10) -> str:
-    """Separability tag decided by one-body purity: sigma1(n)^2 >= 1 - tol
-    means the state is bi-separable across that qubit's cut; all three pure
-    means fully separable; none means genuine.
-    """
-    return _separability(_sigma_triple(hosvd(s.as_tensor(), tol=tol)), tol)
 
 
 def core_biseparability_residual(core: ComplexTensor, cut: str, tol: float = 1e-10) -> float:
@@ -186,12 +159,14 @@ def core_biseparability_residual(core: ComplexTensor, cut: str, tol: float = 1e-
         C_AB: t211 t122 = t212 t121
 
     The input must already be an HOSVD core (all-orthogonality within
-    tol * norm^2), otherwise the single condition carries no meaning.
+    tol * norm^2), otherwise the single condition carries no meaning and
+    ValidationError is raised.
     """
     if cut not in _CUT_MODE:
         raise ValueError(f"unknown cut {cut!r}; expected one of {CUTS}")
     entries = _core_entries(core)
-    _require_core(core, verify_all_orthogonality(core), tol)
+    if verify_all_orthogonality(core) > tol * max(1.0, norm(core) ** 2):
+        raise ValidationError("input violates all-orthogonality; not an HOSVD core")
     return _core_bisep(entries, cut)
 
 
@@ -200,11 +175,6 @@ def _core_entries(core: ComplexTensor) -> list:
     if core.dims != (2, 2, 2):
         raise ShapeError(f"expected a 2x2x2 core, got dims {core.dims}")
     return core.data.ravel().tolist()
-
-
-def _require_core(core: ComplexTensor, all_orthogonality: float, tol: float) -> None:
-    if all_orthogonality > tol * max(1.0, norm(core) ** 2):
-        raise ValidationError("input violates all-orthogonality; not an HOSVD core")
 
 
 def _core_bisep(entries: list, cut: str) -> float:
@@ -299,21 +269,11 @@ def guarded_t111_t222_check(core: ComplexTensor, tol: float = 1e-10):
     return (abs(t111 - t111_formula), abs(t222 - t222_formula))
 
 
-@dataclass(frozen=True, eq=False)
-class PolytopePoint:
-    """Triple of largest one-body eigenvalues."""
-
-    s1: float
-    s2: float
-    s3: float
-
-    def clamped(self) -> tuple[float, float, float]:
-        """Values clipped to [1/2, 1] for reporting; raw fields stay untouched."""
-        return tuple(min(1.0, max(0.5, v)) for v in (self.s1, self.s2, self.s3))
-
-
 @dataclass(frozen=True)
 class PolytopeMembership:
+    """Whether a sigma triple lies in the polytope, and the signed residual
+    of each constraint (> 0 measures a violation); truthy iff member."""
+
     member: bool
     residuals: dict
 
@@ -321,14 +281,11 @@ class PolytopeMembership:
         return self.member
 
 
-def polytope_point(s: ThreeQubitState) -> PolytopePoint:
-    """Map a state to its (sigma1(1)^2, sigma1(2)^2, sigma1(3)^2) triple."""
-    return PolytopePoint(*_sigma_triple(hosvd(s.as_tensor())))
-
-
-def polytope_membership(p: PolytopePoint, tol: float = 1e-10) -> PolytopeMembership:
-    """Check the five constraint families; residuals > 0 measure violation."""
-    s1, s2, s3 = p.s1, p.s2, p.s3
+def polytope_membership(sigma, tol: float = 1e-10) -> PolytopeMembership:
+    """Check a triple (s1, s2, s3) of largest one-body eigenvalues, such as
+    ``classify(s).sigma_triple``, against the five constraint families;
+    residuals > 0 measure violation."""
+    s1, s2, s3 = sigma
     residuals = {
         "s1+s2-s3<=1": s1 + s2 - s3 - 1.0,
         "s1+s3-s2<=1": s1 + s3 - s2 - 1.0,
@@ -406,9 +363,12 @@ def classify(
     genuine states carry one).  With degenerate mode spectra the core is
     gauge-dependent, so a support-based tag is reported with
     ``gauge_warning=True`` instead of being trusted against the case.
+    The core is the decomposition's own, so its all-orthogonality residual
+    is reported, not held against `tol`.
     """
     result = hosvd(s.as_tensor(), tol=tol)
-    sig = _sigma_triple(result)
+    # sigma1(n)^2 per mode: the top eigenvalue of each one-body RDM
+    sig = tuple(float(spec[0]) ** 2 for spec in result.spectra)
     separability = _separability(sig, tol)
     case = _decide_case(sig, sigma_tol)
 
@@ -432,7 +392,6 @@ def classify(
         "plane_c": c,
         "plane_coefficient_sum": a + b + c,
     }
-    _require_core(result.core, result.residuals.all_orthogonality, tol)
     entries = _core_entries(result.core)
     for cut in CUTS:
         residuals[f"core_bisep_{cut}"] = _core_bisep(entries, cut)

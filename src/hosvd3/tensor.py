@@ -15,7 +15,7 @@ the column obtained by ranking the remaining indices in the cyclic order
           + (i_1-1) I_2...I_{n-1} + ... + i_{n-1}
 
 All operations are pure: inputs are never mutated and results never alias
-caller storage.
+caller storage.  An unfolding may share the read-only storage of its tensor.
 """
 
 from __future__ import annotations
@@ -52,11 +52,6 @@ class ComplexTensor:
     def order(self) -> int:
         return self.data.ndim
 
-    @property
-    def elements(self) -> np.ndarray:
-        """Flat element vector, C order (last index fastest). Copy."""
-        return self.data.ravel().copy()
-
     def __getitem__(self, indices):
         """Element access with 1-based integer indices, e.g. ``t[1, 2, 2]``;
         bools, floats and other non-integers raise ValueError."""
@@ -70,31 +65,6 @@ class ComplexTensor:
             if not 1 <= idx <= d:
                 raise ValueError(f"index {idx} out of range 1..{d} in mode {i}")
         return complex(self.data[tuple(i - 1 for i in indices)])
-
-
-@dataclass(frozen=True, eq=False)
-class UnfoldedMatrix:
-    """Mode-n unfolding of a tensor; remembers the mode so it can be refolded."""
-
-    entries: np.ndarray
-    mode: int
-
-    def __post_init__(self):
-        arr = np.array(self.entries, dtype=np.complex128, order="C", copy=True)
-        if arr.ndim != 2:
-            raise ShapeError("unfolded matrix must be two-dimensional")
-        if self.mode < 1:
-            raise ValueError(f"mode must be >= 1, got {self.mode}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
 
 
 def make_tensor(dims, elements) -> ComplexTensor:
@@ -128,31 +98,30 @@ def _mode_rows(data: np.ndarray, mode: int) -> np.ndarray:
     return data.transpose(axes).reshape(data.shape[mode - 1], -1)
 
 
-def unfold(t: ComplexTensor, mode: int) -> UnfoldedMatrix:
-    """Mode-n unfolding with the cyclic column ordering (see module docstring)."""
+def unfold(t: ComplexTensor, mode: int) -> np.ndarray:
+    """Mode-n unfolding with the cyclic column ordering (see module docstring):
+    a read-only complex ndarray of shape (dims[mode - 1], size / dims[mode - 1])."""
     if not 1 <= mode <= t.order:
         raise ValueError(f"mode {mode} out of range 1..{t.order}")
-    perm = _cyclic_axes(t.order, mode)
-    entries = t.data.transpose(perm).reshape(t.dims[mode - 1], -1)
-    return UnfoldedMatrix(entries, mode)
+    m = t.data.transpose(_cyclic_axes(t.order, mode)).reshape(t.dims[mode - 1], -1)
+    m.setflags(write=False)
+    return m
 
 
-def refold(m: UnfoldedMatrix, dims) -> ComplexTensor:
-    """Inverse of :func:`unfold`; exact (no arithmetic) round trip."""
+def refold(m, mode: int, dims) -> ComplexTensor:
+    """Inverse of :func:`unfold`: the tensor of shape dims whose mode-n
+    unfolding is m; exact (no arithmetic) round trip."""
     dims = tuple(int(d) for d in dims)
-    order = len(dims)
-    mode = m.mode
-    if not 1 <= mode <= order:
-        raise ShapeError(f"stored mode {mode} inconsistent with {order} dims")
-    perm = _cyclic_axes(order, mode)
+    if not 1 <= mode <= len(dims):
+        raise ValueError(f"mode {mode} out of range 1..{len(dims)}")
+    m = np.asarray(m, dtype=np.complex128)
+    perm = _cyclic_axes(len(dims), mode)
     permuted_dims = tuple(dims[a] for a in perm)
-    if m.entries.shape != (dims[mode - 1], math.prod(permuted_dims[1:])):
+    if m.shape != (dims[mode - 1], math.prod(permuted_dims[1:])):
         raise ShapeError(
-            f"matrix shape {m.entries.shape} inconsistent with dims {dims} "
-            f"at mode {mode}"
+            f"matrix shape {m.shape} inconsistent with dims {dims} at mode {mode}"
         )
-    inverse = np.argsort(perm)
-    return ComplexTensor(m.entries.reshape(permuted_dims).transpose(inverse))
+    return ComplexTensor(m.reshape(permuted_dims).transpose(np.argsort(perm)))
 
 
 def multilinear_transform(t: ComplexTensor, mats) -> ComplexTensor:

@@ -238,8 +238,6 @@ def _polynomial_separability(state, tol=1e-10):
 
 
 def test_criterion_7_separability_oracle_equivalence():
-    from hosvd3 import separability_class
-
     rng = np.random.default_rng(SAMPLE_SEED + 2)
 
     def product():
@@ -265,13 +263,13 @@ def test_criterion_7_separability_oracle_equivalence():
             biproduct("C_AB"),
         ):
             count += 1
-            if separability_class(state) != _polynomial_separability(state):
+            if classify(state).separability != _polynomial_separability(state):
                 disagreements += 1
     rng2 = np.random.default_rng(SAMPLE_SEED + 3)
     for _ in range(2000):
         count += 1
         state = normalize(haar_state(rng2))
-        if separability_class(state) != _polynomial_separability(state):
+        if classify(state).separability != _polynomial_separability(state):
             disagreements += 1
     ok = disagreements == 0 and count == 10_000
     _report(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -118,7 +119,7 @@ class TestDecompose:
             for mat in doc["factors"]
         ]
         rebuilt = multilinear_transform(core, factors)
-        np.testing.assert_allclose(rebuilt.elements, amps, atol=1e-12)
+        np.testing.assert_allclose(rebuilt.data.ravel(), amps, atol=1e-12)
 
     def test_general_dims_allowed(self, tmp_path, rng, capsys):
         data = rng.standard_normal(12) + 1j * rng.standard_normal(12)
@@ -166,6 +167,17 @@ class TestClassify:
         doc = json.loads(capsys.readouterr().out)
         np.testing.assert_allclose(doc["sigma"], [0.5, 0.5, 0.5], atol=1e-12)
 
+    def test_clamped_reporting(self, ghz_file, capsys, monkeypatch):
+        # "clamped" clips sigma to [1/2, 1]; "point" keeps the raw values
+        raw = (1.0 + 5e-16, 0.5 - 5e-16, 0.75)
+        real = cli.classify
+        monkeypatch.setattr(cli, "classify", lambda *args, **kwargs: dataclasses.replace(
+            real(*args, **kwargs), sigma_triple=raw))
+        assert run(["classify", ghz_file]) == EXIT_OK
+        polytope = json.loads(capsys.readouterr().out)["polytope"]
+        assert polytope["clamped"] == [1.0, 0.5, 0.75]
+        assert polytope["point"] == list(raw)
+
 
 class TestTolerances:
     def test_flag_beats_env(self, ghz_file, capsys):
@@ -187,6 +199,22 @@ class TestTolerances:
         ):
             assert run([*argv, value]) == EXIT_INPUT
             assert f"{argv[-1]} must be finite and >= 0" in capsys.readouterr().err
+
+    def test_zero_tol_classifies(self, tmp_path, rng, capsys):
+        # classify decides at tol but does not hold its own core to it
+        path = write_state(tmp_path / "g.json", haar_state(rng))
+        assert run(["classify", path, "--tol", "0"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["tol"] == 0.0
+        assert doc["separability"] == "genuine"
+
+    def test_zero_tol_samples(self, tmp_path):
+        out = tmp_path / "s.csv"
+        argv = ["sample", "--tol", "0", "--count", "3", "--seed", "7", "--output", str(out)]
+        assert run(argv) == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert lines[0].endswith(" tol=0 sigma_tol=1e-08")
+        assert len(lines) == 6 and lines[-1] == "# polytope_violations=0"
 
     def test_mesh_takes_no_tol(self):
         with pytest.raises(SystemExit) as exc:
@@ -262,7 +290,7 @@ class TestPolytopeMesh:
         assert (1.0, 0.5, 0.5) in facet
 
     def test_all_vertices_are_members(self, tmp_path):
-        from hosvd3 import PolytopePoint, polytope_membership
+        from hosvd3 import polytope_membership
 
         out = tmp_path / "mesh.csv"
         assert run(["polytope-mesh", "--resolution", "9", "--output", str(out)]) == EXIT_OK
@@ -276,7 +304,7 @@ class TestPolytopeMesh:
             "facet_s1+s2-s3", "facet_s1+s3-s2", "facet_s2+s3-s1",
         }
         for r in rows:
-            assert polytope_membership(PolytopePoint(r[3], r[4], r[5]), tol=1e-9).member
+            assert polytope_membership((r[3], r[4], r[5]), tol=1e-9).member
 
     def test_facet_points_on_plane(self, tmp_path):
         out = tmp_path / "mesh.csv"

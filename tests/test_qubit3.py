@@ -6,7 +6,6 @@ import pytest
 from hosvd3 import (
     ComplexTensor,
     DomainError,
-    PolytopePoint,
     ShapeError,
     ThreeQubitState,
     ValidationError,
@@ -22,8 +21,6 @@ from hosvd3 import (
     plane_coefficients,
     plane_identity_residual,
     polytope_membership,
-    polytope_point,
-    separability_class,
     separability_minor_residual,
     two_body_rdms,
 )
@@ -137,77 +134,79 @@ class TestThreeQubitState:
 class TestOneBodyRdms:
     def test_basis_state(self):
         rdms = one_body_rdms(normalize(amplitudes(a111=1)))
-        assert [r.label for r in rdms] == ["A", "B", "C"]
+        assert len(rdms) == 3
         for r in rdms:
-            np.testing.assert_allclose(r.matrix, np.diag([1.0, 0.0]), atol=1e-15)
+            assert not r.flags.writeable
+            np.testing.assert_allclose(r, np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_equal_ghz(self, ghz_equal):
         for r in one_body_rdms(ghz_equal):
-            np.testing.assert_allclose(r.matrix, np.eye(2) / 2, atol=1e-15)
+            np.testing.assert_allclose(r, np.eye(2) / 2, atol=1e-15)
 
     def test_w_state(self, w_state):
         for r in one_body_rdms(w_state):
-            np.testing.assert_allclose(r.matrix, np.diag([2 / 3, 1 / 3]), atol=1e-15)
+            np.testing.assert_allclose(r, np.diag([2 / 3, 1 / 3]), atol=1e-15)
 
     def test_oracle_and_invariants(self, rng):
         for _ in range(50):
             s = haar_3q(rng)
+            # position q holds the RDM of qubit q: A, B, C
             for qubit, r in enumerate(one_body_rdms(s)):
                 np.testing.assert_allclose(
-                    r.matrix, one_body_rdm_by_summation(s.amplitudes, qubit), atol=1e-14
+                    r, one_body_rdm_by_summation(s.amplitudes, qubit), atol=1e-14
                 )
-                assert r.trace == pytest.approx(1.0, abs=1e-10)
-                np.testing.assert_allclose(r.matrix, r.matrix.conj().T, atol=1e-12)
-                assert np.linalg.eigvalsh(r.matrix).min() >= -1e-12
+                assert np.trace(r).real == pytest.approx(1.0, abs=1e-10)
+                np.testing.assert_allclose(r, r.conj().T, atol=1e-12)
+                assert np.linalg.eigvalsh(r).min() >= -1e-12
 
 
 class TestTwoBodyRdms:
     def test_basis_state(self):
         rdms = two_body_rdms(normalize(amplitudes(a111=1)))
-        assert [r.label for r in rdms] == ["AB", "CA", "BC"]
+        assert len(rdms) == 3
         for r in rdms:
-            evals = np.sort(np.linalg.eigvalsh(r.matrix))[::-1]
+            assert not r.flags.writeable
+            evals = np.sort(np.linalg.eigvalsh(r))[::-1]
             np.testing.assert_allclose(evals, [1, 0, 0, 0], atol=1e-14)
 
     def test_equal_ghz(self, ghz_equal):
         rho_ab = two_body_rdms(ghz_equal)[0]
-        evals = np.sort(np.linalg.eigvalsh(rho_ab.matrix))[::-1]
+        evals = np.sort(np.linalg.eigvalsh(rho_ab))[::-1]
         np.testing.assert_allclose(evals, [0.5, 0.5, 0, 0], atol=1e-14)
 
     def test_purity_pairing(self, rng):
         # spec(rho^{AB}) == spec(rho^C) + {0, 0}, and cyclic partners
         for _ in range(25):
             s = haar_3q(rng)
+            # (AB, CA, BC) pair with (C, B, A)
             ones = one_body_rdms(s)
             twos = two_body_rdms(s)
-            pairing = {"AB": "C", "CA": "B", "BC": "A"}
-            singles = {r.label: r for r in ones}
-            for r2 in twos:
-                big = np.sort(np.linalg.eigvalsh(r2.matrix))[::-1]
-                small = np.sort(np.linalg.eigvalsh(singles[pairing[r2.label]].matrix))[::-1]
+            for r2, r1 in zip(twos, ones[::-1]):
+                big = np.sort(np.linalg.eigvalsh(r2))[::-1]
+                small = np.sort(np.linalg.eigvalsh(r1))[::-1]
                 np.testing.assert_allclose(big[:2], small, atol=1e-11)
                 np.testing.assert_allclose(big[2:], [0, 0], atol=1e-11)
-                assert r2.trace == pytest.approx(1.0, abs=1e-10)
+                assert np.trace(r2).real == pytest.approx(1.0, abs=1e-10)
 
 
 class TestSeparability:
     def test_basis_state(self):
-        assert separability_class(normalize(amplitudes(a111=1))) == "fully_separable"
+        assert classify(normalize(amplitudes(a111=1))).separability == "fully_separable"
 
     def test_bisep_cab(self, bisep_cab):
-        assert separability_class(bisep_cab) == "biseparable_C_AB"
+        assert classify(bisep_cab).separability == "biseparable_C_AB"
 
     def test_equal_ghz_genuine(self, ghz_equal):
-        assert separability_class(ghz_equal) == "genuine"
+        assert classify(ghz_equal).separability == "genuine"
 
     def test_product_states(self, rng):
         for _ in range(20):
-            assert separability_class(product_state(rng)) == "fully_separable"
+            assert classify(product_state(rng)).separability == "fully_separable"
 
     @pytest.mark.parametrize("cut", ["A_BC", "B_CA", "C_AB"])
     def test_biproduct_states(self, rng, cut):
         for _ in range(20):
-            assert separability_class(biproduct_state(rng, cut)) == f"biseparable_{cut}"
+            assert classify(biproduct_state(rng, cut)).separability == f"biseparable_{cut}"
 
     def test_minor_residual_matches_explicit_conditions(self, rng):
         # the C|AB minors are exactly the six displayed amplitude conditions
@@ -234,7 +233,7 @@ class TestSeparability:
                 s = biproduct_state(rng, ["A_BC", "B_CA", "C_AB"][rng.integers(0, 3)])
             else:
                 s = haar_3q(rng)
-            spectral = separability_class(s)
+            spectral = classify(s).separability
             polynomial_pure = [
                 cut for cut in ("A_BC", "B_CA", "C_AB")
                 if separability_minor_residual(s, cut) <= 1e-10
@@ -467,7 +466,8 @@ class TestQubitPermutation:
 
 
 class TestOneDecomposition:
-    """polytope_point and separability_class read the same HOSVD as classify."""
+    """classify's sigma triple is the top squared singular value of each mode
+    of the state's HOSVD, as Python floats."""
 
     FIXTURES = ("ghz_86", "w_state", "s1_fixture", "b1_fixture", "bisep_cab")
 
@@ -475,49 +475,43 @@ class TestOneDecomposition:
         states = [request.getfixturevalue(name) for name in self.FIXTURES]
         states += [haar_3q(rng) for _ in range(100)]
         for s in states:
-            c = classify(s)
-            p = polytope_point(s)
-            assert (p.s1, p.s2, p.s3) == c.sigma_triple
-            assert separability_class(s) == c.separability
+            sigma = classify(s).sigma_triple
+            spectra = hosvd(s.as_tensor()).spectra
+            assert sigma == tuple(float(spec[0]) ** 2 for spec in spectra)
+            assert all(type(v) is float for v in sigma)
 
 
 class TestPolytope:
     def test_point_examples(self, ghz_equal, w_state):
-        p = polytope_point(normalize(amplitudes(a111=1)))
-        np.testing.assert_allclose([p.s1, p.s2, p.s3], [1, 1, 1], atol=1e-12)
-        p = polytope_point(ghz_equal)
-        np.testing.assert_allclose([p.s1, p.s2, p.s3], [0.5] * 3, atol=1e-12)
-        p = polytope_point(w_state)
-        np.testing.assert_allclose([p.s1, p.s2, p.s3], [2 / 3] * 3, atol=1e-12)
+        sigma = classify(normalize(amplitudes(a111=1))).sigma_triple
+        np.testing.assert_allclose(sigma, [1, 1, 1], atol=1e-12)
+        np.testing.assert_allclose(classify(ghz_equal).sigma_triple, [0.5] * 3, atol=1e-12)
+        np.testing.assert_allclose(classify(w_state).sigma_triple, [2 / 3] * 3, atol=1e-12)
 
     def test_membership_vertex(self):
-        m = polytope_membership(PolytopePoint(1.0, 1.0, 1.0))
+        m = polytope_membership((1.0, 1.0, 1.0))
         assert m.member and bool(m)
         assert m.residuals["s1+s2-s3<=1"] == 0.0
 
     def test_membership_tight_facet(self):
-        assert polytope_membership(PolytopePoint(1.0, 0.5, 0.5)).member
+        assert polytope_membership((1.0, 0.5, 0.5)).member
 
     def test_membership_violation(self):
-        m = polytope_membership(PolytopePoint(0.9, 0.9, 0.5))
+        m = polytope_membership((0.9, 0.9, 0.5))
         assert not m.member
         assert m.residuals["s1+s2-s3<=1"] == pytest.approx(0.3)
 
     def test_sampled_states_inside(self, rng):
         for _ in range(200):
-            assert polytope_membership(polytope_point(haar_3q(rng)), tol=1e-10).member
-
-    def test_clamped_reporting(self):
-        p = PolytopePoint(1.0 + 5e-16, 0.5 - 5e-16, 0.75)
-        assert p.clamped() == (1.0, 0.5, 0.75)
-        assert p.s1 == 1.0 + 5e-16  # raw preserved
+            sigma = classify(haar_3q(rng)).sigma_triple
+            assert polytope_membership(sigma, tol=1e-10).member
 
     def test_batch_matches_pointwise(self, rng):
         batch = np.array([haar_state(rng) for _ in range(64)])
         vec = batch_sigma_squares(batch)
         for row, amps in zip(vec, batch):
-            p = polytope_point(normalize(amps))
-            np.testing.assert_allclose(row, [p.s1, p.s2, p.s3], atol=1e-12)
+            sigma = classify(normalize(amps)).sigma_triple
+            np.testing.assert_allclose(row, sigma, atol=1e-12)
 
 
 class TestInputValidation:

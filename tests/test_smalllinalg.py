@@ -30,13 +30,13 @@ class TestGram:
     def test_basis_state(self):
         flat = np.zeros(8)
         flat[0] = 1.0
-        m = unfold(make_tensor([2, 2, 2], flat), 1).entries
+        m = unfold(make_tensor([2, 2, 2], flat), 1)
         np.testing.assert_allclose(gram(m), np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_w_state(self):
         w = np.zeros(8, dtype=complex)
         w[1] = w[2] = w[4] = 1 / np.sqrt(3)
-        m = unfold(make_tensor([2, 2, 2], w), 1).entries
+        m = unfold(make_tensor([2, 2, 2], w), 1)
         g = gram(m)
         # oracle: direct amplitude sums give diag(2/3, 1/3)
         np.testing.assert_allclose(g, one_body_rdm_by_summation(w, 0), atol=1e-15)
@@ -143,7 +143,7 @@ def differential_cases(rng, n):
     # the wide k x n mode-1 unfolding of a k x n tensor: gram(M^T) has rank k < n
     k = max(1, n // 3)
     x = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
-    wide = unfold(make_tensor([k, n], x), 1).entries
+    wide = unfold(make_tensor([k, n], x), 1)
     return [
         ("random", random_hermitian(rng, n)),
         ("gram", gram(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))),

@@ -33,7 +33,7 @@ class TestMakeTensor:
         t = make_tensor([2, 2, 2], np.zeros(8))
         assert t.dims == (2, 2, 2)
         assert t.order == 3
-        assert np.all(t.elements == 0)
+        assert np.all(t.data.ravel() == 0)
 
     def test_basis_vector(self):
         t = make_tensor([2], [1, 0])
@@ -65,10 +65,10 @@ class TestUnfold:
         flat = np.zeros(8)
         flat[4 * 0 + 2 * 1 + 1] = 1.0
         m = unfold(make_tensor([2, 2, 2], flat), 1)
-        assert m.rows == 2 and m.cols == 4
+        assert m.shape == (2, 4)
         expected = np.zeros((2, 4))
         expected[0, 3] = 1.0
-        np.testing.assert_array_equal(m.entries, expected)
+        np.testing.assert_array_equal(m, expected)
 
     def test_mode2_single_element(self):
         # psi_212 = 1 lands at row 1, column (i3-1)*I1 + i1 = 4
@@ -77,11 +77,11 @@ class TestUnfold:
         m = unfold(make_tensor([2, 2, 2], flat), 2)
         expected = np.zeros((2, 4))
         expected[0, 3] = 1.0
-        np.testing.assert_array_equal(m.entries, expected)
+        np.testing.assert_array_equal(m, expected)
 
     def test_zero_tensor(self):
         m = unfold(make_tensor([2, 2, 2], np.zeros(8)), 3)
-        assert not m.entries.any()
+        assert not m.any()
 
     def test_three_qubit_layouts(self):
         # label each element by its own value and check all three unfoldings
@@ -106,9 +106,9 @@ class TestUnfold:
             [p[1, 1, 1], p[1, 2, 1], p[2, 1, 1], p[2, 2, 1]],
             [p[1, 1, 2], p[1, 2, 2], p[2, 1, 2], p[2, 2, 2]],
         ])
-        np.testing.assert_array_equal(unfold(t, 1).entries, m1)
-        np.testing.assert_array_equal(unfold(t, 2).entries, m2)
-        np.testing.assert_array_equal(unfold(t, 3).entries, m3)
+        np.testing.assert_array_equal(unfold(t, 1), m1)
+        np.testing.assert_array_equal(unfold(t, 2), m2)
+        np.testing.assert_array_equal(unfold(t, 3), m3)
 
     def test_column_formula_higher_order(self, rng):
         # every element of an order-4 tensor sits where the cyclic formula says
@@ -120,7 +120,7 @@ class TestUnfold:
             for idx in itertools.product(*(range(1, d + 1) for d in dims)):
                 row = idx[mode - 1]
                 col = unfold_column_index(dims, idx, mode)
-                assert m.entries[row - 1, col - 1] == t[idx]
+                assert m[row - 1, col - 1] == t[idx]
 
     def test_mode_out_of_range(self):
         t = make_tensor([2, 2], np.zeros(4))
@@ -133,38 +133,41 @@ class TestUnfold:
         t = random_tensor(rng, (3, 2, 4))
         for mode in (1, 2, 3):
             assert np.isclose(
-                np.linalg.norm(unfold(t, mode).entries), norm(t), rtol=1e-15
+                np.linalg.norm(unfold(t, mode)), norm(t), rtol=1e-15
             )
 
 
 class TestRefold:
     def test_round_trip_bit_identical(self, rng):
-        for dims in [(2, 2, 2), (3, 2, 4), (2,), (2, 5)]:
+        for dims in [(2, 2, 2), (3, 2, 4), (2,), (2, 5), (7,), (4, 1, 3), (2, 3, 2, 2)]:
             t = random_tensor(rng, dims)
             for mode in range(1, len(dims) + 1):
-                back = refold(unfold(t, mode), dims)
+                m = unfold(t, mode)
+                assert not m.flags.writeable
+                with pytest.raises(ValueError):
+                    m[0, 0] = 1.0
+                back = refold(m, mode, dims)
                 assert back.data.tobytes() == t.data.tobytes()
 
     def test_zero_matrix(self):
-        from hosvd3 import UnfoldedMatrix
-
-        back = refold(UnfoldedMatrix(np.zeros((2, 4)), 1), [2, 2, 2])
+        back = refold(np.zeros((2, 4)), 1, [2, 2, 2])
         assert not back.data.any()
 
     def test_single_entry_placement(self):
-        from hosvd3 import UnfoldedMatrix
-
         entries = np.zeros((2, 4))
         entries[0, 3] = 1.0
-        t = refold(UnfoldedMatrix(entries, 1), [2, 2, 2])
+        t = refold(entries, 1, [2, 2, 2])
         assert t[1, 2, 2] == 1.0
         assert norm(t) == 1.0
 
     def test_inconsistent_shape(self):
-        from hosvd3 import UnfoldedMatrix
-
         with pytest.raises(ShapeError):
-            refold(UnfoldedMatrix(np.zeros((2, 3)), 1), [2, 2, 2])
+            refold(np.zeros((2, 3)), 1, [2, 2, 2])
+        with pytest.raises(ShapeError):
+            refold(np.zeros(8), 1, [2, 2, 2])
+        for mode in (0, 4):
+            with pytest.raises(ValueError):
+                refold(np.zeros((2, 4)), mode, [2, 2, 2])
 
 
 class TestMultilinearTransform:
@@ -218,8 +221,8 @@ class TestMultilinearTransform:
             chain = others[0]
             for m in others[1:]:
                 chain = np.kron(chain, m)
-            expected = mats[mode - 1] @ unfold(t, mode).entries @ chain.T
-            np.testing.assert_allclose(unfold(out, mode).entries, expected, atol=1e-12)
+            expected = mats[mode - 1] @ unfold(t, mode) @ chain.T
+            np.testing.assert_allclose(unfold(out, mode), expected, atol=1e-12)
 
     def test_composition(self, rng):
         t = random_tensor(rng, (2, 2, 2))
@@ -308,6 +311,7 @@ def test_round_trip_property(seed, dims):
     t = ComplexTensor(rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
     for mode in range(1, len(dims) + 1):
         m = unfold(t, mode)
-        assert m.rows * m.cols == t.data.size
-        assert np.isclose(np.linalg.norm(m.entries), norm(t), rtol=1e-15, atol=1e-300)
-        assert refold(m, dims).data.tobytes() == t.data.tobytes()
+        assert m.shape == (dims[mode - 1], t.data.size // dims[mode - 1])
+        assert m.dtype == np.complex128 and not m.flags.writeable
+        assert np.isclose(np.linalg.norm(m), norm(t), rtol=1e-15, atol=1e-300)
+        assert refold(m, mode, dims).data.tobytes() == t.data.tobytes()
