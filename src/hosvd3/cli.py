@@ -16,7 +16,9 @@ import os
 import stat
 import sys
 import tempfile
+from collections.abc import Iterator
 from functools import cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -47,7 +49,9 @@ def read_state_file(path):
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bytes that are not UTF-8 and integers
+        # past int's digit limit; RecursionError, arrays nested too deep
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be an object")
@@ -65,6 +69,10 @@ def read_state_file(path):
         amps = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: amplitudes must be [re, im] pairs") from exc
+    except OverflowError as exc:  # an integer too large for a float
+        raise InputError(f"{path}: amplitudes must be finite") from exc
+    if bool in set(map(type, chain.from_iterable(pairs))):
+        raise InputError(f"{path}: amplitudes must be numbers, not true or false")
     if amps.size != math.prod(dims):
         raise InputError(
             f"{path}: got {amps.size} amplitudes for dims {dims} "
@@ -150,21 +158,29 @@ def _json_text(obj, level: int = 0) -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _emit(text: str, output) -> None:
-    """Write text to stdout, or replace the file output with it atomically:
-    the text goes to a temporary file beside the real path of output (a
-    symlink keeps its link), which gets the mode open(output, "w") leaves
-    (that of the file it replaces, or 0o666 & ~umask for a new one) and
-    then takes output's place.  On any failure the temporary file is
-    removed and output is left as it was.  An output that exists and is
-    not a regular file, such as /dev/null, is written in place.
+def _emit(chunks: Iterator[str], output) -> None:
+    """Write the text a command yields to stdout, or replace the file output
+    with it atomically.  The first chunk is taken before anything is
+    opened, so a command that rejects its flags or input leaves output
+    alone.  `sample` and `polytope-mesh` yield each row as they make it, and
+    each chunk is written as it comes: on stdout, a run that fails part way
+    leaves the rows already written, and the exit code reports the failure.
+
+    A file output is replaced atomically: the text goes to a temporary file
+    beside the real path of output (a symlink keeps its link), which gets
+    the mode open(output, "w") leaves (that of the file it replaces, or
+    0o666 & ~umask for a new one) and then takes output's place.  On any
+    failure the temporary file is removed and output is left as it was.
+    An output that exists and is not a regular file, such as /dev/null, is
+    written in place, chunk by chunk, like stdout.
 
     Since a regular file is replaced, not rewritten, a hard link to it keeps
     the old text and the new file belongs to the running user.  Nothing is
     fsynced: readers see the old or the new text, never a mix, but the
     replacement may not survive a crash."""
+    chunks = chain([next(chunks)], chunks)
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     target = os.path.realpath(output)
     try:
@@ -177,12 +193,12 @@ def _emit(text: str, output) -> None:
         if not stat.S_ISREG(mode):
             # replacing a device or a pipe would put a regular file in its place
             with open(target, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
             return
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".hosvd3-")
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.chmod(tmp, stat.S_IMODE(mode))
         os.replace(tmp, target)
     except BaseException:
@@ -190,7 +206,7 @@ def _emit(text: str, output) -> None:
         raise
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> Iterator[str]:
     tol = _tolerance("--tol", args.tol)
     dims, amps, label = read_state_file(args.input)
     result = hosvd(make_tensor(dims, amps), tol=tol)
@@ -208,11 +224,10 @@ def cmd_decompose(args) -> int:
         },
         "degenerate_modes": sorted(result.degenerate_modes),
     }
-    _emit(_json_text(doc) + "\n", args.output)
-    return EXIT_OK
+    yield _json_text(doc) + "\n"
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> Iterator[str]:
     tol = _tolerance("--tol", args.tol)
     sigma_tol = _tolerance("--sigma-tol", args.sigma_tol)
     dims, amps, label = read_state_file(args.input)
@@ -241,11 +256,10 @@ def cmd_classify(args) -> int:
         },
         "residuals": cls.residuals,
     }
-    _emit(_json_text(doc) + "\n", args.output)
-    return EXIT_OK
+    yield _json_text(doc) + "\n"
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> Iterator[str]:
     tol = _tolerance("--tol", args.tol)
     sigma_tol = _tolerance("--sigma-tol", args.sigma_tol)
     if args.count < 1:
@@ -253,11 +267,9 @@ def cmd_sample(args) -> int:
     if args.seed < 0:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.Generator(np.random.Philox(args.seed))
-    lines = [
-        f"# generator={GENERATOR_NAME} seed={args.seed} count={args.count}"
-        f" tol={tol:g} sigma_tol={sigma_tol:g}",
-        "id,s1,s2,s3,separability,case,special",
-    ]
+    yield (f"# generator={GENERATOR_NAME} seed={args.seed} count={args.count}"
+           f" tol={tol:g} sigma_tol={sigma_tol:g}\n"
+           "id,s1,s2,s3,separability,case,special\n")
     violations = 0
     for i in range(args.count):
         state = normalize(haar_random_amplitudes(rng))
@@ -265,13 +277,9 @@ def cmd_sample(args) -> int:
         s1, s2, s3 = cls.sigma_triple
         if not polytope_membership(cls.sigma_triple, tol=tol):
             violations += 1
-        lines.append(
-            f"{i},{s1:.12g},{s2:.12g},{s3:.12g},"
-            f"{cls.separability},{cls.case},{cls.special}"
-        )
-    lines.append(f"# polytope_violations={violations}")
-    _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+        yield (f"{i},{s1:.12g},{s2:.12g},{s3:.12g},"
+               f"{cls.separability},{cls.case},{cls.special}\n")
+    yield f"# polytope_violations={violations}\n"
 
 
 def _facet_triangles(resolution: int):
@@ -293,35 +301,33 @@ def _facet_triangles(resolution: int):
     return triangles
 
 
-def cmd_polytope_mesh(args) -> int:
+def cmd_polytope_mesh(args) -> Iterator[str]:
     if args.resolution < 2:
         raise InputError(f"--resolution must be >= 2, got {args.resolution}")
     res = args.resolution
-    lines = [f"# polytope mesh resolution={res}", "section,element,vertex,s1,s2,s3"]
+    yield f"# polytope mesh resolution={res}\nsection,element,vertex,s1,s2,s3\n"
 
-    def emit_points(section, triples):
+    def points(section, triples):
         for idx, (s1, s2, s3) in enumerate(triples):
-            lines.append(f"{section},{idx},0,{s1:.12g},{s2:.12g},{s3:.12g}")
+            yield f"{section},{idx},0,{s1:.12g},{s2:.12g},{s3:.12g}\n"
 
     grid = np.linspace(0.5, 1.0, res)
-    emit_points("diagonal", [(v, v, v) for v in grid])
-    emit_points("axis_1", [(v, 0.5, 0.5) for v in grid])
-    emit_points("axis_2", [(0.5, v, 0.5) for v in grid])
-    emit_points("axis_3", [(0.5, 0.5, v) for v in grid])
-    emit_points("bisep_A_BC", [(1.0, v, v) for v in grid])
-    emit_points("bisep_B_CA", [(v, 1.0, v) for v in grid])
-    emit_points("bisep_C_AB", [(v, v, 1.0) for v in grid])
+    yield from points("diagonal", [(v, v, v) for v in grid])
+    yield from points("axis_1", [(v, 0.5, 0.5) for v in grid])
+    yield from points("axis_2", [(0.5, v, 0.5) for v in grid])
+    yield from points("axis_3", [(0.5, 0.5, v) for v in grid])
+    yield from points("bisep_A_BC", [(1.0, v, v) for v in grid])
+    yield from points("bisep_B_CA", [(v, 1.0, v) for v in grid])
+    yield from points("bisep_C_AB", [(v, v, 1.0) for v in grid])
 
     def slice_points(placement):
-        pts = []
         for u in grid:
             for v in np.linspace(max(0.5, 2.0 * u - 1.0), 1.0, res):
-                pts.append(placement(u, v))
-        return pts
+                yield placement(u, v)
 
-    emit_points("slice_1", slice_points(lambda u, v: (u, u, v)))
-    emit_points("slice_2", slice_points(lambda u, v: (u, v, u)))
-    emit_points("slice_3", slice_points(lambda u, v: (v, u, u)))
+    yield from points("slice_1", slice_points(lambda u, v: (u, u, v)))
+    yield from points("slice_2", slice_points(lambda u, v: (u, v, u)))
+    yield from points("slice_3", slice_points(lambda u, v: (v, u, u)))
 
     facet_maps = (
         ("facet_s1+s2-s3", lambda u, v: (u, v, u + v - 1.0)),
@@ -333,12 +339,7 @@ def cmd_polytope_mesh(args) -> int:
         for t_idx, tri in enumerate(triangles):
             for v_idx, (u, v) in enumerate(tri):
                 s1, s2, s3 = placement(u, v)
-                lines.append(
-                    f"{section},{t_idx},{v_idx},{s1:.12g},{s2:.12g},{s3:.12g}"
-                )
-
-    _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+                yield f"{section},{t_idx},{v_idx},{s1:.12g},{s2:.12g},{s3:.12g}\n"
 
 
 @cache
@@ -389,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _emit(args.func(args), args.output)
     except (InputError, ShapeError, DomainError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -400,6 +401,7 @@ def run(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK
 
 
 def main() -> None:

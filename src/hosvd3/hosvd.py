@@ -48,18 +48,20 @@ class HosvdResult:
 
 
 def mode_singular_values(core: ComplexTensor, mode: int) -> np.ndarray:
-    """Norms of the mode-n subtensors: entry i is norm(subtensor(core, mode, i))."""
+    """Norms of the mode-n slices: entry i is the Frobenius norm of the core
+    with its n-th index fixed to i (n = mode counts from 1, i from 0)."""
     if not 1 <= mode <= core.order:
         raise ValueError(f"mode {mode} out of range 1..{core.order}")
     return np.sqrt(np.sum(np.abs(_mode_rows(core.data, mode)) ** 2, axis=1))
 
 
 def verify_all_orthogonality(core: ComplexTensor) -> float:
-    """Max over modes n and index pairs a != b of |<subtensor(n,a), subtensor(n,b)>|.
+    """Max over modes n and index pairs a != b of |<slice a, slice b>|, where
+    slice i of mode n is the core with its n-th index fixed to i.
 
     For a 2x2x2 core this evaluates exactly the three off-diagonal sums
     conj(t_1jk) t_2jk of the one-body density matrices.  A vector (order 1)
-    has no subtensors, so its residual is 0.0.
+    is not checked: its residual is 0.0.
     """
     if core.order == 1:
         return 0.0

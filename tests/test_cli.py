@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -10,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
-from hosvd3 import cli, make_tensor, multilinear_transform
+from hosvd3 import NumericalError, cli, make_tensor, multilinear_transform
 from hosvd3.cli import (
     EXIT_INPUT,
     EXIT_IO,
+    EXIT_NUMERICAL,
     EXIT_OK,
     haar_random_amplitudes,
     run,
@@ -89,6 +91,74 @@ class TestStateFileErrors:
         path.write_text(json.dumps({"dims": dims, "amplitudes": [[1.0, 0.0]] * 8}))
         assert run(["decompose", str(path)]) == EXIT_INPUT
         assert "dims must be a list of integers" in capsys.readouterr().err
+
+    EIGHT = b', "amplitudes": [' + b", ".join([b"[0.5, 0]"] * 8) + b"]"
+
+    @pytest.mark.parametrize("content, message", [
+        pytest.param(b'{"dims": [2, 2, 2]\xff}', "not valid JSON", id="not-utf8"),
+        pytest.param(b'{"dims": [2, 2, 2], "amplitudes": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+                     "not valid JSON", id="nested-too-deep"),
+        pytest.param(b'{"dims": [2, 2, 2], "amplitudes": [[1' + b"0" * 400 + b", 0]"
+                     + b", [0, 0]" * 7 + b"]}", "amplitudes must be finite", id="huge-integer"),
+        pytest.param(b'{"dims": [2, 2, 2], "amplitudes": [[1' + b"0" * 5000 + b", 0]]}",
+                     "not valid JSON", id="integer-past-digit-limit"),
+        pytest.param(b'{"dims": [2, 2, 2], "amplitudes": [[true, false]'
+                     + b", [0, 0]" * 7 + b"]}", "not true or false", id="boolean-amplitude"),
+        pytest.param(b"[[0.5, 0]]", "top level must be an object", id="not-an-object"),
+        pytest.param(b'{"dims": [2, 2, 2]}', "need 'dims' and 'amplitudes'", id="no-amplitudes"),
+        pytest.param(b'{"amplitudes": [[1, 0]]}', "need 'dims' and 'amplitudes'", id="no-dims"),
+        pytest.param(b'{"dims": [2, 0, 2]' + EIGHT + b"}", "dims must be positive",
+                     id="zero-dim"),
+        pytest.param(b'{"dims": [2, 2, 2], "amplitudes": [[0.5, 0, 0]]}', "[re, im] pairs",
+                     id="triples"),
+        pytest.param(b'{"dims": [2, 2, 2], "amplitudes": [0.5, 0.5]}', "[re, im] pairs",
+                     id="bare-numbers"),
+        pytest.param(b'{"dims": [2, 2, 2], "amplitudes": [[NaN, 0]' + b", [0, 0]" * 7 + b"]}",
+                     "amplitudes must be finite", id="nan"),
+        pytest.param(b'{"dims": [2, 2, 2]' + EIGHT + b', "label": 7}',
+                     "label must be a string", id="label-not-string"),
+    ])
+    def test_malformed_state_file(self, tmp_path, capsys, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert run(["classify", str(path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+
+class TestNumericalFailure:
+    @pytest.mark.parametrize("command", ["decompose", "classify"])
+    def test_unconverged_eigensolver_exits_3(self, ghz_file, monkeypatch, capsys, command):
+        monkeypatch.setattr("hosvd3.smalllinalg._MAX_SWEEPS", 0)
+        assert run([command, ghz_file]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical error (mode 1): ")
+
+    def test_sample_failing_part_way(self, tmp_path, monkeypatch, capsys):
+        argv = ["sample", "--count", "5", "--seed", "7"]
+        assert run(argv) == EXIT_OK
+        first_rows = capsys.readouterr().out.splitlines(keepends=True)[:4]
+        real = cli.classify
+
+        def classify(state, **kwargs):
+            if next(calls) == 2:
+                raise NumericalError("injected failure", mode=2)
+            return real(state, **kwargs)
+
+        monkeypatch.setattr(cli, "classify", classify)
+        out = tmp_path / "samples.csv"
+        out.write_text("previous samples\n")
+        before = sorted(tmp_path.iterdir())
+        calls = itertools.count()
+        assert run([*argv, "--output", str(out)]) == EXIT_NUMERICAL
+        assert out.read_bytes() == b"previous samples\n"
+        assert sorted(tmp_path.iterdir()) == before
+        assert capsys.readouterr() == ("", "numerical error (mode 2): injected failure\n")
+        calls = itertools.count()
+        assert run(argv) == EXIT_NUMERICAL
+        assert capsys.readouterr() == ("".join(first_rows),
+                                       "numerical error (mode 2): injected failure\n")
 
 
 class TestDecompose:
