@@ -42,6 +42,9 @@ GAUSSIAN = (
 )
 # A label that the report must escape: non-ASCII text, a quote and a tab.
 ESCAPED_LABEL = ("label_escapes", (2, 2), 16, 'ψ "psi"\tstate')
+# A generic three-qubit state, so a classify report with nonzero identity
+# residuals and the t111/t222 formulas is pinned too.
+GENERIC_STATE = ("gaussian_2x2x2", (2, 2, 2), 17)
 
 
 def fixture_state(kwargs):
@@ -77,6 +80,9 @@ def cases(workdir):
     state = write_state_file(workdir / f"{name}.json", label,
                              gaussian_amplitudes(dims, seed))
     out.append((f"decompose_{name}.json", ["decompose", state, *TOL]))
+    name, dims, seed = GENERIC_STATE
+    state = write_state_file(workdir / f"{name}.json", name, gaussian_amplitudes(dims, seed))
+    out.append((f"classify_{name}.json", ["classify", state, *TOL]))
     out.append(("sample_count200_seed7.csv",
                 ["sample", "--count", "200", "--seed", "7", *TOL]))
     out.append(("polytope_mesh_resolution5.csv",
