@@ -286,19 +286,16 @@ def _facet_triangles(resolution: int):
     # barycentric subdivision of the parameter triangle with corners
     # (0.5, 1.0), (1.0, 0.5), (1.0, 1.0); every point stays on the facet.
     r = resolution - 1
-    corners = np.array([[0.5, 1.0], [1.0, 0.5], [1.0, 1.0]])
 
     def point(i, j):
-        w = np.array([r - i - j, i, j], dtype=float) / r
-        return w @ corners
+        a, b, c = (r - i - j) / r, i / r, j / r
+        return (a * 0.5 + b + c, a + b * 0.5 + c)
 
-    triangles = []
     for i in range(r):
         for j in range(r - i):
-            triangles.append((point(i, j), point(i + 1, j), point(i, j + 1)))
+            yield point(i, j), point(i + 1, j), point(i, j + 1)
             if i + j < r - 1:
-                triangles.append((point(i + 1, j), point(i + 1, j + 1), point(i, j + 1)))
-    return triangles
+                yield point(i + 1, j), point(i + 1, j + 1), point(i, j + 1)
 
 
 def cmd_polytope_mesh(args) -> Iterator[str]:
@@ -334,9 +331,8 @@ def cmd_polytope_mesh(args) -> Iterator[str]:
         ("facet_s1+s3-s2", lambda u, v: (u, u + v - 1.0, v)),
         ("facet_s2+s3-s1", lambda u, v: (u + v - 1.0, u, v)),
     )
-    triangles = _facet_triangles(res)
     for section, placement in facet_maps:
-        for t_idx, tri in enumerate(triangles):
+        for t_idx, tri in enumerate(_facet_triangles(res)):
             for v_idx, (u, v) in enumerate(tri):
                 s1, s2, s3 = placement(u, v)
                 yield f"{section},{t_idx},{v_idx},{s1:.12g},{s2:.12g},{s3:.12g}\n"

@@ -2,22 +2,26 @@
 core-tensor identities, case/special-state classification, and the polytope
 of largest one-body eigenvalues.
 
-Qubits are labeled A, B, C and correspond to tensor modes 1, 2, 3.  The
-squared largest mode-n singular value sigma1(n)^2 is the top eigenvalue of
-that qubit's reduced density matrix; the triple of these lives in the
-polytope  1/2 <= s_i <= 1,  s_i + s_j - s_k <= 1.
+A state is a :class:`ThreeQubitState`, a unit-norm 2x2x2 ComplexTensor, so
+it goes wherever a tensor goes.  Qubits are labeled A, B, C and correspond
+to tensor modes 1, 2, 3.  The squared largest mode-n singular value
+sigma1(n)^2 is the top eigenvalue of that qubit's reduced density matrix;
+the triple of these lives in the polytope  1/2 <= s_i <= 1,
+s_i + s_j - s_k <= 1.  Per state, :func:`classify` reads the triple off the
+state's one HOSVD and evaluates the core identities at it;
+:func:`batch_sigma_squares` is the closed form for many states at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, ShapeError, ValidationError
 from .hosvd import hosvd, verify_all_orthogonality
 from .smalllinalg import gram, pow2_prescale
-from .tensor import ComplexTensor, _cyclic_axes, _mode_rows, norm, unfold
+from .tensor import ComplexTensor, _cyclic_axes, norm, unfold
 
 CUTS = ("A_BC", "B_CA", "C_AB")
 _CUT_MODE = {"A_BC": 1, "B_CA": 2, "C_AB": 3}
@@ -35,32 +39,22 @@ _SPECIAL_SUPPORT = (
 
 
 @dataclass(frozen=True, eq=False)
-class ThreeQubitState:
-    """Normalized pure state of three qubits; amplitudes indexed (i1, i2, i3)."""
-
-    amplitudes: np.ndarray
-    _tensor: ComplexTensor = field(init=False, repr=False)
+class ThreeQubitState(ComplexTensor):
+    """Normalized pure state of three qubits: a 2x2x2 ComplexTensor of unit
+    norm, built from 8 amplitudes in C order.  Read it as ``s.data`` or,
+    1-based, as ``s[i1, i2, i3]``, and pass it wherever a tensor goes."""
 
     def __post_init__(self):
-        arr = np.asarray(self.amplitudes, dtype=np.complex128)
+        arr = np.asarray(self.data, dtype=np.complex128)
         if arr.size != 8:
             raise ShapeError(f"need 8 amplitudes, got {arr.size}")
-        tensor = ComplexTensor(arr.reshape(2, 2, 2))
-        total = np.linalg.norm(tensor.data.ravel())
+        object.__setattr__(self, "data", arr.reshape(2, 2, 2))
+        super().__post_init__()
+        total = np.linalg.norm(self.data.ravel())
         if not abs(total - 1.0) <= 1e-10:
             raise ValidationError(
                 f"state is not normalized (norm {total!r}); use normalize()"
             )
-        object.__setattr__(self, "_tensor", tensor)
-        object.__setattr__(self, "amplitudes", tensor.data)
-
-    def amplitude(self, i1: int, i2: int, i3: int) -> complex:
-        """psi_{i1 i2 i3} with 1-based indices; others raise ValueError."""
-        return self._tensor[i1, i2, i3]
-
-    def as_tensor(self) -> ComplexTensor:
-        """The state as a 2x2x2 tensor, ``amplitudes`` its data; never a copy."""
-        return self._tensor
 
 
 def normalize(amplitudes) -> ThreeQubitState:
@@ -81,16 +75,14 @@ def normalize(amplitudes) -> ThreeQubitState:
 def one_body_rdms(s: ThreeQubitState) -> tuple[np.ndarray, ...]:
     """rho^A, rho^B, rho^C, in that order: the Gram matrices of the three
     unfoldings, as read-only 2x2 arrays."""
-    t = s.as_tensor()
-    return _read_only(gram(unfold(t, mode)) for mode in (1, 2, 3))
+    return _read_only(gram(unfold(s, mode)) for mode in (1, 2, 3))
 
 
 def two_body_rdms(s: ThreeQubitState) -> tuple[np.ndarray, ...]:
     """rho^{AB}, rho^{CA}, rho^{BC}, in that order, as read-only 4x4 arrays;
     each is gram(unfolding.T), i.e. unfolding.T @ conj(unfolding), of the
     unfolding of the remaining qubit."""
-    t = s.as_tensor()
-    return _read_only(gram(unfold(t, mode).T) for mode in (3, 2, 1))
+    return _read_only(gram(unfold(s, mode).T) for mode in (3, 2, 1))
 
 
 def _read_only(arrays) -> tuple[np.ndarray, ...]:
@@ -143,7 +135,7 @@ def separability_minor_residual(s: ThreeQubitState, cut: str) -> float:
     """
     if cut not in _CUT_MODE:
         raise ValueError(f"unknown cut {cut!r}; expected one of {CUTS}")
-    m = unfold(s.as_tensor(), _CUT_MODE[cut])
+    m = unfold(s, _CUT_MODE[cut])
     worst = 0.0
     for a in range(4):
         for b in range(a + 1, 4):
@@ -165,7 +157,10 @@ def core_biseparability_residual(core: ComplexTensor, cut: str, tol: float = 1e-
     if cut not in _CUT_MODE:
         raise ValueError(f"unknown cut {cut!r}; expected one of {CUTS}")
     entries = _core_entries(core)
-    if verify_all_orthogonality(core) > tol * max(1.0, norm(core) ** 2):
+    # gate on the core scaled by an exact power of two, so that neither the
+    # inner products nor the squared norm underflow or overflow
+    unit = ComplexTensor(pow2_prescale(core.data)[0])
+    if verify_all_orthogonality(unit) > tol * norm(unit) ** 2:
         raise ValidationError("input violates all-orthogonality; not an HOSVD core")
     return _core_bisep(entries, cut)
 
@@ -200,28 +195,21 @@ def plane_coefficients(core: ComplexTensor) -> tuple[float, float, float]:
     return (x - y, z - x, y - z)
 
 
-def _first_slice_squares(core: ComplexTensor) -> tuple[float, float, float]:
-    return tuple(
-        float(np.sum(np.abs(_mode_rows(core.data, m)[0]) ** 2)) for m in (1, 2, 3)
-    )
-
-
-def plane_identity_residual(core: ComplexTensor) -> float:
+def plane_identity_residual(core: ComplexTensor, sigma) -> float:
     """Residual of the sigma-plane identity every HOSVD core satisfies:
 
-        |t112|^2 (s1 - s2) + |t211|^2 (s2 - s3) + |t121|^2 (s3 - s1) = 0
+        a s1 + b s2 + c s3 = 0,  (a, b, c) = plane_coefficients(core),
 
-    with s_n = sigma1(n)^2.  The companion form in t221, t122, t212 is
+    i.e. |t112|^2 (s1 - s2) + |t211|^2 (s2 - s3) + |t121|^2 (s3 - s1) = 0,
+    where sigma = (s1, s2, s3) holds the core's sigma1(n)^2, such as
+    ``classify(s).sigma_triple``.  The companion form in t221, t122, t212 is
     algebraically identical; both are evaluated and must agree to 1e-12
     (floating-point consistency), else a NumericalError is raised.
     """
-    _, t112, t121, t122, t211, t212, t221, _ = _core_entries(core)
-    s1, s2, s3 = _first_slice_squares(core)
-    form_a = (
-        abs(t112) ** 2 * (s1 - s2)
-        + abs(t211) ** 2 * (s2 - s3)
-        + abs(t121) ** 2 * (s3 - s1)
-    )
+    a, b, c = plane_coefficients(core)
+    _, _, _, t122, _, t212, t221, _ = _core_entries(core)
+    s1, s2, s3 = sigma
+    form_a = a * s1 + b * s2 + c * s3
     form_b = (
         abs(t221) ** 2 * (s1 - s2)
         + abs(t122) ** 2 * (s2 - s3)
@@ -253,11 +241,16 @@ def guarded_t111_t222_check(core: ComplexTensor, tol: float = 1e-10):
     """Check the closed-form elimination of t111 and t222 from the
     all-orthogonality conditions.  Returns (|t111 - formula|, |t222 - formula|),
     or None when the shared denominator t212 conj(t211) - t122 conj(t121)
-    is within tol of zero (formulas undefined there).
+    is within tol * norm(core)^2 of zero (formulas undefined there).
+
+    The formulas are evaluated on the core scaled by an exact power of two
+    (see :func:`pow2_prescale`) and the residuals scaled back, so neither
+    the guard nor the residuals depend on the scale of the core.
     """
-    t111, t112, t121, t122, t211, t212, t221, t222 = _core_entries(core)
+    scaled, e = pow2_prescale(_core_entries(core))
+    t111, t112, t121, t122, t211, t212, t221, t222 = scaled.tolist()
     denom = t212 * np.conj(t211) - t122 * np.conj(t121)
-    if abs(denom) <= tol:
+    if abs(denom) <= tol * np.vdot(scaled, scaled).real:
         return None
     cross = t121 * t212 - t122 * t211
     t111_formula = -(
@@ -266,7 +259,7 @@ def guarded_t111_t222_check(core: ComplexTensor, tol: float = 1e-10):
     t222_formula = (
         np.conj(t112) * cross + t221 * (abs(t121) ** 2 - abs(t211) ** 2)
     ) / np.conj(denom)
-    return (abs(t111 - t111_formula), abs(t222 - t222_formula))
+    return tuple(np.ldexp([abs(t111 - t111_formula), abs(t222 - t222_formula)], e))
 
 
 @dataclass(frozen=True)
@@ -366,7 +359,7 @@ def classify(
     The core is the decomposition's own, so its all-orthogonality residual
     is reported, not held against `tol`.
     """
-    result = hosvd(s.as_tensor(), tol=tol)
+    result = hosvd(s, tol=tol)
     # sigma1(n)^2 per mode: the top eigenvalue of each one-body RDM
     sig = tuple(float(spec[0]) ** 2 for spec in result.spectra)
     separability = _separability(sig, tol)
@@ -385,7 +378,7 @@ def classify(
     residuals = {
         "reconstruction": result.residuals.reconstruction,
         "all_orthogonality": result.residuals.all_orthogonality,
-        "plane_identity": plane_identity_residual(result.core),
+        "plane_identity": plane_identity_residual(result.core, sig),
         "phase_identity": phase_identity_residual(result.core),
         "plane_a": a,
         "plane_b": b,

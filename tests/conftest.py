@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hosvd3 import ComplexTensor, normalize
+from hosvd3 import normalize
 
 
 @pytest.fixture
@@ -54,7 +54,3 @@ def b1_fixture():
 def bisep_cab():
     """(|11> + |22>)/sqrt(2) on AB, |1> on C."""
     return normalize(amplitudes(a111=1, a221=1))
-
-
-def as_tensor(state) -> ComplexTensor:
-    return state.as_tensor()

@@ -39,7 +39,7 @@ def thousand_decompositions():
     start = time.perf_counter()
     for _ in range(1000):
         amps = haar_state(rng).reshape(2, 2, 2)
-        result = hosvd(normalize(amps).as_tensor())
+        result = hosvd(normalize(amps))
         records.append((amps, result))
     elapsed = time.perf_counter() - start
     return records, elapsed
@@ -90,7 +90,8 @@ def test_criterion_3_derived_identities(thousand_decompositions):
     worst_plane = worst_phase = worst_forms = 0.0
     for _, result in records:
         core = result.core
-        worst_plane = max(worst_plane, plane_identity_residual(core))
+        sigma = tuple(float(spec[0]) ** 2 for spec in result.spectra)
+        worst_plane = max(worst_plane, plane_identity_residual(core, sigma))
         worst_phase = max(worst_phase, phase_identity_residual(core))
         # the two equivalent plane forms, evaluated independently here
         t = core.data
@@ -199,7 +200,7 @@ def test_criterion_6_lu_covariance():
     for _ in range(200):
         state = normalize(haar_state(rng))
         mats = [haar_unitary(rng) for _ in range(3)]
-        transformed = normalize(multilinear_transform(state.as_tensor(), mats).data)
+        transformed = normalize(multilinear_transform(state, mats).data)
         before, after = classify(state), classify(transformed)
         worst_sigma = max(
             worst_sigma, np.abs(np.subtract(before.sigma_triple, after.sigma_triple)).max()

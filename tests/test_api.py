@@ -30,3 +30,8 @@ def test_public_names():
                  "separability_class"):
         assert not hasattr(hosvd3, gone)
     assert not hasattr(hosvd3.ComplexTensor, "elements")
+    # a state is its tensor: no second copy and no accessors of its own
+    assert issubclass(hosvd3.ThreeQubitState, hosvd3.ComplexTensor)
+    state = hosvd3.normalize([1, 0, 0, 0, 0, 0, 0, 0])
+    for gone in ("amplitudes", "amplitude", "as_tensor", "_tensor"):
+        assert not hasattr(state, gone), gone

@@ -3,7 +3,10 @@ import itertools
 import json
 import math
 import os
+import pathlib
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -376,6 +379,28 @@ class TestPolytopeMesh:
         for r in rows:
             assert polytope_membership((r[3], r[4], r[5]), tol=1e-9).member
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_memory_flat_in_resolution(self, tmp_path):
+        # each child reports the peak RSS of its own address space (VmHWM):
+        # ru_maxrss would also count the forking test process's pages
+        child = (
+            "import sys\n"
+            "from hosvd3.cli import run\n"
+            "assert run(['polytope-mesh', '--resolution', sys.argv[1],"
+            " '--output', sys.argv[2]]) == 0\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(next(l.split()[1] for l in fh if l.startswith('VmHWM:')))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+        peak_kib = {}
+        for res in (10, 150):
+            done = subprocess.run(
+                [sys.executable, "-c", child, str(res), str(tmp_path / f"mesh{res}.csv")],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            peak_kib[res] = int(done.stdout)
+        assert peak_kib[150] - peak_kib[10] <= 2 * 1024, peak_kib
+
     def test_facet_points_on_plane(self, tmp_path):
         out = tmp_path / "mesh.csv"
         run(["polytope-mesh", "--resolution", "5", "--output", str(out)])
@@ -472,7 +497,7 @@ class TestReportWriter:
 
 class TestRunKeepsNoState:
     def test_flags_do_not_carry_over(self, tmp_path, capsys):
-        state = write_state(tmp_path / "ghz_86.json", fixture_state(dict(a111=0.8, a222=0.6)).amplitudes,
+        state = write_state(tmp_path / "ghz_86.json", fixture_state(dict(a111=0.8, a222=0.6)).data,
                             label="ghz_86")
         out = tmp_path / "out.json"
         for command in ("classify", "decompose"):

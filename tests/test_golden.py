@@ -68,7 +68,7 @@ def cases(workdir):
     """(golden file name, argv without --output) for every golden."""
     out = []
     for name, kwargs in FIXTURES:
-        amps = fixture_state(kwargs).amplitudes
+        amps = fixture_state(kwargs).data
         state = write_state_file(workdir / f"{name}.json", name, amps)
         out.append((f"decompose_{name}.json", ["decompose", state, *TOL]))
         out.append((f"classify_{name}.json", ["classify", state, *TOL]))
@@ -92,8 +92,8 @@ def cases(workdir):
 
 def test_states_match_fixtures(request):
     for name, kwargs in FIXTURES:
-        want = request.getfixturevalue(name).amplitudes
-        assert fixture_state(kwargs).amplitudes.tobytes() == want.tobytes(), name
+        want = request.getfixturevalue(name).data
+        assert fixture_state(kwargs).data.tobytes() == want.tobytes(), name
 
 
 def test_outputs_match_goldens(tmp_path):

@@ -32,7 +32,7 @@ def test_basis_state():
 
 
 def test_generalized_ghz(ghz_86):
-    t = ghz_86.as_tensor()
+    t = ghz_86
     r = hosvd(t)
     np.testing.assert_allclose(r.core.data, t.data, atol=1e-14)
     for spec in r.spectra:
@@ -68,7 +68,7 @@ def test_factors_rebuild_input(rng):
 
 class TestModeSingularValues:
     def test_equal_ghz(self, ghz_equal):
-        core = ghz_equal.as_tensor()
+        core = ghz_equal
         for mode in (1, 2, 3):
             np.testing.assert_allclose(
                 mode_singular_values(core, mode),
@@ -77,7 +77,7 @@ class TestModeSingularValues:
             )
 
     def test_w_state(self, w_state):
-        core = w_state.as_tensor()
+        core = w_state
         for mode in (1, 2, 3):
             np.testing.assert_allclose(
                 mode_singular_values(core, mode),
@@ -105,7 +105,7 @@ class TestModeSingularValues:
 
 class TestAllOrthogonality:
     def test_ghz_core_exact_zero(self, ghz_equal):
-        assert verify_all_orthogonality(ghz_equal.as_tensor()) == 0.0
+        assert verify_all_orthogonality(ghz_equal) == 0.0
 
     def test_hosvd_core(self, rng):
         r = hosvd(haar_tensor(rng))
@@ -154,7 +154,7 @@ class TestReconstruct:
         np.testing.assert_allclose(reconstruct(hosvd(t)).data, t.data, atol=1e-15)
 
     def test_ghz_86(self, ghz_86):
-        t = ghz_86.as_tensor()
+        t = ghz_86
         np.testing.assert_allclose(reconstruct(hosvd(t)).data, t.data, atol=1e-13)
 
     def test_many_random(self, rng):
@@ -230,7 +230,7 @@ def test_nan_rejected_before_eigensolve():
 
 def test_degenerate_modes_scale_free(rng, b1_fixture):
     generic = ComplexTensor(rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2)))
-    for t in (generic, b1_fixture.as_tensor()):
+    for t in (generic, b1_fixture):
         want = hosvd(t).degenerate_modes
         for c in (1e-6, 1e6):
             assert hosvd(ComplexTensor(c * t.data)).degenerate_modes == want
@@ -270,8 +270,8 @@ def test_power_of_two_scale_keeps_bits(rng):
 
 
 def test_degenerate_modes_flagged(ghz_equal, b1_fixture):
-    assert hosvd(ghz_equal.as_tensor()).degenerate_modes == frozenset({1, 2, 3})
-    assert hosvd(b1_fixture.as_tensor()).degenerate_modes == frozenset({1, 2, 3})
+    assert hosvd(ghz_equal).degenerate_modes == frozenset({1, 2, 3})
+    assert hosvd(b1_fixture).degenerate_modes == frozenset({1, 2, 3})
     # inner product sanity for the equal GHZ core slices
-    core = hosvd(ghz_equal.as_tensor()).core
+    core = hosvd(ghz_equal).core
     assert abs(inner(subtensor(core, 1, 1), subtensor(core, 1, 2))) <= 1e-15

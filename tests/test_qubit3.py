@@ -6,6 +6,7 @@ import pytest
 from hosvd3 import (
     ComplexTensor,
     DomainError,
+    NumericalError,
     ShapeError,
     ThreeQubitState,
     ValidationError,
@@ -55,26 +56,26 @@ def biproduct_state(rng, cut):
 
 
 def apply_lu(state, mats):
-    return normalize(multilinear_transform(state.as_tensor(), mats).data)
+    return normalize(multilinear_transform(state, mats).data)
 
 
 class TestNormalize:
     def test_unit_input_unchanged(self):
         s = normalize(amplitudes(a111=1))
-        assert s.amplitude(1, 1, 1) == 1.0
+        assert s[1, 1, 1] == 1.0
 
     def test_ghz_scaling(self):
         s = normalize(amplitudes(a111=1, a222=1))
-        assert s.amplitude(1, 1, 1) == pytest.approx(1 / np.sqrt(2))
-        assert s.amplitude(2, 2, 2) == pytest.approx(1 / np.sqrt(2))
+        assert s[1, 1, 1] == pytest.approx(1 / np.sqrt(2))
+        assert s[2, 2, 2] == pytest.approx(1 / np.sqrt(2))
 
     def test_scalar_rescale(self):
         s = normalize(amplitudes(a111=2))
-        assert s.amplitude(1, 1, 1) == 1.0
+        assert s[1, 1, 1] == 1.0
 
     def test_phase_preserved(self):
         s = normalize(amplitudes(a111=2j, a222=-2))
-        ratio = s.amplitude(2, 2, 2) / s.amplitude(1, 1, 1)
+        ratio = s[2, 2, 2] / s[1, 1, 1]
         assert ratio == pytest.approx(1j)
 
     def test_zero_rejected(self):
@@ -100,35 +101,48 @@ class TestNormalize:
     def test_extreme_scales_same_as_unit_scale(self, scale):
         unit = normalize(np.ones(8))
         scaled = normalize(scale * np.ones(8))
-        np.testing.assert_allclose(scaled.amplitudes, unit.amplitudes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(scaled.data, unit.data, rtol=0, atol=1e-15)
         np.testing.assert_allclose(
             classify(scaled).sigma_triple, classify(unit).sigma_triple, rtol=0, atol=1e-15
         )
 
 
 class TestThreeQubitState:
-    def test_one_tensor(self, w_state):
-        t = w_state.as_tensor()
-        assert w_state.as_tensor() is t
-        assert t.data is w_state.amplitudes
-        assert not t.data.flags.writeable
+    def test_one_tensor(self, w_state, rng):
+        # a state is its own read-only tensor and decomposes as one
+        assert isinstance(w_state, ComplexTensor)
+        assert w_state.dims == (2, 2, 2)
+        assert not w_state.data.flags.writeable
+        for s in (w_state, haar_3q(rng)):
+            got, want = hosvd(s), hosvd(ComplexTensor(s.data))
+            assert got.core.data.tobytes() == want.core.data.tobytes()
+            for a, b in zip(got.factors + got.spectra, want.factors + want.spectra):
+                assert a.tobytes() == b.tobytes()
+            assert got.residuals == want.residuals
+            assert got.degenerate_modes == want.degenerate_modes
+
+    def test_flat_amplitudes_accepted(self):
+        s = ThreeQubitState(amplitudes(a111=0.6, a222=0.8))
+        assert s.dims == (2, 2, 2) and s[2, 2, 2] == 0.8
+        with pytest.raises(ShapeError):
+            ThreeQubitState(np.ones(4) / 2)
 
     @pytest.mark.parametrize("indices", [(0, 1, 1), (0, 0, 0), (3, 1, 1), (1, 2, 3)])
     def test_amplitude_index_out_of_range(self, w_state, indices):
         with pytest.raises(ValueError):
-            w_state.amplitude(*indices)
+            w_state[indices]
 
     @pytest.mark.parametrize("indices", [(1.5, 1, 1), (True, 1, 1), (1, 2.0, 1), (1, 1, "2")])
     def test_amplitude_index_not_an_integer(self, w_state, indices):
         with pytest.raises(ValueError, match="not an integer"):
-            w_state.amplitude(*indices)
+            w_state[indices]
 
     def test_amplitude_is_one_based(self, rng):
         s = haar_3q(rng)
         for i1, i2, i3 in itertools.product((1, 2), repeat=3):
-            value = s.amplitude(i1, i2, i3)
+            value = s[i1, i2, i3]
             assert type(value) is complex
-            assert value == s.amplitudes[i1 - 1, i2 - 1, i3 - 1]
+            assert value == s.data[i1 - 1, i2 - 1, i3 - 1]
 
 
 class TestOneBodyRdms:
@@ -153,7 +167,7 @@ class TestOneBodyRdms:
             # position q holds the RDM of qubit q: A, B, C
             for qubit, r in enumerate(one_body_rdms(s)):
                 np.testing.assert_allclose(
-                    r, one_body_rdm_by_summation(s.amplitudes, qubit), atol=1e-14
+                    r, one_body_rdm_by_summation(s.data, qubit), atol=1e-14
                 )
                 assert np.trace(r).real == pytest.approx(1.0, abs=1e-10)
                 np.testing.assert_allclose(r, r.conj().T, atol=1e-12)
@@ -211,14 +225,13 @@ class TestSeparability:
     def test_minor_residual_matches_explicit_conditions(self, rng):
         # the C|AB minors are exactly the six displayed amplitude conditions
         s = haar_3q(rng)
-        p = s.amplitude
         conditions = [
-            p(1, 1, 1) * p(2, 2, 2) - p(1, 1, 2) * p(2, 2, 1),
-            p(1, 1, 1) * p(2, 1, 2) - p(2, 1, 1) * p(1, 1, 2),
-            p(1, 2, 1) * p(2, 2, 2) - p(2, 2, 1) * p(1, 2, 2),
-            p(1, 1, 1) * p(1, 2, 2) - p(1, 1, 2) * p(1, 2, 1),
-            p(2, 1, 1) * p(2, 2, 2) - p(2, 1, 2) * p(2, 2, 1),
-            p(2, 1, 1) * p(1, 2, 2) - p(2, 1, 2) * p(1, 2, 1),
+            s[1, 1, 1] * s[2, 2, 2] - s[1, 1, 2] * s[2, 2, 1],
+            s[1, 1, 1] * s[2, 1, 2] - s[2, 1, 1] * s[1, 1, 2],
+            s[1, 2, 1] * s[2, 2, 2] - s[2, 2, 1] * s[1, 2, 2],
+            s[1, 1, 1] * s[1, 2, 2] - s[1, 1, 2] * s[1, 2, 1],
+            s[2, 1, 1] * s[2, 2, 2] - s[2, 1, 2] * s[2, 2, 1],
+            s[2, 1, 1] * s[1, 2, 2] - s[2, 1, 2] * s[1, 2, 1],
         ]
         expected = max(abs(v) for v in conditions)
         assert separability_minor_residual(s, "C_AB") == pytest.approx(expected, rel=1e-12)
@@ -253,7 +266,7 @@ class TestCoreBiseparability:
         assert core_biseparability_residual(core, "C_AB") == 0.0
 
     def test_ghz_core_all_cuts_zero(self, ghz_equal):
-        core = ghz_equal.as_tensor()
+        core = ghz_equal
         for cut in ("A_BC", "B_CA", "C_AB"):
             # all six monomials vanish even though GHZ is genuine; the single
             # condition is necessary only
@@ -262,7 +275,7 @@ class TestCoreBiseparability:
     def test_product_core(self, rng):
         for _ in range(10):
             s = biproduct_state(rng, "C_AB")
-            core = hosvd(s.as_tensor()).core
+            core = hosvd(s).core
             assert core_biseparability_residual(core, "C_AB") <= 1e-12
 
     def test_non_core_rejected(self):
@@ -272,27 +285,52 @@ class TestCoreBiseparability:
         with pytest.raises(ValidationError):
             core_biseparability_residual(not_core, "C_AB")
 
+    @pytest.mark.parametrize("scale", [1e-3, 1e-6, 1e-170, 1e200])
+    def test_non_core_rejected_at_any_scale(self, scale):
+        not_core = ComplexTensor(
+            scale * amplitudes(a111=1 / np.sqrt(2), a211=1 / np.sqrt(2)).reshape(2, 2, 2)
+        )
+        with pytest.raises(ValidationError):
+            core_biseparability_residual(not_core, "C_AB")
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-6, 1e6, 1e150])
+    def test_scaled_core_accepted(self, rng, scale):
+        core, _ = core_and_sigma(biproduct_state(rng, "C_AB"))
+        scaled = ComplexTensor(scale * core.data)
+        assert core_biseparability_residual(scaled, "C_AB") <= 1e-12 * scale**2
+
     def test_unknown_cut(self, ghz_equal):
         with pytest.raises(ValueError):
-            core_biseparability_residual(ghz_equal.as_tensor(), "AB_C")
+            core_biseparability_residual(ghz_equal, "AB_C")
+
+
+def core_and_sigma(s):
+    """The HOSVD core of s and its sigma triple, as classify reads them."""
+    result = hosvd(s)
+    return result.core, tuple(float(spec[0]) ** 2 for spec in result.spectra)
 
 
 class TestPlaneIdentity:
     def test_ghz_core_exact_zero(self, ghz_86):
-        assert plane_identity_residual(hosvd(ghz_86.as_tensor()).core) == 0.0
+        assert plane_identity_residual(*core_and_sigma(ghz_86)) == 0.0
 
     def test_w_core_zero(self, w_state):
-        assert plane_identity_residual(w_state.as_tensor()) == 0.0
+        assert plane_identity_residual(w_state, (2 / 3, 2 / 3, 2 / 3)) == 0.0
 
     def test_random_cores(self, rng):
         worst = 0.0
         for _ in range(300):
-            core = hosvd(haar_3q(rng).as_tensor()).core
-            worst = max(worst, plane_identity_residual(core))
+            worst = max(worst, plane_identity_residual(*core_and_sigma(haar_3q(rng))))
         assert worst <= 1e-11
 
+    def test_forms_disagree_off_the_plane(self):
+        # a triple that is not the core's: the companion form, in t221, t122
+        # and t212, reads 0 while the first does not
+        with pytest.raises(NumericalError):
+            plane_identity_residual(normalize(amplitudes(a111=0.8, a112=0.6)), (0.1, 0.9, 0.5))
+
     def test_coefficients_sum_to_zero(self, rng):
-        core = hosvd(haar_3q(rng).as_tensor()).core
+        core = hosvd(haar_3q(rng)).core
         a, b, c = plane_coefficients(core)
         assert a + b + c == pytest.approx(0.0, abs=1e-15)
 
@@ -313,11 +351,11 @@ class TestPlaneIdentity:
 
 class TestPhaseIdentity:
     def test_ghz_core(self, ghz_equal):
-        assert phase_identity_residual(ghz_equal.as_tensor()) == 0.0
+        assert phase_identity_residual(ghz_equal) == 0.0
 
     def test_two_off_corner_elements(self):
         t = ComplexTensor(
-            normalize(amplitudes(a112=0.6, a221=0.8j)).amplitudes
+            normalize(amplitudes(a112=0.6, a221=0.8j)).data
         )
         # every quartic product contains a vanishing factor
         assert phase_identity_residual(t) == 0.0
@@ -325,23 +363,23 @@ class TestPhaseIdentity:
     def test_random_cores(self, rng):
         worst = 0.0
         for _ in range(2000):
-            core = hosvd(haar_3q(rng).as_tensor()).core
+            core = hosvd(haar_3q(rng)).core
             worst = max(worst, phase_identity_residual(core))
         assert worst <= 1e-11
 
 
 class TestGuardedCheck:
     def test_ghz_absent(self, ghz_86):
-        assert guarded_t111_t222_check(hosvd(ghz_86.as_tensor()).core) is None
+        assert guarded_t111_t222_check(hosvd(ghz_86).core) is None
 
     def test_b1_absent(self, b1_fixture):
-        core = hosvd(b1_fixture.as_tensor()).core
+        core = hosvd(b1_fixture).core
         assert guarded_t111_t222_check(core) is None
 
     def test_random_cores(self, rng):
         checked = 0
         for _ in range(300):
-            core = hosvd(haar_3q(rng).as_tensor()).core
+            core = hosvd(haar_3q(rng)).core
             result = guarded_t111_t222_check(core, tol=1e-6)
             if result is None:
                 continue
@@ -350,6 +388,16 @@ class TestGuardedCheck:
             assert r111 <= 1e-9
             assert r222 <= 1e-9
         assert checked > 250  # generic states pass the guard
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-6, 1e6, 1e150])
+    def test_scale_invariant(self, rng, scale):
+        for _ in range(20):
+            core = hosvd(haar_3q(rng)).core
+            unit = guarded_t111_t222_check(core)
+            scaled = guarded_t111_t222_check(ComplexTensor(scale * core.data))
+            assert (unit is None) == (scaled is None)
+            if unit is not None:
+                assert max(scaled) / scale <= 1e-13
 
 
 class TestClassify:
@@ -448,20 +496,20 @@ class TestQubitPermutation:
     @pytest.mark.parametrize("perm", [(0, 1, 2), (1, 0, 2), (2, 1, 0), (1, 2, 0)])
     def test_sigma_permutes(self, rng, perm):
         s = haar_3q(rng)
-        permuted = normalize(np.transpose(s.amplitudes, perm))
+        permuted = normalize(np.transpose(s.data, perm))
         sig = classify(s).sigma_triple
         sig_p = classify(permuted).sigma_triple
         np.testing.assert_allclose(sig_p, [sig[p] for p in perm], atol=1e-11)
 
     def test_s1_maps_to_s3_under_1_3_swap(self, s1_fixture):
         # swapping qubits 1 and 3 sends the equal pair {1,2} to {2,3}
-        swapped = normalize(np.transpose(s1_fixture.amplitudes, (2, 1, 0)))
+        swapped = normalize(np.transpose(s1_fixture.data, (2, 1, 0)))
         c = classify(swapped)
         assert (c.case, c.special) == ("case2_23", "s3")
         np.testing.assert_allclose(c.sigma_triple, [0.6, 0.5, 0.5], atol=1e-11)
 
     def test_bisep_maps_under_1_3_swap(self, bisep_cab):
-        swapped = normalize(np.transpose(bisep_cab.amplitudes, (2, 1, 0)))
+        swapped = normalize(np.transpose(bisep_cab.data, (2, 1, 0)))
         assert classify(swapped).separability == "biseparable_A_BC"
 
 
@@ -476,9 +524,19 @@ class TestOneDecomposition:
         states += [haar_3q(rng) for _ in range(100)]
         for s in states:
             sigma = classify(s).sigma_triple
-            spectra = hosvd(s.as_tensor()).spectra
+            spectra = hosvd(s).spectra
             assert sigma == tuple(float(spec[0]) ** 2 for spec in spectra)
             assert all(type(v) is float for v in sigma)
+
+    def test_plane_identity_is_read_at_the_reported_triple(self, request, rng):
+        states = [request.getfixturevalue(name) for name in self.FIXTURES]
+        states += [haar_3q(rng) for _ in range(100)]
+        for s in states:
+            c = classify(s)
+            s1, s2, s3 = c.sigma_triple
+            r = c.residuals
+            a, b, cc = r["plane_a"], r["plane_b"], r["plane_c"]
+            assert r["plane_identity"] == abs(a * s1 + b * s2 + cc * s3)
 
 
 class TestPolytope:
@@ -521,4 +579,4 @@ class TestInputValidation:
 
     def test_plane_identity_needs_2x2x2(self):
         with pytest.raises(ShapeError):
-            plane_identity_residual(ComplexTensor(np.zeros((2, 2))))
+            plane_identity_residual(ComplexTensor(np.zeros((2, 2))), (1.0, 1.0, 1.0))
