@@ -16,11 +16,13 @@ from .hosvd import (
     verify_all_orthogonality,
 )
 from .qubit3 import (
+    BatchClassification,
     Classification,
     PolytopeMembership,
     ThreeQubitState,
     batch_sigma_squares,
     classify,
+    classify_batch,
     core_biseparability_residual,
     guarded_t111_t222_check,
     normalize,
@@ -73,6 +75,8 @@ __all__ = [
     "phase_identity_residual",
     "plane_coefficients",
     "classify",
+    "classify_batch",
+    "BatchClassification",
     "polytope_membership",
     "guarded_t111_t222_check",
     "batch_sigma_squares",

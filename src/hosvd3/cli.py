@@ -18,14 +18,21 @@ import sys
 import tempfile
 from collections.abc import Iterator
 from functools import cache
-from itertools import chain
+from itertools import chain, count
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, ShapeError, ValidationError
 from .hosvd import hosvd
-from .qubit3 import classify, normalize, polytope_membership
+from .qubit3 import (
+    _polytope_residuals,
+    _unit_rows,
+    classify,
+    classify_batch,
+    normalize,
+    polytope_membership,
+)
 from .tensor import make_tensor
 
 EXIT_OK = 0
@@ -36,6 +43,8 @@ EXIT_IO = 4
 DEFAULT_TOL = 1e-10
 DEFAULT_SIGMA_TOL = 1e-8
 GENERATOR_NAME = "philox4x64"
+# states that sample draws and classifies at once; this bounds its memory
+_SAMPLE_CHUNK = 256
 
 
 class InputError(ValueError):
@@ -86,10 +95,13 @@ def read_state_file(path):
     return dims, amps, label
 
 
-def haar_random_amplitudes(rng) -> np.ndarray:
-    """One Haar-random pure 3-qubit state: 8 standard complex Gaussians, normalized."""
-    z = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    return (z / np.linalg.norm(z)).reshape(2, 2, 2)
+def haar_random_amplitudes(rng, count: int) -> np.ndarray:
+    """count Haar-random pure 3-qubit states, as (count, 2, 2, 2): each is 8
+    standard complex Gaussians, normalized.  Per state, rng draws the 8 real
+    parts and then the 8 imaginary parts, so the states do not depend on
+    how a run splits its count."""
+    z = rng.standard_normal((count, 2, 8))
+    return _unit_rows(z[:, 0] + 1j * z[:, 1])
 
 
 def _tolerance(flag: str, value: float) -> float:
@@ -271,14 +283,18 @@ def cmd_sample(args) -> Iterator[str]:
            f" tol={tol:g} sigma_tol={sigma_tol:g}\n"
            "id,s1,s2,s3,separability,case,special\n")
     violations = 0
-    for i in range(args.count):
-        state = normalize(haar_random_amplitudes(rng))
-        cls = classify(state, tol=tol, sigma_tol=sigma_tol)
-        s1, s2, s3 = cls.sigma_triple
-        if not polytope_membership(cls.sigma_triple, tol=tol):
-            violations += 1
-        yield (f"{i},{s1:.12g},{s2:.12g},{s3:.12g},"
-               f"{cls.separability},{cls.case},{cls.special}\n")
+    for start in range(0, args.count, _SAMPLE_CHUNK):
+        amps = haar_random_amplitudes(rng, min(_SAMPLE_CHUNK, args.count - start))
+        # classify_batch normalizes the states once more, as normalize() did
+        # before each state went to classify, so the rows keep their bits
+        cls = classify_batch(amps, tol=tol, sigma_tol=sigma_tol)
+        residuals = _polytope_residuals(*cls.sigma.T).values()
+        violations += int(np.count_nonzero(~np.all([r <= tol for r in residuals], axis=0)))
+        for i, (s1, s2, s3), separability, case, special in zip(
+            count(start), cls.sigma.tolist(), cls.separability.tolist(),
+            cls.case.tolist(), cls.special.tolist(),
+        ):
+            yield f"{i},{s1:.12g},{s2:.12g},{s3:.12g},{separability},{case},{special}\n"
     yield f"# polytope_violations={violations}\n"
 
 

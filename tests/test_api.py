@@ -11,7 +11,7 @@ PUBLIC = {
     "one_body_rdms", "two_body_rdms", "separability_minor_residual",
     "core_biseparability_residual", "plane_identity_residual", "phase_identity_residual",
     "plane_coefficients", "classify", "polytope_membership", "guarded_t111_t222_check",
-    "batch_sigma_squares",
+    "batch_sigma_squares", "classify_batch", "BatchClassification",
     "ShapeError", "DomainError", "ValidationError", "NumericalError",
     "__version__",
 }

@@ -28,6 +28,23 @@ from oracles import haar_state
 from test_golden import GOLDEN, fixture_state
 
 
+def child_peak_kib(argv):
+    """Peak RSS in KiB of a fresh interpreter that runs the CLI with argv.
+    The child reads the peak of its own address space (VmHWM): ru_maxrss
+    would also count the pages of the test process that forked it."""
+    child = (
+        "import sys\n"
+        "from hosvd3.cli import run\n"
+        "assert run(sys.argv[1:]) == 0\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print(next(l.split()[1] for l in fh if l.startswith('VmHWM:')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", child, *argv],
+                          env=env, capture_output=True, text=True, check=True)
+    return int(done.stdout)
+
+
 def write_state(path, amps, dims=(2, 2, 2), label=""):
     doc = {
         "dims": list(dims),
@@ -139,17 +156,19 @@ class TestNumericalFailure:
         assert captured.err.startswith("numerical error (mode 1): ")
 
     def test_sample_failing_part_way(self, tmp_path, monkeypatch, capsys):
+        # chunks of two states, and the batch stage fails on the second one
+        monkeypatch.setattr(cli, "_SAMPLE_CHUNK", 2)
         argv = ["sample", "--count", "5", "--seed", "7"]
         assert run(argv) == EXIT_OK
         first_rows = capsys.readouterr().out.splitlines(keepends=True)[:4]
-        real = cli.classify
+        real = cli.classify_batch
 
-        def classify(state, **kwargs):
-            if next(calls) == 2:
+        def classify_batch(amps, **kwargs):
+            if next(calls) == 1:
                 raise NumericalError("injected failure", mode=2)
-            return real(state, **kwargs)
+            return real(amps, **kwargs)
 
-        monkeypatch.setattr(cli, "classify", classify)
+        monkeypatch.setattr(cli, "classify_batch", classify_batch)
         out = tmp_path / "samples.csv"
         out.write_text("previous samples\n")
         before = sorted(tmp_path.iterdir())
@@ -330,10 +349,37 @@ class TestSample:
         assert out1.read_bytes() != out2.read_bytes()
 
     def test_generator_is_gaussian_normalized(self):
+        amps = haar_random_amplitudes(np.random.Generator(np.random.Philox(5)), 3)
+        assert amps.shape == (3, 2, 2, 2)
+        # per state, the 8 real parts and then the 8 imaginary parts
         rng = np.random.Generator(np.random.Philox(5))
-        amps = haar_random_amplitudes(rng)
-        assert amps.shape == (2, 2, 2)
-        assert np.linalg.norm(amps.ravel()) == pytest.approx(1.0, abs=1e-12)
+        for state in amps:
+            z = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+            np.testing.assert_array_equal(state.ravel(), z / np.linalg.norm(z))
+            assert np.linalg.norm(state.ravel()) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_memory_flat_in_count(self, tmp_path):
+        peak_kib = {count: child_peak_kib(["sample", "--count", str(count), "--seed", "7",
+                                           "--output", str(tmp_path / f"s{count}.csv")])
+                    for count in (2000, 20000)}
+        assert peak_kib[20000] - peak_kib[2000] <= 2 * 1024, peak_kib
+
+    def test_rows_do_not_depend_on_chunks(self, tmp_path, monkeypatch):
+        # a run that ends inside the first chunk is a prefix of one that
+        # crosses into the second, and chunks of 7 give the same bytes
+        chunk = cli._SAMPLE_CHUNK
+        runs = {"short": (chunk - 3, chunk), "long": (chunk + 5, chunk), "small": (chunk + 5, 7)}
+        rows = {}
+        for name, (count, size) in runs.items():
+            monkeypatch.setattr(cli, "_SAMPLE_CHUNK", size)
+            out = tmp_path / f"{name}.csv"
+            assert run(["sample", "--count", str(count), "--seed", "7",
+                        "--output", str(out)]) == EXIT_OK
+            rows[name] = "".join(out.read_text().splitlines(keepends=True)[2:-1])
+        assert rows["long"].startswith(rows["short"])
+        assert len(rows["long"]) > len(rows["short"])
+        assert rows["small"] == rows["long"]
 
 
 class TestPolytopeMesh:
@@ -381,24 +427,9 @@ class TestPolytopeMesh:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
     def test_memory_flat_in_resolution(self, tmp_path):
-        # each child reports the peak RSS of its own address space (VmHWM):
-        # ru_maxrss would also count the forking test process's pages
-        child = (
-            "import sys\n"
-            "from hosvd3.cli import run\n"
-            "assert run(['polytope-mesh', '--resolution', sys.argv[1],"
-            " '--output', sys.argv[2]]) == 0\n"
-            "with open('/proc/self/status') as fh:\n"
-            "    print(next(l.split()[1] for l in fh if l.startswith('VmHWM:')))\n"
-        )
-        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
-        peak_kib = {}
-        for res in (10, 150):
-            done = subprocess.run(
-                [sys.executable, "-c", child, str(res), str(tmp_path / f"mesh{res}.csv")],
-                env=env, capture_output=True, text=True, check=True,
-            )
-            peak_kib[res] = int(done.stdout)
+        peak_kib = {res: child_peak_kib(["polytope-mesh", "--resolution", str(res),
+                                         "--output", str(tmp_path / f"mesh{res}.csv")])
+                    for res in (10, 150)}
         assert peak_kib[150] - peak_kib[10] <= 2 * 1024, peak_kib
 
     def test_facet_points_on_plane(self, tmp_path):

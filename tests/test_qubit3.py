@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hosvd3 import (
+    BatchClassification,
     ComplexTensor,
     DomainError,
     NumericalError,
@@ -12,6 +13,7 @@ from hosvd3 import (
     ValidationError,
     batch_sigma_squares,
     classify,
+    classify_batch,
     core_biseparability_residual,
     guarded_t111_t222_check,
     hosvd,
@@ -25,6 +27,7 @@ from hosvd3 import (
     separability_minor_residual,
     two_body_rdms,
 )
+from hosvd3.qubit3 import _SPECIAL_SUPPORT, _unit_rows
 from conftest import amplitudes
 from oracles import haar_state, haar_unitary, one_body_rdm_by_summation
 
@@ -570,6 +573,119 @@ class TestPolytope:
         for row, amps in zip(vec, batch):
             sigma = classify(normalize(amps)).sigma_triple
             np.testing.assert_allclose(row, sigma, atol=1e-12)
+
+
+def philox_haar(count, seed):
+    z = np.random.Generator(np.random.Philox(seed)).standard_normal((count, 2, 8))
+    return z[:, 0] + 1j * z[:, 1]
+
+
+def on_pattern(rng, pattern, count):
+    """count states with standard complex Gaussian amplitudes on the flat
+    indices of pattern and zeros elsewhere."""
+    amps = np.zeros((count, 8), dtype=complex)
+    idx = sorted(pattern)
+    amps[:, idx] = rng.standard_normal((count, len(idx))) + 1j * rng.standard_normal((count, len(idx)))
+    return amps
+
+
+TOLERANCES = [pytest.param(1e-10, 1e-8, id="defaults"), pytest.param(0.0, 1e-8, id="tol0")]
+
+
+class TestClassifyBatch:
+    """classify_batch gives classify's record, row by row: the same labels,
+    flags and degenerate modes, and sigma within 1e-15."""
+
+    FIXTURES = ("ghz_86", "ghz_equal", "w_state", "s1_fixture", "b1_fixture", "bisep_cab")
+
+    @staticmethod
+    def assert_matches_classify(amps, tol, sigma_tol):
+        batch = classify_batch(amps, tol=tol, sigma_tol=sigma_tol)
+        assert isinstance(batch, BatchClassification)
+        got = list(zip(batch.separability.tolist(), batch.case.tolist(),
+                       batch.special.tolist(), batch.gauge_warning.tolist(),
+                       [frozenset(np.flatnonzero(row) + 1) for row in batch.degenerate_modes]))
+        want, sigma = [], []
+        for row in amps:
+            c = classify(normalize(row), tol=tol, sigma_tol=sigma_tol)
+            want.append((c.separability, c.case, c.special, c.gauge_warning, c.degenerate_modes))
+            sigma.append(c.sigma_triple)
+        assert got == want
+        np.testing.assert_allclose(batch.sigma, sigma, rtol=0, atol=1e-15)
+        return batch
+
+    @pytest.mark.parametrize("tol, sigma_tol", TOLERANCES)
+    def test_haar_states(self, tol, sigma_tol):
+        batch = self.assert_matches_classify(philox_haar(2000, 2024), tol, sigma_tol)
+        assert set(batch.special.tolist()) == {"none"}
+
+    @pytest.mark.parametrize("tol, sigma_tol", TOLERANCES)
+    def test_fixtures(self, request, tol, sigma_tol):
+        amps = np.array([request.getfixturevalue(name).data.ravel() for name in self.FIXTURES])
+        batch = self.assert_matches_classify(amps, tol, sigma_tol)
+        if tol:
+            assert batch.special.tolist() == ["ghz", "ghz", "none", "s1", "b1", "none"]
+
+    @pytest.mark.parametrize("tol, sigma_tol", TOLERANCES)
+    @pytest.mark.parametrize("tag, pattern", [(tag, pattern) for tag, pattern, _ in _SPECIAL_SUPPORT])
+    def test_special_support_patterns(self, rng, tag, pattern, tol, sigma_tol):
+        self.assert_matches_classify(on_pattern(rng, pattern, 50), tol, sigma_tol)
+
+    @pytest.mark.parametrize("tol, sigma_tol", TOLERANCES)
+    def test_biseparable_and_product(self, rng, tol, sigma_tol):
+        states = [biproduct_state(rng, cut) for cut in ("A_BC", "B_CA", "C_AB") for _ in range(20)]
+        states += [product_state(rng) for _ in range(20)]
+        batch = self.assert_matches_classify(np.array([s.data for s in states]), tol, sigma_tol)
+        if tol:
+            assert batch.separability.tolist() == (
+                ["biseparable_A_BC"] * 20 + ["biseparable_B_CA"] * 20
+                + ["biseparable_C_AB"] * 20 + ["fully_separable"] * 20)
+
+    def test_rows_are_normalized_first(self):
+        amps = philox_haar(50, 3)
+        unit = classify_batch(amps)
+        # a power of two scales exactly; another scale rounds the amplitudes
+        for scale, atol in ((2.0**-900, 0.0), (2.0**600, 0.0), (1e-150, 1e-14), (3.0, 1e-14)):
+            scaled = classify_batch(scale * amps)
+            np.testing.assert_allclose(scaled.sigma, unit.sigma, rtol=0, atol=atol)
+            assert scaled.case.tolist() == unit.case.tolist()
+            assert scaled.separability.tolist() == unit.separability.tolist()
+
+    @pytest.mark.parametrize("scale", [1.0, 3.0, 1e-170, 1e-310, 1e200])
+    def test_rows_normalize_as_normalize_does(self, scale):
+        amps = scale * philox_haar(200, 5)
+        rows = _unit_rows(amps)
+        for row, amp in zip(rows, amps):
+            np.testing.assert_array_equal(row, normalize(amp).data)
+
+    def test_flat_and_tensor_rows_agree(self):
+        amps = philox_haar(20, 4)
+        flat, tensor = classify_batch(amps), classify_batch(amps.reshape(20, 2, 2, 2))
+        np.testing.assert_array_equal(flat.sigma, tensor.sigma)
+        assert batch_sigma_squares(amps).tolist() == flat.sigma.tolist()
+
+    @pytest.mark.parametrize("shape", [(8,), (2, 2, 2), (3, 7), (3, 2, 4), (3, 2, 2, 2, 1), (3, 4, 2)])
+    def test_wrong_shape(self, shape):
+        with pytest.raises(ShapeError):
+            classify_batch(np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_rejected(self, bad):
+        amps = np.ones((3, 8), dtype=complex)
+        amps[1, 5] = bad
+        with pytest.raises(ValidationError):
+            classify_batch(amps)
+
+    def test_empty_batch(self):
+        batch = classify_batch(np.zeros((0, 8)))
+        assert batch.sigma.shape == (0, 3) and batch.degenerate_modes.shape == (0, 3)
+        assert batch.special.shape == (0,)
+
+    def test_zero_row_rejected(self):
+        amps = np.ones((3, 8))
+        amps[2] = 0.0
+        with pytest.raises(DomainError):
+            classify_batch(amps)
 
 
 class TestInputValidation:
