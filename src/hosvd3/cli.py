@@ -285,8 +285,8 @@ def cmd_sample(args) -> Iterator[str]:
     violations = 0
     for start in range(0, args.count, _SAMPLE_CHUNK):
         amps = haar_random_amplitudes(rng, min(_SAMPLE_CHUNK, args.count - start))
-        # classify_batch normalizes the states once more, as normalize() did
-        # before each state went to classify, so the rows keep their bits
+        # classify_batch normalizes each row once more, as normalize() does,
+        # so a row is the record classify(normalize(row)) gives
         cls = classify_batch(amps, tol=tol, sigma_tol=sigma_tol)
         residuals = _polytope_residuals(*cls.sigma.T).values()
         violations += int(np.count_nonzero(~np.all([r <= tol for r in residuals], axis=0)))

@@ -7,12 +7,12 @@ it goes wherever a tensor goes.  Qubits are labeled A, B, C and correspond
 to tensor modes 1, 2, 3.  The squared largest mode-n singular value
 sigma1(n)^2 is the top eigenvalue of that qubit's reduced density matrix;
 the triple of these lives in the polytope  1/2 <= s_i <= 1,
-s_i + s_j - s_k <= 1.  Per state, :func:`classify` reads the triple off the
-state's one HOSVD and evaluates the core identities at it.  For many states
-at once, :func:`classify_batch` computes the same HOSVD in closed form (one
-Jacobi rotation per 2x2 Gram matrix) as array operations;
-:func:`batch_sigma_squares` is its sigma triple.  Both make their decisions
-with the same array functions.
+s_i + s_j - s_k <= 1.  The three-qubit HOSVD has one route: in closed form
+(one Jacobi rotation per 2x2 Gram matrix) as array operations over a batch
+of states.  :func:`classify_batch` runs it on many states,
+:func:`classify` on a batch of one, where it also evaluates the core
+identities with one array kernel; :func:`batch_sigma_squares` is its sigma
+triple.  The generic :func:`~hosvd3.hosvd.hosvd` is not used here.
 """
 
 from __future__ import annotations
@@ -23,12 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, ShapeError, ValidationError
-from .hosvd import hosvd, verify_all_orthogonality
 from .smalllinalg import _PIVOT_TOL, gram, pow2_prescale
-from .tensor import ComplexTensor, _cyclic_axes, norm, unfold
+from .tensor import ComplexTensor, unfold
 
 CUTS = ("A_BC", "B_CA", "C_AB")
-_CUT_MODE = {"A_BC": 1, "B_CA": 2, "C_AB": 3}
 
 # Core support patterns of the special states, as flat indices
 # 4(i1-1) + 2(i2-1) + (i3-1), paired with the sigma case they require.
@@ -59,6 +57,12 @@ _CASE_BITS = np.array([0, 1, 2, 0, 0, 4, 0, 0, 0])
 _TAG = np.array([tag for tag, _, _ in _SPECIAL_SUPPORT] + ["none"])
 _TAG_CASE = np.array([case for _, _, case in _SPECIAL_SUPPORT] + [""])
 _POWERS = 1 << np.arange(8)
+# The flat positions of the mode-1, 2, 3 unfoldings of a 2x2x2 tensor, with
+# the cyclic column order of tensor.unfold: x.reshape(-1, 8)[:, _UNFOLD]
+# holds the unfoldings of each tensor of a batch x, as (M, 3, 2, 4).
+_UNFOLD = np.array([[[0, 1, 2, 3], [4, 5, 6, 7]],
+                    [[0, 4, 1, 5], [2, 6, 3, 7]],
+                    [[0, 2, 4, 6], [1, 3, 5, 7]]])
 
 
 def _first_pattern_table() -> np.ndarray:
@@ -82,6 +86,8 @@ class ThreeQubitState(ComplexTensor):
         arr = np.asarray(self.data, dtype=np.complex128)
         if arr.size != 8:
             raise ShapeError(f"need 8 amplitudes, got {arr.size}")
+        if not np.isfinite(arr).all():
+            raise ValidationError("entries must be finite")
         object.__setattr__(self, "data", arr.reshape(2, 2, 2))
         super().__post_init__()
         total = np.linalg.norm(self.data.ravel())
@@ -92,23 +98,18 @@ class ThreeQubitState(ComplexTensor):
 
 
 def normalize(amplitudes) -> ThreeQubitState:
-    """Scale 8 amplitudes to unit norm, preserving relative phases.
-
-    An exact power-of-two prescale of the largest part keeps the norm from
-    overflowing or underflowing; ordinary inputs keep their bits.
-    """
-    amps = np.asarray(amplitudes, dtype=np.complex128).ravel()
+    """Scale 8 amplitudes to unit norm, preserving relative phases, as
+    :func:`classify_batch` normalizes each of its rows (see
+    :func:`_unit_rows`): no overflow or underflow, and ordinary inputs keep
+    their bits."""
+    amps = np.asarray(amplitudes, dtype=np.complex128)
     if amps.size != 8:
         raise ShapeError(f"need 8 amplitudes, got {amps.size}")
-    arr, _ = pow2_prescale(amps)
-    if not arr.any():
-        raise DomainError("cannot normalize the zero vector")
-    return ThreeQubitState(arr.reshape(2, 2, 2) / np.linalg.norm(arr))
+    return ThreeQubitState(_unit_rows(amps.reshape(1, 8))[0])
 
 
 def _unit_rows(amps: np.ndarray) -> np.ndarray:
-    """The rows of an (M, 8) complex array scaled to unit norm, as (M, 2, 2, 2):
-    :func:`normalize`, row by row, to the same bits.
+    """The rows of an (M, 8) complex array scaled to unit norm, as (M, 2, 2, 2).
 
     Each row is first scaled by an exact power of two (see
     :func:`pow2_prescale`), so its norm neither overflows nor underflows.
@@ -171,21 +172,14 @@ def _decide_special(core, separability, case, degenerate, tol: float):
     """(special, gauge_warning) per row of (M, 2, 2, 2) cores: the first
     pattern of _SPECIAL_SUPPORT that contains the core support (the entries
     above tol times the largest).  Only genuine states carry a tag.  Where
-    `degenerate` (per row, or one flag for all) marks a degenerate mode
-    spectrum, the core is gauge-dependent, so the tag is reported with a
-    gauge warning; otherwise it stands only when the case is the one the
-    pattern requires."""
+    the (M,) flags `degenerate` mark a degenerate mode spectrum, the core is
+    gauge-dependent, so the tag is reported with a gauge warning; otherwise
+    it stands only when the case is the one the pattern requires."""
     flat = np.abs(core.reshape(-1, 8))
     first = _FIRST_PATTERN[_bits(flat > tol * flat.max(axis=1, keepdims=True))]
     kept = (separability == "genuine") & (degenerate | (case == _TAG_CASE[first]))
     special = _TAG[np.where(kept, first, len(_SPECIAL_SUPPORT))]
     return special, degenerate & (special != "none")
-
-
-def _hypot(x, y) -> np.ndarray:
-    # math.hypot element by element, as hermitian_eig calls it; np.hypot,
-    # the C library's, differs from it in the last bit now and then
-    return np.frompyfunc(math.hypot, 2, 1)(x, y).astype(np.float64)
 
 
 def _batch(amplitudes) -> np.ndarray:
@@ -195,23 +189,28 @@ def _batch(amplitudes) -> np.ndarray:
     raise ShapeError(f"need an (M, 8) or (M, 2, 2, 2) batch of states, got shape {a.shape}")
 
 
-def _hosvd_batch(x: np.ndarray, tol: float):
-    """(core, sigma, degenerate) of unit-norm states x, shape (M, 2, 2, 2):
-    the HOSVD cores (M, 2, 2, 2), the sigma triples (M, 3) and the per-mode
-    degeneracy flags (M, 3).
+def _transform(x: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    # x (M, 2, 2, 2) with mats[:, n - 1] (M, 3, 2, 2) applied in mode n, as
+    # one product with their Kronecker product per state
+    a, b, c = mats[:, 0], mats[:, 1], mats[:, 2]
+    ab = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, 4, 4)
+    abc = (ab[:, :, None, :, None] * c[:, None, :, None, :]).reshape(-1, 8, 8)
+    return (abc @ x.reshape(-1, 8, 1)).reshape(-1, 2, 2, 2)
 
-    This is :func:`hosvd` in closed form.  A 2x2 Gram matrix takes exactly
-    one Jacobi rotation, and this applies the rotation of hermitian_eig as
-    array operations: the same power-of-two prescale of the Gram matrix,
-    pivot test, formulas, column gauge (largest entry real and >= 0, lowest
-    row on ties), stable descending order and degeneracy rule.  Gram
-    matrices and mode products go through the matrix product one state at
-    a time, as in hosvd, so results agree with it to the last bit or so.
+
+def _hosvd_batch(x: np.ndarray, tol: float):
+    """(core, factors, sigma, degenerate) of unit-norm states x, shape
+    (M, 2, 2, 2): the HOSVD cores (M, 2, 2, 2), the factors U(n) as
+    (M, 3, 2, 2), the sigma triples (M, 3) and the per-mode degeneracy
+    flags (M, 3).
+
+    A 2x2 Gram matrix takes exactly one Jacobi rotation, and this applies
+    the rotation of hermitian_eig as array operations: the same
+    power-of-two prescale of the Gram matrix, pivot test, formulas, column
+    gauge (largest entry real and >= 0, lowest row on ties), stable
+    descending order and degeneracy rule.
     """
-    m = len(x)
-    # mode-n unfoldings behind the batch axis, modes stacked: (M, 3, 2, 4)
-    unf = np.stack([x.transpose(0, *(ax + 1 for ax in _cyclic_axes(3, n))).reshape(m, 2, 4)
-                    for n in (1, 2, 3)], axis=1)
+    unf = x.reshape(-1, 8)[:, _UNFOLD]
     g = unf @ unf.conj().swapaxes(2, 3)
     g = (g + g.conj().swapaxes(2, 3)) / 2.0
     parts = g.view(np.float64)
@@ -219,20 +218,20 @@ def _hosvd_batch(x: np.ndarray, tol: float):
     a = np.ldexp(parts, -e[..., None, None]).view(np.complex128)
     app, aqq, apq = a[..., 0, 0].real, a[..., 1, 1].real, a[..., 0, 1]
 
-    mag = np.hypot(apq.real, apq.imag)  # abs() of a Python complex
+    mag = np.hypot(apq.real, apq.imag)
     rotated = mag > _PIVOT_TOL
     # t = 0 and a unit phase leave an unrotated matrix and V = I as they are
     mag = np.where(rotated, mag, 1.0)
     d, m2 = aqq - app, 2.0 * mag
-    t = np.where(rotated, np.copysign(m2 / (np.abs(d) + _hypot(d, m2)), d), 0.0)
-    c = 1.0 / _hypot(1.0, t)
+    t = np.where(rotated, np.copysign(m2 / (np.abs(d) + np.hypot(d, m2)), d), 0.0)
+    c = 1.0 / np.hypot(1.0, t)
     s = t * c
-    # conj(apq / mag), divided part by part as a Python complex is
+    # conj(apq / mag), divided part by part
     phase = np.where(rotated, apq.real / mag - 1j * (apq.imag / mag), 1.0)
     # the rotated diagonal, and the eigenvector columns (c, -s phase) and
     # (s, c phase) that the rotation leaves in V
     ev0, ev1 = app - t * mag, aqq + t * mag
-    v = np.stack([c, s, -(s * phase), c * phase], axis=-1).reshape(m, 3, 2, 2)
+    v = np.stack([c, s, -(s * phase), c * phase], axis=-1).reshape(-1, 3, 2, 2)
 
     # gauge, then descending order, as hermitian_eig
     size = np.abs(v)
@@ -242,26 +241,18 @@ def _hosvd_batch(x: np.ndarray, tol: float):
     high, low = np.maximum(ev0, ev1), np.minimum(ev0, ev1)
     degenerate = high - low <= tol * (np.abs(high) + np.abs(low))
 
-    # core = x transformed by U(n)^dagger in each mode, one mode at a time
-    uh = v.conj().swapaxes(2, 3)
-    core = x
-    for n in range(3):
-        rows = np.moveaxis(core, n + 1, 1).reshape(m, 2, 4)
-        core = np.moveaxis((uh[:, n] @ rows).reshape(m, 2, 2, 2), 1, n + 1)
-    # sigma1(n)^2: the norm of the core's first mode-n slice, squared
-    power = np.abs(core) ** 2
-    norms = np.sqrt(np.stack([power.take(0, axis=n).reshape(m, 4).sum(axis=1)
-                              for n in (1, 2, 3)], axis=1))
-    return core, norms**2, degenerate
+    # sigma1(n)^2 is the top eigenvalue, scaled back
+    return _transform(x, v.conj().swapaxes(2, 3)), v, np.ldexp(high, e), degenerate
 
 
 def batch_sigma_squares(amplitudes) -> np.ndarray:
     """(sigma1(1)^2, sigma1(2)^2, sigma1(3)^2) of each state in a batch, as
-    an (M, 3) array: the sigma of :func:`classify_batch`.
+    an (M, 3) array: the sigma of :func:`classify_batch`, and so of
+    :func:`classify`.
 
     `amplitudes` is (M, 8) or (M, 2, 2, 2); each row is normalized first.
     """
-    return _hosvd_batch(_batch(amplitudes), 1e-10)[1]
+    return _hosvd_batch(_batch(amplitudes), 1e-10)[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,21 +275,101 @@ def classify_batch(amplitudes, tol: float = 1e-10, sigma_tol: float = 1e-8) -> B
     `amplitudes` is (M, 8) or (M, 2, 2, 2); each row is normalized as
     :func:`normalize` does.  Row i of the result holds the separability,
     case, special tag, gauge warning, degenerate modes and sigma triple
-    that :func:`classify` gives state i, decided by the same functions.  The
-    HOSVD is computed in closed form, one Jacobi rotation per 2x2 Gram
-    matrix as hermitian_eig applies it, so sigma agrees with classify's to
-    about 1e-16.  The core identities and residuals of
-    :class:`Classification` are not computed.  A row that is zero raises
-    DomainError, a non-finite entry ValidationError.  Memory grows with M
-    (a few KiB per state), so split large runs into batches, as
-    ``hosvd3 sample`` does.
+    that :func:`classify` gives state i: both run the same closed-form
+    HOSVD, one Jacobi rotation per 2x2 Gram matrix, and the same decisions.
+    The core identities and residuals of :class:`Classification` are not
+    computed.  A row that is zero raises DomainError, a non-finite entry
+    ValidationError.  Memory grows with M (a few KiB per state), so split
+    large runs into batches, as ``hosvd3 sample`` does.
     """
-    core, sigma, degenerate = _hosvd_batch(_batch(amplitudes), tol)
+    return _classify_rows(_batch(amplitudes), tol, sigma_tol)[0]
+
+
+def _classify_rows(x: np.ndarray, tol: float, sigma_tol: float):
+    # classify_batch of unit-norm states x (M, 2, 2, 2), with their HOSVD
+    # cores and factors
+    core, factors, sigma, degenerate = _hosvd_batch(x, tol)
     separability = _separability(sigma, tol)
     case = _decide_case(sigma, sigma_tol)
     special, gauge_warning = _decide_special(core, separability, case,
                                              degenerate.any(axis=1), tol)
-    return BatchClassification(separability, case, special, sigma, degenerate, gauge_warning)
+    return (BatchClassification(separability, case, special, sigma, degenerate, gauge_warning),
+            core, factors)
+
+
+def _identities(x: np.ndarray, core: np.ndarray, sigma: np.ndarray, tol: float) -> dict:
+    """The identities of :class:`Classification`'s residuals, per row of
+    states x, their cores (both (M, 2, 2, 2)) and sigma triples (M, 3), as
+    a dict of (M,) arrays in report order, from all-orthogonality on.
+
+    Rows where the guard of the t111/t222 formulas holds read NaN there.
+    NumericalError is raised where the plane coefficients do not cancel or
+    the two equivalent plane forms disagree, beyond 1e-12 of their scale.
+    The values are evaluated as they stand, so rows should be of moderate
+    scale, as unit-norm states are.
+    """
+    t111, t112, t121, t122, t211, t212, t221, t222 = core.reshape(-1, 8).T
+    power = np.abs(core.reshape(-1, 8)) ** 2
+    total = power.sum(axis=1)
+    # the three unfoldings of the states and of their cores: (M, 2, 3, 2, 4)
+    unf = np.stack([x.reshape(-1, 8), core.reshape(-1, 8)], axis=1)[:, :, _UNFOLD]
+    out = {"all_orthogonality":
+           np.abs((unf[:, 1, :, 0].conj() * unf[:, 1, :, 1]).sum(axis=2)).max(axis=1)}
+
+    # the plane a s1 + b s2 + c s3 = 0, and its companion form in t221,
+    # t122 and t212
+    a, b, c = power[:, 1] - power[:, 2], power[:, 4] - power[:, 1], power[:, 2] - power[:, 4]
+    s1, s2, s3 = sigma.T
+    form_a = a * s1 + b * s2 + c * s3
+    form_b = power[:, 6] * (s1 - s2) + power[:, 3] * (s2 - s3) + power[:, 5] * (s3 - s1)
+    if np.any(np.abs(a + b + c) > 1e-12 * total):
+        raise NumericalError(f"plane coefficients do not cancel: {(a + b + c).max()!r}")
+    if np.any(np.abs(form_a - form_b) > 1e-12 * total * np.abs(sigma).max(axis=1)):
+        i = np.argmax(np.abs(form_a - form_b))
+        raise NumericalError(f"equivalent plane forms disagree: {form_a[i]!r} vs {form_b[i]!r}")
+    # the cyclic quartic phase identity
+    p, q, r = t112 * t221, t121 * t212, t122 * t211
+    out.update({"plane_identity": np.abs(form_a),
+                "phase_identity": np.abs(np.conj(p) * (r - q) + np.conj(q) * (p - r)
+                                         + np.conj(r) * (q - p)),
+                "plane_a": a, "plane_b": b, "plane_c": c, "plane_coefficient_sum": a + b + c})
+    # every |2x2 minor| of each unfolding, [..., a, b] for columns a and b:
+    # the state's six per cut, and the core's one condition per cut, its
+    # minor of columns (1, 2) and (2, 1)
+    cross = unf[..., 0, :, None] * unf[..., 1, None, :]
+    minors = np.abs(cross - cross.swapaxes(-1, -2))
+    for n, cut in enumerate(CUTS):
+        out[f"core_bisep_{cut}"] = minors[:, 1, n, 1, 2]
+        out[f"minors_{cut}"] = minors[:, 0, n].max(axis=(1, 2))
+    # t111 and t222 eliminated from all-orthogonality, where the shared
+    # denominator is not within tol * norm^2 of zero
+    denom = t212 * np.conj(t211) - t122 * np.conj(t121)
+    guarded = np.abs(denom) <= tol * total
+    denom = np.where(guarded, 1.0, denom)
+    t111_formula = -(np.conj(t221) * (q - r) + t112 * (power[:, 5] - power[:, 3])) / denom
+    t222_formula = (np.conj(t112) * (q - r) + t221 * (power[:, 2] - power[:, 4])) / np.conj(denom)
+    out["t111_formula"] = np.where(guarded, np.nan, np.abs(t111 - t111_formula))
+    out["t222_formula"] = np.where(guarded, np.nan, np.abs(t222 - t222_formula))
+    return out
+
+
+def _identities_of(t: ComplexTensor, sigma=(0.0, 0.0, 0.0), tol: float = 1e-10):
+    """(values, e): the :func:`_identities` of one 2x2x2 tensor, read as its
+    own core, as floats for the tensor scaled by 2^-e (see
+    :func:`pow2_prescale`), so none overflows or underflows on the way.  A
+    value of degree k in the entries is 2^(k e) times that of the tensor.
+    At sigma = 0 both plane forms are 0."""
+    if t.dims != (2, 2, 2):
+        raise ShapeError(f"expected a 2x2x2 core, got dims {t.dims}")
+    unit, e = pow2_prescale(t.data)
+    x = unit[None]
+    sigma = np.asarray(sigma, dtype=np.float64).reshape(1, 3)
+    return {name: float(v[0]) for name, v in _identities(x, x, sigma, tol).items()}, e
+
+
+def _check_cut(cut: str) -> None:
+    if cut not in CUTS:
+        raise ValueError(f"unknown cut {cut!r}; expected one of {CUTS}")
 
 
 def separability_minor_residual(s: ThreeQubitState, cut: str) -> float:
@@ -308,14 +379,9 @@ def separability_minor_residual(s: ThreeQubitState, cut: str) -> float:
     For C|AB the six minors are exactly the six conditions
     psi111 psi222 = psi112 psi221, ..., psi211 psi122 = psi212 psi121.
     """
-    if cut not in _CUT_MODE:
-        raise ValueError(f"unknown cut {cut!r}; expected one of {CUTS}")
-    m = unfold(s, _CUT_MODE[cut])
-    worst = 0.0
-    for a in range(4):
-        for b in range(a + 1, 4):
-            worst = max(worst, abs(m[0, a] * m[1, b] - m[0, b] * m[1, a]))
-    return worst
+    _check_cut(cut)
+    values, e = _identities_of(s)
+    return math.ldexp(values[f"minors_{cut}"], 2 * e)
 
 
 def core_biseparability_residual(core: ComplexTensor, cut: str, tol: float = 1e-10) -> float:
@@ -329,33 +395,14 @@ def core_biseparability_residual(core: ComplexTensor, cut: str, tol: float = 1e-
     tol * norm^2), otherwise the single condition carries no meaning and
     ValidationError is raised.
     """
-    if cut not in _CUT_MODE:
-        raise ValueError(f"unknown cut {cut!r}; expected one of {CUTS}")
-    entries = _core_entries(core)
-    # gate on the core scaled by an exact power of two, so that neither the
-    # inner products nor the squared norm underflow or overflow
-    unit = ComplexTensor(pow2_prescale(core.data)[0])
-    if verify_all_orthogonality(unit) > tol * norm(unit) ** 2:
+    _check_cut(cut)
+    values, e = _identities_of(core, tol=tol)
+    # gate on the core scaled by 2^-e too, so that neither the inner
+    # products nor the squared norm underflow or overflow
+    unit = pow2_prescale(core.data)[0]
+    if values["all_orthogonality"] > tol * np.vdot(unit, unit).real:
         raise ValidationError("input violates all-orthogonality; not an HOSVD core")
-    return _core_bisep(entries, cut)
-
-
-def _core_entries(core: ComplexTensor) -> list:
-    """t111, t112, t121, t122, t211, t212, t221, t222 as Python complex numbers."""
-    if core.dims != (2, 2, 2):
-        raise ShapeError(f"expected a 2x2x2 core, got dims {core.dims}")
-    return core.data.ravel().tolist()
-
-
-def _core_bisep(entries: list, cut: str) -> float:
-    _, t112, t121, t122, t211, t212, t221, _ = entries
-    if cut == "A_BC":
-        lhs, rhs = t112 * t221, t212 * t121
-    elif cut == "B_CA":
-        lhs, rhs = t112 * t221, t211 * t122
-    else:
-        lhs, rhs = t211 * t122, t212 * t121
-    return abs(lhs - rhs)
+    return math.ldexp(values[f"core_bisep_{cut}"], 2 * e)
 
 
 def plane_coefficients(core: ComplexTensor) -> tuple[float, float, float]:
@@ -363,11 +410,8 @@ def plane_coefficients(core: ComplexTensor) -> tuple[float, float, float]:
     the normal of the plane a s1 + b s2 + c s3 = 0 satisfied by the core's
     sigma triple.  a + b + c == 0 by construction.
     """
-    _, t112, t121, _, t211, _, _, _ = _core_entries(core)
-    x = abs(t112) ** 2
-    y = abs(t121) ** 2
-    z = abs(t211) ** 2
-    return (x - y, z - x, y - z)
+    values, e = _identities_of(core)
+    return tuple(math.ldexp(values[name], 2 * e) for name in ("plane_a", "plane_b", "plane_c"))
 
 
 def plane_identity_residual(core: ComplexTensor, sigma) -> float:
@@ -378,24 +422,12 @@ def plane_identity_residual(core: ComplexTensor, sigma) -> float:
     i.e. |t112|^2 (s1 - s2) + |t211|^2 (s2 - s3) + |t121|^2 (s3 - s1) = 0,
     where sigma = (s1, s2, s3) holds the core's sigma1(n)^2, such as
     ``classify(s).sigma_triple``.  The companion form in t221, t122, t212 is
-    algebraically identical; both are evaluated and must agree to 1e-12
-    (floating-point consistency), else a NumericalError is raised.
+    algebraically identical; both are evaluated and must agree to 1e-12 of
+    ||core||^2 max|s_i| (floating-point consistency), else a NumericalError
+    is raised.
     """
-    a, b, c = plane_coefficients(core)
-    _, _, _, t122, _, t212, t221, _ = _core_entries(core)
-    s1, s2, s3 = sigma
-    form_a = a * s1 + b * s2 + c * s3
-    form_b = (
-        abs(t221) ** 2 * (s1 - s2)
-        + abs(t122) ** 2 * (s2 - s3)
-        + abs(t212) ** 2 * (s3 - s1)
-    )
-    scale = max(1.0, norm(core) ** 4)
-    if abs(form_a - form_b) > 1e-12 * scale:
-        raise NumericalError(
-            f"equivalent plane forms disagree: {form_a!r} vs {form_b!r}"
-        )
-    return abs(form_a)
+    values, e = _identities_of(core, sigma)
+    return math.ldexp(values["plane_identity"], 2 * e)
 
 
 def phase_identity_residual(core: ComplexTensor) -> float:
@@ -405,11 +437,8 @@ def phase_identity_residual(core: ComplexTensor) -> float:
       + conj(t121 t212) (t112 t221 - t122 t211)
       + conj(t122 t211) (t121 t212 - t112 t221)  = 0
     """
-    _, t112, t121, t122, t211, t212, t221, _ = _core_entries(core)
-    x = t112 * t221
-    y = t121 * t212
-    z = t122 * t211
-    return abs(np.conj(x) * (z - y) + np.conj(y) * (x - z) + np.conj(z) * (y - x))
+    values, e = _identities_of(core)
+    return math.ldexp(values["phase_identity"], 4 * e)
 
 
 def guarded_t111_t222_check(core: ComplexTensor, tol: float = 1e-10):
@@ -418,23 +447,14 @@ def guarded_t111_t222_check(core: ComplexTensor, tol: float = 1e-10):
     or None when the shared denominator t212 conj(t211) - t122 conj(t121)
     is within tol * norm(core)^2 of zero (formulas undefined there).
 
-    The formulas are evaluated on the core scaled by an exact power of two
-    (see :func:`pow2_prescale`) and the residuals scaled back, so neither
-    the guard nor the residuals depend on the scale of the core.
+    The guard is relative, and the residuals are scaled back from those of
+    the core scaled by an exact power of two (see :func:`pow2_prescale`),
+    so neither depends on the scale of the core.
     """
-    scaled, e = pow2_prescale(_core_entries(core))
-    t111, t112, t121, t122, t211, t212, t221, t222 = scaled.tolist()
-    denom = t212 * np.conj(t211) - t122 * np.conj(t121)
-    if abs(denom) <= tol * np.vdot(scaled, scaled).real:
+    values, e = _identities_of(core, tol=tol)
+    if math.isnan(values["t111_formula"]):
         return None
-    cross = t121 * t212 - t122 * t211
-    t111_formula = -(
-        np.conj(t221) * cross + t112 * (abs(t212) ** 2 - abs(t122) ** 2)
-    ) / denom
-    t222_formula = (
-        np.conj(t112) * cross + t221 * (abs(t121) ** 2 - abs(t211) ** 2)
-    ) / np.conj(denom)
-    return tuple(np.ldexp([abs(t111 - t111_formula), abs(t222 - t222_formula)], e))
+    return math.ldexp(values["t111_formula"], e), math.ldexp(values["t222_formula"], e)
 
 
 @dataclass(frozen=True)
@@ -493,54 +513,30 @@ def classify(
 ) -> Classification:
     """Classify a normalized three-qubit state.
 
-    Runs the decomposition, then decides, in order: separability (one-body
+    Runs :func:`classify_batch`'s closed-form HOSVD and decisions on the
+    batch of one state, which decide, in order: separability (one-body
     purity at `tol`), the sigma-equality case (pairwise comparisons at
     `sigma_tol`), and the special-state tag (core support patterns; only
     genuine states carry one).  With degenerate mode spectra the core is
     gauge-dependent, so a support-based tag is reported with
     ``gauge_warning=True`` instead of being trusted against the case.
-    The core is the decomposition's own, so its all-orthogonality residual
-    is reported, not held against `tol`.
+    The residuals are the reconstruction error and all-orthogonality of
+    that decomposition, reported and not held against `tol`, and the core
+    identities, evaluated at its sigma triple.
     """
-    result = hosvd(s, tol=tol)
-    # sigma1(n)^2 per mode: the top eigenvalue of each one-body RDM
-    sig = tuple(float(spec[0]) ** 2 for spec in result.spectra)
-    # the decisions of classify_batch, on a batch of one
-    sigma = np.array([sig])
-    separability = _separability(sigma, tol)
-    case = _decide_case(sigma, sigma_tol)
-    special, gauge_warning = _decide_special(
-        result.core.data, separability, case, bool(result.degenerate_modes), tol)
-
-    a, b, c = plane_coefficients(result.core)
-    if abs(a + b + c) > 1e-12:
-        raise NumericalError(f"plane coefficients do not cancel: {a + b + c!r}")
-
-    residuals = {
-        "reconstruction": result.residuals.reconstruction,
-        "all_orthogonality": result.residuals.all_orthogonality,
-        "plane_identity": plane_identity_residual(result.core, sig),
-        "phase_identity": phase_identity_residual(result.core),
-        "plane_a": a,
-        "plane_b": b,
-        "plane_c": c,
-        "plane_coefficient_sum": a + b + c,
-    }
-    entries = _core_entries(result.core)
-    for cut in CUTS:
-        residuals[f"core_bisep_{cut}"] = _core_bisep(entries, cut)
-        residuals[f"minors_{cut}"] = separability_minor_residual(s, cut)
-    guarded = guarded_t111_t222_check(result.core, tol=tol)
-    if guarded is not None:
-        residuals["t111_formula"] = guarded[0]
-        residuals["t222_formula"] = guarded[1]
-
+    x = s.data[None]
+    row, core, factors = _classify_rows(x, tol, sigma_tol)
+    # relative, since s has unit norm
+    residuals = {"reconstruction": float(np.linalg.norm(_transform(core, factors) - x))}
+    for name, value in _identities(x, core, row.sigma, tol).items():
+        if not math.isnan(value[0]):
+            residuals[name] = float(value[0])
     return Classification(
-        separability=str(separability[0]),
-        case=str(case[0]),
-        special=str(special[0]),
-        sigma_triple=sig,
-        degenerate_modes=result.degenerate_modes,
-        gauge_warning=bool(gauge_warning[0]),
+        separability=str(row.separability[0]),
+        case=str(row.case[0]),
+        special=str(row.special[0]),
+        sigma_triple=tuple(row.sigma[0].tolist()),
+        degenerate_modes=frozenset((np.flatnonzero(row.degenerate_modes[0]) + 1).tolist()),
+        gauge_warning=bool(row.gauge_warning[0]),
         residuals=residuals,
     )

@@ -147,7 +147,8 @@ class TestStateFileErrors:
 
 
 class TestNumericalFailure:
-    @pytest.mark.parametrize("command", ["decompose", "classify"])
+    # classify solves its 2x2 Gram matrices in closed form, with no sweeps
+    @pytest.mark.parametrize("command", ["decompose"])
     def test_unconverged_eigensolver_exits_3(self, ghz_file, monkeypatch, capsys, command):
         monkeypatch.setattr("hosvd3.smalllinalg._MAX_SWEEPS", 0)
         assert run([command, ghz_file]) == EXIT_NUMERICAL
@@ -357,6 +358,25 @@ class TestSample:
             z = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             np.testing.assert_array_equal(state.ravel(), z / np.linalg.norm(z))
             assert np.linalg.norm(state.ravel()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_haar_induced_measure(self, tmp_path):
+        # The largest eigenvalue s of one qubit's reduced density matrix of a
+        # Haar-random three-qubit state has density proportional to
+        # (2s - 1)^2 s^2 (1 - s)^2 on [1/2, 1] (the induced measure of a 2x4
+        # bipartition).  Each sigma column must pass a Kolmogorov-Smirnov
+        # test against it at the 0.1% level (critical distance 1.95/sqrt(n)).
+        count = 20000
+        out = tmp_path / "s.csv"
+        assert run(["sample", "--count", str(count), "--seed", "2027",
+                    "--output", str(out)]) == EXIT_OK
+        sigma = np.loadtxt(out, delimiter=",", skiprows=2, usecols=(1, 2, 3))
+        x = np.polynomial.Polynomial([0.0, 1.0])
+        integral = ((2 * x - 1) ** 2 * x**2 * (1 - x) ** 2).integ()
+        for column in sigma.T:
+            cdf = (integral(np.sort(column)) - integral(0.5)) / (integral(1.0) - integral(0.5))
+            steps = np.arange(count + 1) / count
+            distance = max(np.max(steps[1:] - cdf), np.max(cdf - steps[:-1]))
+            assert distance < 1.95 / math.sqrt(count), distance
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
     def test_memory_flat_in_count(self, tmp_path):

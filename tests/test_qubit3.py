@@ -27,7 +27,15 @@ from hosvd3 import (
     separability_minor_residual,
     two_body_rdms,
 )
-from hosvd3.qubit3 import _SPECIAL_SUPPORT, _unit_rows
+from hosvd3.qubit3 import (
+    CUTS,
+    _SPECIAL_SUPPORT,
+    _decide_case,
+    _decide_special,
+    _hosvd_batch,
+    _separability,
+    _unit_rows,
+)
 from conftest import amplitudes
 from oracles import haar_state, haar_unitary, one_body_rdm_by_summation
 
@@ -90,8 +98,10 @@ class TestNormalize:
             ThreeQubitState(amplitudes(a111=2))
 
     def test_nan_constructor_rejected(self):
-        with pytest.raises(ValidationError):
-            ThreeQubitState(np.full(8, np.nan))
+        # rejected as non-finite, not sent on to normalize() as unnormalized
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValidationError, match="entries must be finite"):
+                ThreeQubitState(np.full(8, bad))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
     def test_non_finite_rejected(self, bad):
@@ -515,31 +525,41 @@ class TestQubitPermutation:
         swapped = normalize(np.transpose(bisep_cab.data, (2, 1, 0)))
         assert classify(swapped).separability == "biseparable_A_BC"
 
+    FIXTURES = ("ghz_86", "ghz_equal", "w_state", "s1_fixture", "b1_fixture", "bisep_cab")
+    PAIRS = {"case2_12": (1, 2), "case2_13": (1, 3), "case2_23": (2, 3),
+             "s1": (1, 2), "s2": (1, 3), "s3": (2, 3)}
 
-class TestOneDecomposition:
-    """classify's sigma triple is the top squared singular value of each mode
-    of the state's HOSVD, as Python floats."""
+    @classmethod
+    def relabel(cls, label, inv):
+        """label, named for the qubits of the permuted state, in which qubit
+        q (1-based) of the state is qubit inv[q - 1] + 1."""
+        if label.startswith("biseparable_"):
+            return "biseparable_" + CUTS[inv[CUTS.index(label.removeprefix("biseparable_"))]]
+        if label not in cls.PAIRS:
+            return label
+        pair = tuple(sorted(inv[q - 1] + 1 for q in cls.PAIRS[label]))
+        return next(name for name, p in cls.PAIRS.items()
+                    if p == pair and name[0] == label[0])
 
-    FIXTURES = ("ghz_86", "w_state", "s1_fixture", "b1_fixture", "bisep_cab")
-
-    def test_fixtures_and_haar_states_bit_for_bit(self, request, rng):
-        states = [request.getfixturevalue(name) for name in self.FIXTURES]
-        states += [haar_3q(rng) for _ in range(100)]
-        for s in states:
-            sigma = classify(s).sigma_triple
-            spectra = hosvd(s).spectra
-            assert sigma == tuple(float(spec[0]) ** 2 for spec in spectra)
-            assert all(type(v) is float for v in sigma)
-
-    def test_plane_identity_is_read_at_the_reported_triple(self, request, rng):
+    @pytest.mark.parametrize("perm", list(itertools.permutations(range(3))))
+    def test_whole_record_is_covariant(self, request, rng, perm):
+        # qubit k of the permuted state is qubit perm[k] of the state
+        inv = np.argsort(perm).tolist()
         states = [request.getfixturevalue(name) for name in self.FIXTURES]
         states += [haar_3q(rng) for _ in range(100)]
         for s in states:
             c = classify(s)
-            s1, s2, s3 = c.sigma_triple
-            r = c.residuals
-            a, b, cc = r["plane_a"], r["plane_b"], r["plane_c"]
-            assert r["plane_identity"] == abs(a * s1 + b * s2 + cc * s3)
+            p = classify(normalize(np.transpose(s.data, perm)))
+            np.testing.assert_allclose(p.sigma_triple, [c.sigma_triple[q] for q in perm],
+                                       rtol=0, atol=1e-14)
+            assert (p.separability, p.case, p.special) == tuple(
+                self.relabel(label, inv) for label in (c.separability, c.case, c.special))
+            assert p.degenerate_modes == {inv[n - 1] + 1 for n in c.degenerate_modes}
+            assert p.gauge_warning == c.gauge_warning
+            for q, cut in enumerate(CUTS):
+                for name in ("core_bisep", "minors"):
+                    got, want = p.residuals[f"{name}_{CUTS[inv[q]]}"], c.residuals[f"{name}_{cut}"]
+                    assert abs(got - want) <= 1e-14
 
 
 class TestPolytope:
@@ -592,50 +612,101 @@ def on_pattern(rng, pattern, count):
 TOLERANCES = [pytest.param(1e-10, 1e-8, id="defaults"), pytest.param(0.0, 1e-8, id="tol0")]
 
 
+def assert_matches_hosvd(amps, tol, sigma_tol, same_labels=True):
+    """Check classify_batch of the (M, 8) amps against the generic route,
+    hosvd of each normalized state: sigma within 1e-14 of the top squared
+    spectra, the same degenerate modes, |core| within 1e-14 where no mode is
+    degenerate, and, with same_labels, the same labels as the decision
+    functions give on hosvd's outputs.  classify of each state must be its
+    row, bit for bit."""
+    batch = classify_batch(amps, tol=tol, sigma_tol=sigma_tol)
+    assert isinstance(batch, BatchClassification)
+    states = [normalize(row) for row in amps]
+    results = [hosvd(s, tol=tol) for s in states]
+    sigma = np.array([[float(spec[0]) ** 2 for spec in r.spectra] for r in results])
+    core = np.array([r.core.data for r in results])
+    degenerate = np.array([[n in r.degenerate_modes for n in (1, 2, 3)] for r in results])
+    np.testing.assert_allclose(batch.sigma, sigma, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(batch.degenerate_modes, degenerate)
+    clean = ~degenerate.any(axis=1)
+    batch_core = _hosvd_batch(np.array([s.data for s in states]), tol)[0]
+    np.testing.assert_allclose(np.abs(batch_core[clean]), np.abs(core[clean]), rtol=0, atol=1e-14)
+    separability = _separability(sigma, tol)
+    case = _decide_case(sigma, sigma_tol)
+    special, gauge_warning = _decide_special(core, separability, case,
+                                             degenerate.any(axis=1), tol)
+    rows = list(zip(batch.separability.tolist(), batch.case.tolist(), batch.special.tolist(),
+                    batch.gauge_warning.tolist()))
+    if same_labels:
+        assert rows == list(zip(separability.tolist(), case.tolist(), special.tolist(),
+                                gauge_warning.tolist()))
+    for s, row, sig, flags in zip(states, rows, batch.sigma.tolist(), batch.degenerate_modes):
+        c = classify(s, tol=tol, sigma_tol=sigma_tol)
+        assert (c.separability, c.case, c.special, c.gauge_warning) == row
+        assert c.sigma_triple == tuple(sig)
+        assert c.degenerate_modes == frozenset(np.flatnonzero(flags) + 1)
+    return batch
+
+
+class TestOneDecomposition:
+    """classify runs the closed-form HOSVD of classify_batch on a batch of
+    one; the generic hosvd cross-checks it here, in tests only."""
+
+    FIXTURES = ("ghz_86", "w_state", "s1_fixture", "b1_fixture", "bisep_cab")
+
+    def test_matches_hosvd(self, request, rng):
+        amps = [request.getfixturevalue(name).data.ravel() for name in self.FIXTURES]
+        amps += list(philox_haar(100, 2025))
+        for _, pattern, _ in _SPECIAL_SUPPORT:
+            amps += list(on_pattern(rng, pattern, 10))
+        assert all(type(v) is float for v in classify(normalize(amps[0])).sigma_triple)
+        for tol in (1e-10, 0.0):
+            batch = assert_matches_hosvd(np.array(amps), tol, 1e-8)
+            if tol:
+                assert batch.special.tolist()[:5] == ["ghz", "none", "s1", "b1", "none"]
+
+    def test_plane_identity_is_read_at_the_reported_triple(self, request, rng):
+        states = [request.getfixturevalue(name) for name in self.FIXTURES]
+        states += [haar_3q(rng) for _ in range(100)]
+        for s in states:
+            c = classify(s)
+            s1, s2, s3 = c.sigma_triple
+            r = c.residuals
+            a, b, cc = r["plane_a"], r["plane_b"], r["plane_c"]
+            assert r["plane_identity"] == abs(a * s1 + b * s2 + cc * s3)
+
+
 class TestClassifyBatch:
-    """classify_batch gives classify's record, row by row: the same labels,
-    flags and degenerate modes, and sigma within 1e-15."""
+    """classify_batch gives classify's record, row by row, and agrees with
+    the generic hosvd (see assert_matches_hosvd)."""
 
     FIXTURES = ("ghz_86", "ghz_equal", "w_state", "s1_fixture", "b1_fixture", "bisep_cab")
 
-    @staticmethod
-    def assert_matches_classify(amps, tol, sigma_tol):
-        batch = classify_batch(amps, tol=tol, sigma_tol=sigma_tol)
-        assert isinstance(batch, BatchClassification)
-        got = list(zip(batch.separability.tolist(), batch.case.tolist(),
-                       batch.special.tolist(), batch.gauge_warning.tolist(),
-                       [frozenset(np.flatnonzero(row) + 1) for row in batch.degenerate_modes]))
-        want, sigma = [], []
-        for row in amps:
-            c = classify(normalize(row), tol=tol, sigma_tol=sigma_tol)
-            want.append((c.separability, c.case, c.special, c.gauge_warning, c.degenerate_modes))
-            sigma.append(c.sigma_triple)
-        assert got == want
-        np.testing.assert_allclose(batch.sigma, sigma, rtol=0, atol=1e-15)
-        return batch
-
     @pytest.mark.parametrize("tol, sigma_tol", TOLERANCES)
     def test_haar_states(self, tol, sigma_tol):
-        batch = self.assert_matches_classify(philox_haar(2000, 2024), tol, sigma_tol)
+        batch = assert_matches_hosvd(philox_haar(2000, 2024), tol, sigma_tol)
         assert set(batch.special.tolist()) == {"none"}
 
     @pytest.mark.parametrize("tol, sigma_tol", TOLERANCES)
     def test_fixtures(self, request, tol, sigma_tol):
         amps = np.array([request.getfixturevalue(name).data.ravel() for name in self.FIXTURES])
-        batch = self.assert_matches_classify(amps, tol, sigma_tol)
+        batch = assert_matches_hosvd(amps, tol, sigma_tol)
         if tol:
             assert batch.special.tolist() == ["ghz", "ghz", "none", "s1", "b1", "none"]
 
     @pytest.mark.parametrize("tol, sigma_tol", TOLERANCES)
     @pytest.mark.parametrize("tag, pattern", [(tag, pattern) for tag, pattern, _ in _SPECIAL_SUPPORT])
     def test_special_support_patterns(self, rng, tag, pattern, tol, sigma_tol):
-        self.assert_matches_classify(on_pattern(rng, pattern, 50), tol, sigma_tol)
+        assert_matches_hosvd(on_pattern(rng, pattern, 50), tol, sigma_tol)
 
     @pytest.mark.parametrize("tol, sigma_tol", TOLERANCES)
     def test_biseparable_and_product(self, rng, tol, sigma_tol):
         states = [biproduct_state(rng, cut) for cut in ("A_BC", "B_CA", "C_AB") for _ in range(20)]
         states += [product_state(rng) for _ in range(20)]
-        batch = self.assert_matches_classify(np.array([s.data for s in states]), tol, sigma_tol)
+        # at tol = 0 a pure one-body matrix is tested as sigma >= 1, where
+        # the two routes differ in the last bit
+        batch = assert_matches_hosvd(np.array([s.data for s in states]), tol, sigma_tol,
+                                     same_labels=bool(tol))
         if tol:
             assert batch.separability.tolist() == (
                 ["biseparable_A_BC"] * 20 + ["biseparable_B_CA"] * 20
