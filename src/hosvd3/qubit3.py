@@ -63,6 +63,9 @@ _POWERS = 1 << np.arange(8)
 _UNFOLD = np.array([[[0, 1, 2, 3], [4, 5, 6, 7]],
                     [[0, 4, 1, 5], [2, 6, 3, 7]],
                     [[0, 2, 4, 6], [1, 3, 5, 7]]])
+# Per mode n, a batch's axes with mode n first after the batch axis, and back.
+_MODE_FIRST = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
+_MODE_BACK = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 2, 3, 1))
 
 
 def _first_pattern_table() -> np.ndarray:
@@ -190,12 +193,11 @@ def _batch(amplitudes) -> np.ndarray:
 
 
 def _transform(x: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    # x (M, 2, 2, 2) with mats[:, n - 1] (M, 3, 2, 2) applied in mode n, as
-    # one product with their Kronecker product per state
-    a, b, c = mats[:, 0], mats[:, 1], mats[:, 2]
-    ab = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, 4, 4)
-    abc = (ab[:, :, None, :, None] * c[:, None, :, None, :]).reshape(-1, 8, 8)
-    return (abc @ x.reshape(-1, 8, 1)).reshape(-1, 2, 2, 2)
+    # x (M, 2, 2, 2) with mats[:, n - 1] (M, 3, 2, 2) applied in mode n, one
+    # mode at a time as multilinear_transform does
+    for first, back, m in zip(_MODE_FIRST, _MODE_BACK, mats.swapaxes(0, 1)):
+        x = (m @ x.transpose(first).reshape(-1, 2, 4)).reshape(-1, 2, 2, 2).transpose(back)
+    return x
 
 
 def _hosvd_batch(x: np.ndarray, tol: float):
@@ -208,7 +210,9 @@ def _hosvd_batch(x: np.ndarray, tol: float):
     the rotation of hermitian_eig as array operations: the same
     power-of-two prescale of the Gram matrix, pivot test, formulas, column
     gauge (largest entry real and >= 0, lowest row on ties), stable
-    descending order and degeneracy rule.
+    descending order and degeneracy rule.  The core and sigma are then
+    formed as hosvd forms them, so they agree with its to the last bit or
+    so, which is what decides a pure one-body matrix at tol = 0.
     """
     unf = x.reshape(-1, 8)[:, _UNFOLD]
     g = unf @ unf.conj().swapaxes(2, 3)
@@ -241,8 +245,12 @@ def _hosvd_batch(x: np.ndarray, tol: float):
     high, low = np.maximum(ev0, ev1), np.minimum(ev0, ev1)
     degenerate = high - low <= tol * (np.abs(high) + np.abs(low))
 
-    # sigma1(n)^2 is the top eigenvalue, scaled back
-    return _transform(x, v.conj().swapaxes(2, 3)), v, np.ldexp(high, e), degenerate
+    core = _transform(x, v.conj().swapaxes(2, 3))
+    # sigma1(n)^2: the squared norm of the core's first mode-n slice, as hosvd
+    power = np.abs(core) ** 2
+    norms = np.sqrt(np.stack([power.take(0, axis=n).reshape(-1, 4).sum(axis=1)
+                              for n in (1, 2, 3)], axis=1))
+    return core, v, norms**2, degenerate
 
 
 def batch_sigma_squares(amplitudes) -> np.ndarray:
@@ -297,10 +305,11 @@ def _classify_rows(x: np.ndarray, tol: float, sigma_tol: float):
             core, factors)
 
 
-def _identities(x: np.ndarray, core: np.ndarray, sigma: np.ndarray, tol: float) -> dict:
-    """The identities of :class:`Classification`'s residuals, per row of
-    states x, their cores (both (M, 2, 2, 2)) and sigma triples (M, 3), as
-    a dict of (M,) arrays in report order, from all-orthogonality on.
+def _identities(x: np.ndarray, core: np.ndarray, sigma: np.ndarray, tol: float):
+    """(identities, norms): the identities of :class:`Classification`'s
+    residuals, per row of states x, their cores (both (M, 2, 2, 2)) and
+    sigma triples (M, 3), as a dict of (M,) arrays in report order, from
+    all-orthogonality on, and the squared norms of the cores, (M,).
 
     Rows where the guard of the t111/t222 formulas holds read NaN there.
     NumericalError is raised where the plane coefficients do not cancel or
@@ -350,21 +359,27 @@ def _identities(x: np.ndarray, core: np.ndarray, sigma: np.ndarray, tol: float) 
     t222_formula = (np.conj(t112) * (q - r) + t221 * (power[:, 2] - power[:, 4])) / np.conj(denom)
     out["t111_formula"] = np.where(guarded, np.nan, np.abs(t111 - t111_formula))
     out["t222_formula"] = np.where(guarded, np.nan, np.abs(t222 - t222_formula))
-    return out
+    return out, total
 
 
-def _identities_of(t: ComplexTensor, sigma=(0.0, 0.0, 0.0), tol: float = 1e-10):
-    """(values, e): the :func:`_identities` of one 2x2x2 tensor, read as its
-    own core, as floats for the tensor scaled by 2^-e (see
-    :func:`pow2_prescale`), so none overflows or underflows on the way.  A
-    value of degree k in the entries is 2^(k e) times that of the tensor.
-    At sigma = 0 both plane forms are 0."""
+def _identities_of(t: ComplexTensor, names, degree: int, sigma=(0.0, 0.0, 0.0),
+                   tol: float = 1e-10, core: bool = False) -> tuple[float, ...]:
+    """The :func:`_identities` named in `names`, each of degree `degree` in
+    the entries, of one 2x2x2 tensor read as its own core.  They are
+    evaluated for the tensor scaled by 2^-e (see :func:`pow2_prescale`), so
+    none overflows or underflows on the way, and scaled back by 2^(degree e),
+    to inf where that overflows.  With `core`, a tensor whose
+    all-orthogonality exceeds tol * norm^2 raises ValidationError.  At
+    sigma = 0 both plane forms are 0."""
     if t.dims != (2, 2, 2):
         raise ShapeError(f"expected a 2x2x2 core, got dims {t.dims}")
     unit, e = pow2_prescale(t.data)
     x = unit[None]
-    sigma = np.asarray(sigma, dtype=np.float64).reshape(1, 3)
-    return {name: float(v[0]) for name, v in _identities(x, x, sigma, tol).items()}, e
+    out, total = _identities(x, x, np.asarray(sigma, dtype=np.float64).reshape(1, 3), tol)
+    if core and out["all_orthogonality"][0] > tol * total[0]:
+        raise ValidationError("input violates all-orthogonality; not an HOSVD core")
+    with np.errstate(over="ignore"):
+        return tuple(float(np.ldexp(out[name][0], degree * e)) for name in names)
 
 
 def _check_cut(cut: str) -> None:
@@ -380,8 +395,7 @@ def separability_minor_residual(s: ThreeQubitState, cut: str) -> float:
     psi111 psi222 = psi112 psi221, ..., psi211 psi122 = psi212 psi121.
     """
     _check_cut(cut)
-    values, e = _identities_of(s)
-    return math.ldexp(values[f"minors_{cut}"], 2 * e)
+    return _identities_of(s, [f"minors_{cut}"], 2)[0]
 
 
 def core_biseparability_residual(core: ComplexTensor, cut: str, tol: float = 1e-10) -> float:
@@ -396,13 +410,7 @@ def core_biseparability_residual(core: ComplexTensor, cut: str, tol: float = 1e-
     ValidationError is raised.
     """
     _check_cut(cut)
-    values, e = _identities_of(core, tol=tol)
-    # gate on the core scaled by 2^-e too, so that neither the inner
-    # products nor the squared norm underflow or overflow
-    unit = pow2_prescale(core.data)[0]
-    if values["all_orthogonality"] > tol * np.vdot(unit, unit).real:
-        raise ValidationError("input violates all-orthogonality; not an HOSVD core")
-    return math.ldexp(values[f"core_bisep_{cut}"], 2 * e)
+    return _identities_of(core, [f"core_bisep_{cut}"], 2, tol=tol, core=True)[0]
 
 
 def plane_coefficients(core: ComplexTensor) -> tuple[float, float, float]:
@@ -410,8 +418,7 @@ def plane_coefficients(core: ComplexTensor) -> tuple[float, float, float]:
     the normal of the plane a s1 + b s2 + c s3 = 0 satisfied by the core's
     sigma triple.  a + b + c == 0 by construction.
     """
-    values, e = _identities_of(core)
-    return tuple(math.ldexp(values[name], 2 * e) for name in ("plane_a", "plane_b", "plane_c"))
+    return _identities_of(core, ("plane_a", "plane_b", "plane_c"), 2)
 
 
 def plane_identity_residual(core: ComplexTensor, sigma) -> float:
@@ -426,8 +433,7 @@ def plane_identity_residual(core: ComplexTensor, sigma) -> float:
     ||core||^2 max|s_i| (floating-point consistency), else a NumericalError
     is raised.
     """
-    values, e = _identities_of(core, sigma)
-    return math.ldexp(values["plane_identity"], 2 * e)
+    return _identities_of(core, ["plane_identity"], 2, sigma)[0]
 
 
 def phase_identity_residual(core: ComplexTensor) -> float:
@@ -437,8 +443,7 @@ def phase_identity_residual(core: ComplexTensor) -> float:
       + conj(t121 t212) (t112 t221 - t122 t211)
       + conj(t122 t211) (t121 t212 - t112 t221)  = 0
     """
-    values, e = _identities_of(core)
-    return math.ldexp(values["phase_identity"], 4 * e)
+    return _identities_of(core, ["phase_identity"], 4)[0]
 
 
 def guarded_t111_t222_check(core: ComplexTensor, tol: float = 1e-10):
@@ -451,10 +456,8 @@ def guarded_t111_t222_check(core: ComplexTensor, tol: float = 1e-10):
     the core scaled by an exact power of two (see :func:`pow2_prescale`),
     so neither depends on the scale of the core.
     """
-    values, e = _identities_of(core, tol=tol)
-    if math.isnan(values["t111_formula"]):
-        return None
-    return math.ldexp(values["t111_formula"], e), math.ldexp(values["t222_formula"], e)
+    residuals = _identities_of(core, ("t111_formula", "t222_formula"), 1, tol=tol)
+    return None if math.isnan(residuals[0]) else residuals
 
 
 @dataclass(frozen=True)
@@ -528,7 +531,7 @@ def classify(
     row, core, factors = _classify_rows(x, tol, sigma_tol)
     # relative, since s has unit norm
     residuals = {"reconstruction": float(np.linalg.norm(_transform(core, factors) - x))}
-    for name, value in _identities(x, core, row.sigma, tol).items():
+    for name, value in _identities(x, core, row.sigma, tol)[0].items():
         if not math.isnan(value[0]):
             residuals[name] = float(value[0])
     return Classification(

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -413,6 +414,33 @@ class TestGuardedCheck:
                 assert max(scaled) / scale <= 1e-13
 
 
+class TestIdentityScales:
+    """The identity readers evaluate the tensor scaled by a power of two and
+    scale back: a tensor scaled by 2^k reads 2^(degree k) times the values
+    of the tensor, and inf where that is beyond the float range."""
+
+    @pytest.mark.parametrize("k", [-500, 200, 500, 660])
+    def test_values_scale_back(self, rng, k):
+        core, sigma = core_and_sigma(haar_3q(rng))
+        # a generic tensor, not a core, so that the phase identity is not 0
+        t = ComplexTensor(rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2)))
+        readers = [
+            (phase_identity_residual, t, 4),
+            (lambda x: core_biseparability_residual(x, "A_BC"), core, 2),
+            (lambda x: plane_identity_residual(x, sigma), core, 2),
+            (lambda x: plane_coefficients(x)[0], core, 2),
+        ]
+        for read, x, degree in readers:
+            unit = read(x)
+            assert unit != 0.0
+            try:
+                want = math.ldexp(unit, degree * k)
+            except OverflowError:
+                want = math.copysign(math.inf, unit)
+            assert read(ComplexTensor(np.ldexp(x.data.view(np.float64), k)
+                                      .view(np.complex128))) == want
+
+
 class TestClassify:
     def test_ghz_86(self, ghz_86):
         c = classify(ghz_86)
@@ -612,13 +640,12 @@ def on_pattern(rng, pattern, count):
 TOLERANCES = [pytest.param(1e-10, 1e-8, id="defaults"), pytest.param(0.0, 1e-8, id="tol0")]
 
 
-def assert_matches_hosvd(amps, tol, sigma_tol, same_labels=True):
+def assert_matches_hosvd(amps, tol, sigma_tol):
     """Check classify_batch of the (M, 8) amps against the generic route,
     hosvd of each normalized state: sigma within 1e-14 of the top squared
     spectra, the same degenerate modes, |core| within 1e-14 where no mode is
-    degenerate, and, with same_labels, the same labels as the decision
-    functions give on hosvd's outputs.  classify of each state must be its
-    row, bit for bit."""
+    degenerate, and the same labels as the decision functions give on
+    hosvd's outputs.  classify of each state must be its row, bit for bit."""
     batch = classify_batch(amps, tol=tol, sigma_tol=sigma_tol)
     assert isinstance(batch, BatchClassification)
     states = [normalize(row) for row in amps]
@@ -637,9 +664,8 @@ def assert_matches_hosvd(amps, tol, sigma_tol, same_labels=True):
                                              degenerate.any(axis=1), tol)
     rows = list(zip(batch.separability.tolist(), batch.case.tolist(), batch.special.tolist(),
                     batch.gauge_warning.tolist()))
-    if same_labels:
-        assert rows == list(zip(separability.tolist(), case.tolist(), special.tolist(),
-                                gauge_warning.tolist()))
+    assert rows == list(zip(separability.tolist(), case.tolist(), special.tolist(),
+                            gauge_warning.tolist()))
     for s, row, sig, flags in zip(states, rows, batch.sigma.tolist(), batch.degenerate_modes):
         c = classify(s, tol=tol, sigma_tol=sigma_tol)
         assert (c.separability, c.case, c.special, c.gauge_warning) == row
@@ -703,10 +729,7 @@ class TestClassifyBatch:
     def test_biseparable_and_product(self, rng, tol, sigma_tol):
         states = [biproduct_state(rng, cut) for cut in ("A_BC", "B_CA", "C_AB") for _ in range(20)]
         states += [product_state(rng) for _ in range(20)]
-        # at tol = 0 a pure one-body matrix is tested as sigma >= 1, where
-        # the two routes differ in the last bit
-        batch = assert_matches_hosvd(np.array([s.data for s in states]), tol, sigma_tol,
-                                     same_labels=bool(tol))
+        batch = assert_matches_hosvd(np.array([s.data for s in states]), tol, sigma_tol)
         if tol:
             assert batch.separability.tolist() == (
                 ["biseparable_A_BC"] * 20 + ["biseparable_B_CA"] * 20
