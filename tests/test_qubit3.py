@@ -597,6 +597,14 @@ class TestPolytope:
         np.testing.assert_allclose(classify(ghz_equal).sigma_triple, [0.5] * 3, atol=1e-12)
         np.testing.assert_allclose(classify(w_state).sigma_triple, [2 / 3] * 3, atol=1e-12)
 
+    def test_bisep_cab_member_at_tol0(self, bisep_cab):
+        # as the CLI reads it: the stored amplitudes normalized again; its
+        # s3 is 1.0 to the last bit, so it lies in the polytope at tol 0
+        c = classify(normalize(bisep_cab.data), tol=0.0)
+        assert c.separability == "biseparable_C_AB"
+        assert c.sigma_triple[2] == 1.0
+        assert polytope_membership(c.sigma_triple, tol=0.0).member
+
     def test_membership_vertex(self):
         m = polytope_membership((1.0, 1.0, 1.0))
         assert m.member and bool(m)
