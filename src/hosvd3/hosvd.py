@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .smalllinalg import gram, hermitian_eig, pow2_prescale
+from .smalllinalg import _hermitian_eigs, gram, pow2_prescale
 from .tensor import ComplexTensor, _mode_rows, multilinear_transform, norm, unfold
 
 
@@ -94,19 +94,15 @@ def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:
     if total == 0.0:
         raise DomainError("HOSVD of the zero tensor is undefined")
 
-    factors = []
-    degenerate = set()
-    for mode in range(1, x.order + 1):
-        g = gram(unfold(x, mode))
-        try:
-            eig = hermitian_eig(g, tol=tol)
-        except NumericalError as exc:
-            raise NumericalError(
-                f"eigensolver failed in mode {mode}: {exc}", mode=mode
-            ) from exc
-        factors.append(eig.unitary)
-        if eig.degenerate:
-            degenerate.add(mode)
+    grams = [gram(unfold(x, mode)) for mode in range(1, x.order + 1)]
+    try:
+        eigs = _hermitian_eigs(grams, tol)
+    except NumericalError as exc:
+        raise NumericalError(
+            f"eigensolver failed in mode {exc.mode}: {exc}", mode=exc.mode
+        ) from exc
+    factors = [eig.unitary for eig in eigs]
+    degenerate = {mode for mode, eig in enumerate(eigs, 1) if eig.degenerate}
 
     core = multilinear_transform(x, [u.conj().T for u in factors])
     spectra = tuple(

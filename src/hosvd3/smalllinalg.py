@@ -6,13 +6,17 @@ Luk: each sweep is a fixed sequence of steps of disjoint index pairs, and
 every pair is rotated at most once per sweep.  A rotation is elementwise
 work on two rows and two columns.  Below ``_VECTOR_MIN`` the rotations are
 applied pair by pair on Python complex lists; from ``_VECTOR_MIN`` up, the
-rotations of one step are applied together as one numpy update.  No
-rotation goes through a matrix product, so the eigensolver uses no BLAS
-and its output does not depend on the memory layout of its input.  The
-order, pivot test and gauge are fixed, so the same input gives the same
-output bits.  Gram products and the multilinear transforms do use numpy's
-matrix product (BLAS), so full outputs are reproducible on one machine and
-numpy build, and other BLAS builds may differ in the last bits.
+matrices of one size are swept together as a stack, stored side by side
+in one array, and the rotations of one step in every matrix of the stack
+are applied as one numpy update.  Each entry gets the same elementwise
+operations in the same order whatever else is in the stack, so a matrix's
+bits do not depend on its stack mates.  No rotation goes through a matrix
+product, so the eigensolver uses no BLAS and its output does not depend on
+the memory layout of its input.  The order, pivot test and gauge are
+fixed, so the same input gives the same output bits.  Gram products and
+the multilinear transforms do use numpy's matrix product (BLAS), so full
+outputs are reproducible on one machine and numpy build, and other BLAS
+builds may differ in the last bits.
 """
 
 from __future__ import annotations
@@ -145,23 +149,58 @@ def _sweep_lists(a: list, vt: list, n: int) -> bool:
     return rotated
 
 
-def _sweep_arrays(w: np.ndarray, n: int, steps) -> bool:
-    # One sweep, each step's disjoint rotations applied at once.  w stacks
-    # a (rows :n) over V (rows n:); the column rotation acts on both, the
-    # row rotation on a only.  Pivots at or below _PIVOT_TOL are dropped
-    # before any division.
-    rotated = False
-    a = w[:n]
-    for ps, qs in steps:
-        apq = a[ps, qs]
+@cache
+def _stack_steps(n: int, b: int) -> tuple[np.ndarray, ...]:
+    """_round_robin(n) as index tables into a stack of b n x n matrices.
+
+    The stack is a C-contiguous (2n, b*n) array w whose block k, columns
+    k*n to (k+1)*n, holds [A_k; V_k].  Each step is one (8, b*(n//2)) int
+    array with a column per pair of each matrix, block by block.  Its rows
+    are pq, pp, qq, qp (flat indices of the pivot entries of A_k in w), p,
+    q (columns of w), and p, q once more as rows of w[:n] viewed as n*b rows
+    of length n, where row p*b + k is row p of A_k.
+    """
+    width = b * n
+    block = np.arange(b)[:, None]
+    steps = []
+    for ps, qs in _round_robin(n):
+        shape = (b, len(ps))
+        p = np.broadcast_to(np.array(ps, dtype=np.intp), shape).ravel()
+        q = np.broadcast_to(np.array(qs, dtype=np.intp), shape).ravel()
+        k = np.broadcast_to(block, shape).ravel()
+        col_p, col_q = k * n + p, k * n + q
+        steps.append(np.stack((
+            p * width + col_q, p * width + col_p, q * width + col_q, q * width + col_p,
+            col_p, col_q, p * b + k, q * b + k,
+        )))
+    return tuple(steps)
+
+
+def _sweep_stack(w: np.ndarray, b: int, steps) -> np.ndarray:
+    # One sweep over a stack of b matrices (see _stack_steps), each step's
+    # disjoint rotations applied to every matrix at once.  The column
+    # rotation acts on [A_k; V_k], the row rotation on A_k only.  Pivots at
+    # or below _PIVOT_TOL are dropped before any division.  Every entry gets
+    # the same elementwise operations in the same order whatever else is in
+    # the stack, so a matrix's bits do not depend on its stack mates.  A
+    # sweep that rotates nothing in a matrix leaves all its pivots at or
+    # below _PIVOT_TOL, so later sweeps do not change it either.  Returns,
+    # per matrix, whether this sweep rotated it.
+    n = w.shape[0] // 2
+    flat = w.reshape(-1)
+    rows = w[:n].reshape(n * b, n)
+    hits = np.zeros(b * (n // 2), dtype=bool)
+    for step in steps:
+        apq = flat[step[0]]
         mag = np.abs(apq)
         big = mag > _PIVOT_TOL
         if not big.all():
             if not big.any():
                 continue
-            ps, qs, apq, mag = ps[big], qs[big], apq[big], mag[big]
-        rotated = True
-        app, aqq = a[ps, ps].real, a[qs, qs].real
+            step, apq, mag = step[:, big], apq[big], mag[big]
+        hits |= big
+        pq, pp, qq, qp, ps, qs, rp, rq = step
+        app, aqq = flat[pp].real, flat[qq].real
         d, m2 = aqq - app, 2.0 * mag
         t = np.copysign(m2 / (np.abs(d) + np.hypot(d, m2)), d)
         c = 1.0 / np.hypot(1.0, t)
@@ -173,21 +212,108 @@ def _sweep_arrays(w: np.ndarray, n: int, steps) -> bool:
         w[:, qs] = s * wp + cp * wq
         c, s = c[:, None], s[:, None]
         sp, cp = sp.conj()[:, None], cp.conj()[:, None]
-        ap, aq = a[ps], a[qs]
-        a[ps] = c * ap - sp * aq
-        a[qs] = s * ap + cp * aq
-        a[ps, ps] = app - t * mag
-        a[qs, qs] = aqq + t * mag
-        a[ps, qs] = a[qs, ps] = 0.0
-    return rotated
+        ap, aq = rows[rp], rows[rq]
+        rows[rp] = c * ap - sp * aq
+        rows[rq] = s * ap + cp * aq
+        flat[pp] = app - t * mag
+        flat[qq] = aqq + t * mag
+        flat[pq] = flat[qp] = 0.0
+    return hits.reshape(b, -1).any(axis=1)
 
 
-def _converge(sweep, *args) -> None:
-    # the one stop test: sweep until a sweep rotates nothing
+def _solve_stack(blocks: list) -> tuple[np.ndarray, np.ndarray]:
+    # Sweeps a stack of equal-size matrices until a sweep rotates none of
+    # them, at most _MAX_SWEEPS times.  Returns the stack and, per matrix,
+    # whether the last sweep still rotated it (all, when no sweep ran).
+    b, n = len(blocks), blocks[0].shape[0]
+    w = np.vstack((np.hstack(blocks), np.tile(np.eye(n, dtype=np.complex128), b)))
+    steps = _stack_steps(n, b)
+    rotating = np.ones(b, dtype=bool)
     for _ in range(_MAX_SWEEPS):
-        if not sweep(*args):
-            return
-    raise NumericalError(f"Jacobi sweeps did not converge in {_MAX_SWEEPS} iterations")
+        rotating = _sweep_stack(w, b, steps)
+        if not rotating.any():
+            break
+    return w, rotating
+
+
+def _solve_lists(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    # Sweeps one matrix on lists until a sweep rotates nothing; None when
+    # that takes more than _MAX_SWEEPS sweeps.
+    n = a.shape[0]
+    rows = a.tolist()
+    vt = [[float(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(_MAX_SWEEPS):
+        if not _sweep_lists(rows, vt, n):
+            eigenvalues = np.array([rows[k][k].real for k in range(n)])
+            return eigenvalues, np.array(vt, dtype=np.complex128).reshape(n, n).T
+    return None
+
+
+def _prescaled(h, tol: float) -> tuple[np.ndarray, int]:
+    # (2^-e h made exactly Hermitian, e) for a validated h
+    h = np.asarray(h, dtype=np.complex128)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValidationError("eigendecomposition expects a square matrix")
+    a, e = pow2_prescale(h)
+    herm_defect = float(np.abs(a - a.conj().T).max(initial=0.0))
+    if herm_defect > tol:
+        raise ValidationError(
+            f"matrix is not Hermitian within {tol} (relative defect {herm_defect:.3e})"
+        )
+    return (a + a.conj().T) / 2.0, e
+
+
+def _finish(eigenvalues: np.ndarray, v: np.ndarray, e: int, tol: float) -> EigenDecomposition:
+    # gauge: largest-magnitude entry of each column real >= 0
+    n = len(eigenvalues)
+    at = np.abs(v).argmax(axis=0) if n else np.zeros(0, dtype=np.intp)
+    pivots = v[at, np.arange(n)]
+    order = (-eigenvalues).argsort(kind="stable")
+    eigenvalues = eigenvalues[order]
+    v = (v * (pivots.conj() / np.abs(pivots)))[:, order]
+
+    gaps = eigenvalues[:-1] - eigenvalues[1:]
+    degenerate = bool((gaps <= tol * np.abs(eigenvalues).sum()).any())
+    eigenvalues = np.ldexp(eigenvalues, e)
+    eigenvalues.setflags(write=False)
+    v.setflags(write=False)
+    return EigenDecomposition(eigenvalues=eigenvalues, unitary=v, degenerate=degenerate)
+
+
+def _hermitian_eigs(hs, tol: float) -> list[EigenDecomposition]:
+    # hermitian_eig(h, tol) of each h in hs: the matrices of each size from
+    # _VECTOR_MIN up are swept as one stack, each smaller one on lists.  The
+    # error raised is that of the lowest-numbered matrix that fails, as a
+    # loop over hs would raise it; a NumericalError carries that number,
+    # counted from 1, as its mode (hosvd passes its Grams in mode order).
+    prepared, invalid = [], None
+    for h in hs:
+        try:
+            prepared.append(_prescaled(h, tol))
+        except ValidationError as exc:
+            invalid = exc  # raised after the matrices before it are solved
+            break
+    solved = [None] * len(prepared)
+    sizes = {}
+    for k, (a, _) in enumerate(prepared):
+        if a.shape[0] < _VECTOR_MIN:
+            solved[k] = _solve_lists(a)
+        else:
+            sizes.setdefault(a.shape[0], []).append(k)
+    for n, ks in sizes.items():
+        w, rotating = _solve_stack([prepared[k][0] for k in ks])
+        for i, k in enumerate(ks):
+            if not rotating[i]:
+                block = w[:, i * n : (i + 1) * n]
+                solved[k] = block[:n].diagonal().real.copy(), block[n:].copy()
+    for k, result in enumerate(solved):
+        if result is None:
+            raise NumericalError(
+                f"Jacobi sweeps did not converge in {_MAX_SWEEPS} iterations", mode=k + 1
+            )
+    if invalid is not None:
+        raise invalid
+    return [_finish(*result, e, tol) for result, (_, e) in zip(solved, prepared)]
 
 
 def hermitian_eig(h, tol: float = 1e-10) -> EigenDecomposition:
@@ -208,42 +334,10 @@ def hermitian_eig(h, tol: float = 1e-10) -> EigenDecomposition:
     are returned descending.  Each eigenvector column is gauge fixed: its
     largest-magnitude entry (lowest row on ties) is made real and
     nonnegative, so identical input bits give identical output bits.
+
+    This is the solver of :func:`~hosvd3.hosvd.hosvd` on a stack of one:
+    ``hosvd`` solves all its Gram matrices in one call, and a matrix of
+    size 13 or more, swept together with the others of its size, comes
+    out with the same bits as here.
     """
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValidationError("eigendecomposition expects a square matrix")
-    a, e = pow2_prescale(h)
-    herm_defect = float(np.abs(a - a.conj().T).max(initial=0.0))
-    if herm_defect > tol:
-        raise ValidationError(
-            f"matrix is not Hermitian within {tol} (relative defect {herm_defect:.3e})"
-        )
-    n = h.shape[0]
-    a = (a + a.conj().T) / 2.0
-
-    if n < _VECTOR_MIN:
-        rows = a.tolist()
-        vt = [[float(i == j) for j in range(n)] for i in range(n)]
-        _converge(_sweep_lists, rows, vt, n)
-        eigenvalues = np.array([rows[k][k].real for k in range(n)])
-        v = np.array(vt, dtype=np.complex128).reshape(n, n).T
-    else:
-        w = np.vstack((a, np.eye(n, dtype=np.complex128)))
-        steps = [(np.array(ps), np.array(qs)) for ps, qs in _round_robin(n)]
-        _converge(_sweep_arrays, w, n, steps)
-        eigenvalues = w[:n].diagonal().real.copy()
-        v = w[n:]
-
-    # gauge: largest-magnitude entry of each column real >= 0
-    at = np.abs(v).argmax(axis=0) if n else np.zeros(0, dtype=np.intp)
-    pivots = v[at, np.arange(n)]
-    order = (-eigenvalues).argsort(kind="stable")
-    eigenvalues = eigenvalues[order]
-    v = (v * (pivots.conj() / np.abs(pivots)))[:, order]
-
-    gaps = eigenvalues[:-1] - eigenvalues[1:]
-    degenerate = bool((gaps <= tol * np.abs(eigenvalues).sum()).any())
-    eigenvalues = np.ldexp(eigenvalues, e)
-    eigenvalues.setflags(write=False)
-    v.setflags(write=False)
-    return EigenDecomposition(eigenvalues=eigenvalues, unitary=v, degenerate=degenerate)
+    return _hermitian_eigs([h], tol)[0]

@@ -156,6 +156,25 @@ class TestNumericalFailure:
         assert captured.out == ""
         assert captured.err.startswith("numerical error (mode 1): ")
 
+    @pytest.mark.parametrize("sweeps, mode", [(1, 2), (2, 2), (3, 2), (5, 3)])
+    def test_lowest_failing_mode_is_reported(self, tmp_path, monkeypatch, capsys,
+                                             sweeps, mode):
+        # X[i,a,k] = A[i,a] H[i,k] with the rows of H orthonormal: the mode-1
+        # Gram is diagonal and converges in one sweep, modes 1 and 3 are
+        # solved as one 16x16 stack, and mode 2 (3x3) on lists
+        h = np.array([[1.0]])
+        for _ in range(4):
+            h = np.block([[h, h], [h, -h]])
+        rng = np.random.Generator(np.random.Philox(21))
+        a = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
+        x = a[:, :, None] * h[:, None, :] / 4
+        state = write_state(tmp_path / "x.json", x, dims=x.shape)
+        monkeypatch.setattr("hosvd3.smalllinalg._MAX_SWEEPS", sweeps)
+        assert run(["decompose", state]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"numerical error (mode {mode}): ")
+
     def test_sample_failing_part_way(self, tmp_path, monkeypatch, capsys):
         # chunks of two states, and the batch stage fails on the second one
         monkeypatch.setattr(cli, "_SAMPLE_CHUNK", 2)

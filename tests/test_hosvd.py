@@ -182,6 +182,17 @@ class TestInvariants:
             for a, b in zip(r1.spectra, r2.spectra):
                 np.testing.assert_allclose(a, b, atol=1e-11)
 
+    @pytest.mark.parametrize("dims", [(16, 16), (13, 13, 3)])
+    def test_lu_invariance_of_stacked_modes(self, rng, dims):
+        # modes of 13 and up are solved as one stack of equal-size Grams
+        t = ComplexTensor(rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
+        r1 = hosvd(t)
+        for _ in range(3):
+            r2 = hosvd(multilinear_transform(t, [haar_unitary(rng, n) for n in dims]))
+            assert r2.degenerate_modes == r1.degenerate_modes
+            for a, b in zip(r1.spectra, r2.spectra, strict=True):
+                assert np.abs(a - b).max() <= 1e-13 * a.max()
+
     def test_global_phase_invariance(self, rng):
         t = haar_tensor(rng)
         phased = ComplexTensor(np.exp(1j * 0.7321) * t.data)

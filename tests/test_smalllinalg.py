@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hosvd3 import (
+    NumericalError,
     ValidationError,
     gram,
     hermitian_eig,
@@ -9,7 +10,7 @@ from hosvd3 import (
     unfold,
     validate_unitary,
 )
-from hosvd3.smalllinalg import _VECTOR_MIN, _round_robin
+from hosvd3.smalllinalg import _VECTOR_MIN, _hermitian_eigs, _round_robin
 from oracles import (
     eig2_closed_form,
     eigh_descending,
@@ -187,6 +188,57 @@ class TestDifferential:
         e = hermitian_eig(np.zeros((0, 0)))
         assert e.eigenvalues.shape == (0,) and e.unitary.shape == (0, 0)
         assert not e.degenerate
+
+
+def stack_mates(rng, n):
+    """Matrices of size n that a stack solves together: a Gaussian Gram, a
+    diagonal matrix (never rotated), a repeated-block degenerate matrix,
+    and copies of the first and third scaled by 2^600 and 2^-600."""
+    g = gram(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    q = haar_unitary(rng, n)
+    repeated = (q * np.repeat([3.0, 1.0, -2.0], -(-n // 3))[:n]) @ q.conj().T
+    return [g, np.diag(rng.standard_normal(n)), repeated,
+            np.ldexp(1.0, 600) * g, np.ldexp(1.0, -600) * repeated]
+
+
+def assert_same_bits(got, want):
+    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    assert got.unitary.tobytes() == want.unitary.tobytes()
+    assert got.degenerate == want.degenerate
+
+
+class TestStack:
+    """_hermitian_eigs solves equal-size matrices as one stack; each must
+    come out with the bits it gets alone."""
+
+    @pytest.mark.parametrize("n", [13, 16, 33, 64])
+    def test_stacked_equals_single(self, rng, n):
+        hs = stack_mates(rng, n)
+        alone = [hermitian_eig(h) for h in hs]
+        for got, want in zip(_hermitian_eigs(hs, 1e-10), alone, strict=True):
+            assert_same_bits(got, want)
+        for got, want in zip(_hermitian_eigs(hs[::-1], 1e-10), alone[::-1], strict=True):
+            assert_same_bits(got, want)
+
+    def test_mixed_sizes(self, rng):
+        # two stacks and the list path in one call, in the caller's order
+        hs = [*stack_mates(rng, 13)[:2], random_hermitian(rng, 5),
+              *stack_mates(rng, 16)[:3], random_hermitian(rng, 12)]
+        for got, h in zip(_hermitian_eigs(hs, 1e-10), hs, strict=True):
+            assert_same_bits(got, hermitian_eig(h))
+
+    def test_lowest_failing_matrix_is_raised(self, rng, monkeypatch):
+        # one sweep: the diagonal matrix converges, the others do not
+        monkeypatch.setattr("hosvd3.smalllinalg._MAX_SWEEPS", 1)
+        diagonal, full = np.diag(rng.standard_normal(16)), random_hermitian(rng, 16)
+        for hs, mode in (([diagonal, random_hermitian(rng, 3), full], 2),
+                         ([diagonal, full, random_hermitian(rng, 3)], 2),
+                         ([full, np.zeros((2, 3))], 1)):
+            with pytest.raises(NumericalError, match="did not converge in 1 ") as exc:
+                _hermitian_eigs(hs, 1e-10)
+            assert exc.value.mode == mode
+        with pytest.raises(ValidationError, match="square"):
+            _hermitian_eigs([diagonal, np.zeros((2, 3)), full], 1e-10)
 
 
 class TestRoundRobin:
