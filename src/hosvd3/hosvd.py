@@ -81,7 +81,10 @@ def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:
     Per mode n, the factor U(n) collects the eigenvectors of
     gram(unfold(t, n)) ordered by descending eigenvalue; the core is then
     t transformed by the conjugate transposes.  `tol` controls hermiticity
-    validation inside the eigensolver and the degeneracy flags.
+    validation inside the eigensolver and the degeneracy flags.  The Gram
+    matrices of all modes are solved in one eigensolver call (equal sizes
+    from 13 up as one stack); when sweeps do not converge, the
+    NumericalError names the lowest-numbered mode that failed.
 
     The work is done on t scaled by an exact power of two (see
     :func:`pow2_prescale`), and the core, spectra and all-orthogonality

@@ -169,10 +169,12 @@ def _stack_steps(n: int, b: int) -> tuple[np.ndarray, ...]:
         q = np.broadcast_to(np.array(qs, dtype=np.intp), shape).ravel()
         k = np.broadcast_to(block, shape).ravel()
         col_p, col_q = k * n + p, k * n + q
-        steps.append(np.stack((
+        step = np.stack((
             p * width + col_q, p * width + col_p, q * width + col_q, q * width + col_p,
             col_p, col_q, p * b + k, q * b + k,
-        )))
+        ))
+        step.setflags(write=False)
+        steps.append(step)
     return tuple(steps)
 
 
