@@ -161,13 +161,10 @@ def _stack_steps(n: int, b: int) -> tuple[np.ndarray, ...]:
     of length n, where row p*b + k is row p of A_k.
     """
     width = b * n
-    block = np.arange(b)[:, None]
+    k = np.repeat(np.arange(b), n // 2)
     steps = []
     for ps, qs in _round_robin(n):
-        shape = (b, len(ps))
-        p = np.broadcast_to(np.array(ps, dtype=np.intp), shape).ravel()
-        q = np.broadcast_to(np.array(qs, dtype=np.intp), shape).ravel()
-        k = np.broadcast_to(block, shape).ravel()
+        p, q = np.tile(ps, b), np.tile(qs, b)
         col_p, col_q = k * n + p, k * n + q
         step = np.stack((
             p * width + col_q, p * width + col_p, q * width + col_q, q * width + col_p,
