@@ -83,7 +83,7 @@ def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:
     t transformed by the conjugate transposes.  `tol` controls hermiticity
     validation inside the eigensolver and the degeneracy flags.  The Gram
     matrices of all modes are solved in one eigensolver call (equal sizes
-    from 13 up as one stack); when sweeps do not converge, the
+    from 12 up as one stack); when sweeps do not converge, the
     NumericalError names the lowest-numbered mode that failed.
 
     The work is done on t scaled by an exact power of two (see

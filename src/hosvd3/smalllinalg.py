@@ -4,8 +4,8 @@ Hermitian eigenproblems are solved by complex Jacobi rotations, which are
 unconditionally stable, in the round-robin (parallel) order of Brent and
 Luk: each sweep is a fixed sequence of steps of disjoint index pairs, and
 every pair is rotated at most once per sweep.  A rotation is elementwise
-work on two rows and two columns.  Below ``_VECTOR_MIN`` the rotations are
-applied pair by pair on Python complex lists; from ``_VECTOR_MIN`` up, the
+work on two rows and two columns.  Below ``_VECTOR_MIN`` (12) the rotations
+are applied pair by pair on Python complex lists; from 12 up, the
 matrices of one size are swept together as a stack, stored side by side
 in one array, and the rotations of one step in every matrix of the stack
 are applied as one numpy update.  Each entry gets the same elementwise
@@ -33,9 +33,17 @@ _MAX_SWEEPS = 60
 # pivots at or below this are not rotated, in a matrix prescaled so that its
 # largest part lies in [0.5, 1); a sweep that rotates nothing ends the solve
 _PIVOT_TOL = 1e-15
-# smallest n solved by whole-step numpy updates; measured crossover with
-# the pair-by-pair list sweeps
-_VECTOR_MIN = 13
+# smallest n swept as a stack by whole-step numpy updates.  A stack costs
+# about the same for 1-4 matrices, the list sweeps cost the same again for
+# each matrix.  List/stack time ratio per solve of b Gaussian Grams (medians
+# of 41 interleaved solves; 2 CPUs, Python 3.11.7, numpy 2.4.6):
+#   n      b = 1   2      3      4
+#   11     0.78    1.34   1.95   2.54
+#   12     0.98    1.71   2.37   2.97
+#   13     1.00    1.89   2.58   3.23
+# so 12 is the smallest size at which a matrix alone is not slower on the
+# stack and a stack of two or more is well ahead.
+_VECTOR_MIN = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,11 +54,15 @@ class EigenDecomposition:
     tol * sum(|eigenvalues|) (tol * ||X||^2 for a Gram matrix of X), with the
     tolerance passed to :func:`hermitian_eig`; the eigenvectors are still
     orthonormal but individual columns are then gauge-dependent.
+    ``sweeps`` counts the Jacobi sweeps, the last one, which rotates
+    nothing, included; ``rotations`` counts the pivots rotated in them.
     """
 
     eigenvalues: np.ndarray
     unitary: np.ndarray
     degenerate: bool
+    sweeps: int
+    rotations: int
 
 
 def gram(m) -> np.ndarray:
@@ -111,11 +123,12 @@ def _round_robin(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     return tuple(steps)
 
 
-def _sweep_lists(a: list, vt: list, n: int) -> bool:
+def _sweep_lists(a: list, vt: list, n: int) -> int:
     # One sweep, rotating pair by pair.  a holds the rows of the matrix, vt
     # the columns of V.  Each off-pivot entry of columns p and q is rotated
     # once and mirrored by its conjugate, so a stays exactly Hermitian.
-    rotated = False
+    # Returns the number of pairs rotated.
+    rotations = 0
     for ps, qs in _round_robin(n):
         for p, q in zip(ps, qs):
             rp, rq = a[p], a[q]
@@ -123,7 +136,7 @@ def _sweep_lists(a: list, vt: list, n: int) -> bool:
             mag = abs(apq)
             if not mag > _PIVOT_TOL:
                 continue
-            rotated = True
+            rotations += 1
             app, aqq = rp[p].real, rq[q].real
             d, m2 = aqq - app, 2.0 * mag
             t = math.copysign(m2 / (abs(d) + math.hypot(d, m2)), d)
@@ -146,7 +159,7 @@ def _sweep_lists(a: list, vt: list, n: int) -> bool:
             vp, vq = vt[p], vt[q]
             vt[p] = [c * x - sp * y for x, y in zip(vp, vq)]
             vt[q] = [s * x + cp * y for x, y in zip(vp, vq)]
-    return rotated
+    return rotations
 
 
 @cache
@@ -184,20 +197,24 @@ def _sweep_stack(w: np.ndarray, b: int, steps) -> np.ndarray:
     # the stack, so a matrix's bits do not depend on its stack mates.  A
     # sweep that rotates nothing in a matrix leaves all its pivots at or
     # below _PIVOT_TOL, so later sweeps do not change it either.  Returns,
-    # per matrix, whether this sweep rotated it.
+    # per matrix, the number of pairs this sweep rotated: an unmasked step
+    # rotates n // 2 in each, counted without numpy work.
     n = w.shape[0] // 2
     flat = w.reshape(-1)
     rows = w[:n].reshape(n * b, n)
-    hits = np.zeros(b * (n // 2), dtype=bool)
+    masked = np.zeros(b * (n // 2), dtype=np.intp)
+    unmasked = 0
     for step in steps:
         apq = flat[step[0]]
         mag = np.abs(apq)
         big = mag > _PIVOT_TOL
-        if not big.all():
+        if big.all():
+            unmasked += 1
+        else:
             if not big.any():
                 continue
+            masked += big
             step, apq, mag = step[:, big], apq[big], mag[big]
-        hits |= big
         pq, pp, qq, qp, ps, qs, rp, rq = step
         app, aqq = flat[pp].real, flat[qq].real
         d, m2 = aqq - app, 2.0 * mag
@@ -217,34 +234,43 @@ def _sweep_stack(w: np.ndarray, b: int, steps) -> np.ndarray:
         flat[pp] = app - t * mag
         flat[qq] = aqq + t * mag
         flat[pq] = flat[qp] = 0.0
-    return hits.reshape(b, -1).any(axis=1)
+    return unmasked * (n // 2) + masked.reshape(b, -1).sum(axis=1)
 
 
-def _solve_stack(blocks: list) -> tuple[np.ndarray, np.ndarray]:
+def _solve_stack(blocks: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Sweeps a stack of equal-size matrices until a sweep rotates none of
     # them, at most _MAX_SWEEPS times.  Returns the stack and, per matrix,
-    # whether the last sweep still rotated it (all, when no sweep ran).
+    # its sweeps (as EigenDecomposition counts them; more than _MAX_SWEEPS
+    # when it did not converge) and rotations.
     b, n = len(blocks), blocks[0].shape[0]
     w = np.vstack((np.hstack(blocks), np.tile(np.eye(n, dtype=np.complex128), b)))
     steps = _stack_steps(n, b)
-    rotating = np.ones(b, dtype=bool)
+    sweeps = np.ones(b, dtype=np.intp)
+    rotations = np.zeros(b, dtype=np.intp)
     for _ in range(_MAX_SWEEPS):
-        rotating = _sweep_stack(w, b, steps)
-        if not rotating.any():
+        rotated = _sweep_stack(w, b, steps)
+        if not rotated.any():
             break
-    return w, rotating
+        sweeps += rotated > 0
+        rotations += rotated
+    return w, sweeps, rotations
 
 
-def _solve_lists(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def _solve_lists(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int] | None:
     # Sweeps one matrix on lists until a sweep rotates nothing; None when
-    # that takes more than _MAX_SWEEPS sweeps.
+    # that takes more than _MAX_SWEEPS sweeps.  Returns the eigenvalues, V,
+    # and the sweeps and rotations taken.
     n = a.shape[0]
     rows = a.tolist()
     vt = [[float(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(_MAX_SWEEPS):
-        if not _sweep_lists(rows, vt, n):
+    rotations = 0
+    for sweep in range(1, _MAX_SWEEPS + 1):
+        rotated = _sweep_lists(rows, vt, n)
+        if not rotated:
             eigenvalues = np.array([rows[k][k].real for k in range(n)])
-            return eigenvalues, np.array(vt, dtype=np.complex128).reshape(n, n).T
+            v = np.array(vt, dtype=np.complex128).reshape(n, n).T
+            return eigenvalues, v, sweep, rotations
+        rotations += rotated
     return None
 
 
@@ -262,7 +288,9 @@ def _prescaled(h, tol: float) -> tuple[np.ndarray, int]:
     return (a + a.conj().T) / 2.0, e
 
 
-def _finish(eigenvalues: np.ndarray, v: np.ndarray, e: int, tol: float) -> EigenDecomposition:
+def _finish(
+    eigenvalues: np.ndarray, v: np.ndarray, sweeps: int, rotations: int, e: int, tol: float
+) -> EigenDecomposition:
     # gauge: largest-magnitude entry of each column real >= 0
     n = len(eigenvalues)
     at = np.abs(v).argmax(axis=0) if n else np.zeros(0, dtype=np.intp)
@@ -276,7 +304,10 @@ def _finish(eigenvalues: np.ndarray, v: np.ndarray, e: int, tol: float) -> Eigen
     eigenvalues = np.ldexp(eigenvalues, e)
     eigenvalues.setflags(write=False)
     v.setflags(write=False)
-    return EigenDecomposition(eigenvalues=eigenvalues, unitary=v, degenerate=degenerate)
+    return EigenDecomposition(
+        eigenvalues=eigenvalues, unitary=v, degenerate=degenerate,
+        sweeps=sweeps, rotations=rotations,
+    )
 
 
 def _hermitian_eigs(hs, tol: float) -> list[EigenDecomposition]:
@@ -300,11 +331,12 @@ def _hermitian_eigs(hs, tol: float) -> list[EigenDecomposition]:
         else:
             sizes.setdefault(a.shape[0], []).append(k)
     for n, ks in sizes.items():
-        w, rotating = _solve_stack([prepared[k][0] for k in ks])
+        w, sweeps, rotations = _solve_stack([prepared[k][0] for k in ks])
         for i, k in enumerate(ks):
-            if not rotating[i]:
+            if sweeps[i] <= _MAX_SWEEPS:
                 block = w[:, i * n : (i + 1) * n]
-                solved[k] = block[:n].diagonal().real.copy(), block[n:].copy()
+                solved[k] = (block[:n].diagonal().real.copy(), block[n:].copy(),
+                             int(sweeps[i]), int(rotations[i]))
     for k, result in enumerate(solved):
         if result is None:
             raise NumericalError(
@@ -336,7 +368,7 @@ def hermitian_eig(h, tol: float = 1e-10) -> EigenDecomposition:
 
     This is the solver of :func:`~hosvd3.hosvd.hosvd` on a stack of one:
     ``hosvd`` solves all its Gram matrices in one call, and a matrix of
-    size 13 or more, swept together with the others of its size, comes
-    out with the same bits as here.
+    size 12 or more, swept together with the others of its size, comes
+    out with the same bits and counts as here.
     """
     return _hermitian_eigs([h], tol)[0]

@@ -32,8 +32,9 @@ FIXTURES = (
 TOL = ["--tol", "1e-10"]
 # Seeded complex Gaussian tensors beyond 2x2x2, as (name, dims, Philox seed),
 # so the n > 2 bits of decompose are pinned too, and so are orders 1 and 4,
-# a mode of size 1, and the array sweeps of modes of 13 and up: even n, and
-# odd n (the round robin's dummy index) next to a mode solved on lists.
+# a mode of size 1, and the stack sweeps of modes of 12 and up: even n, odd n
+# (the round robin's dummy index), and a size-12 stack, each next to a mode
+# solved on lists.
 GAUSSIAN = (
     ("gaussian_3x4x5", (3, 4, 5), 11),
     ("gaussian_8x8", (8, 8), 12),
@@ -42,6 +43,7 @@ GAUSSIAN = (
     ("gaussian_2x1x3", (2, 1, 3), 15),
     ("gaussian_16x16", (16, 16), 18),
     ("gaussian_13x13x3", (13, 13, 3), 19),
+    ("gaussian_12x12x2", (12, 12, 2), 20),
 )
 # A label that the report must escape: non-ASCII text, a quote and a tab.
 ESCAPED_LABEL = ("label_escapes", (2, 2), 16, 'ψ "psi"\tstate')

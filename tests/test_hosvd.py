@@ -182,16 +182,21 @@ class TestInvariants:
             for a, b in zip(r1.spectra, r2.spectra):
                 np.testing.assert_allclose(a, b, atol=1e-11)
 
-    @pytest.mark.parametrize("dims", [(16, 16), (13, 13, 3)])
+    @pytest.mark.parametrize("dims", [(16, 16), (13, 13, 3), (12, 12), (12, 12, 12)])
     def test_lu_invariance_of_stacked_modes(self, rng, dims):
-        # modes of 13 and up are solved as one stack of equal-size Grams
+        # modes of 12 and up are solved as one stack of equal-size Grams.  With
+        # no degenerate mode the factors are fixed up to a phase per column,
+        # so |core| is invariant too.
         t = ComplexTensor(rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
         r1 = hosvd(t)
+        assert not r1.degenerate_modes
+        size = np.abs(r1.core.data)
         for _ in range(3):
             r2 = hosvd(multilinear_transform(t, [haar_unitary(rng, n) for n in dims]))
             assert r2.degenerate_modes == r1.degenerate_modes
             for a, b in zip(r1.spectra, r2.spectra, strict=True):
                 assert np.abs(a - b).max() <= 1e-13 * a.max()
+            assert np.abs(np.abs(r2.core.data) - size).max() <= 1e-13 * size.max()
 
     def test_global_phase_invariance(self, rng):
         t = haar_tensor(rng)

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from hosvd3 import (
+    ComplexTensor,
     NumericalError,
     ValidationError,
     gram,
     hermitian_eig,
+    hosvd,
     make_tensor,
     unfold,
     validate_unitary,
 )
-from hosvd3.smalllinalg import _VECTOR_MIN, _hermitian_eigs, _round_robin
+from hosvd3.smalllinalg import _MAX_SWEEPS, _VECTOR_MIN, _hermitian_eigs, _round_robin
 from oracles import (
     eig2_closed_form,
     eigh_descending,
@@ -134,7 +136,7 @@ class TestHermitianEig:
 
 
 # both sides of the list/array crossover, odd n included
-DIFFERENTIAL_SIZES = [*range(1, 13), 16, 31, 32, 33, 64, 128]
+DIFFERENTIAL_SIZES = [*range(1, 14), 16, 31, 32, 33, 64, 128]
 
 
 def differential_cases(rng, n):
@@ -175,7 +177,7 @@ class TestDifferential:
                 assert abs(pivot.imag) <= 1e-15 and pivot.real > 0.0, label
 
     def test_crossover_is_covered(self):
-        assert min(DIFFERENTIAL_SIZES) < _VECTOR_MIN <= max(DIFFERENTIAL_SIZES)
+        assert {_VECTOR_MIN - 1, _VECTOR_MIN} <= set(DIFFERENTIAL_SIZES)
 
     def test_exact_cases(self):
         # no rotation runs: the diagonal comes back sorted, the unitary a permutation
@@ -205,13 +207,14 @@ def assert_same_bits(got, want):
     assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
     assert got.unitary.tobytes() == want.unitary.tobytes()
     assert got.degenerate == want.degenerate
+    assert (got.sweeps, got.rotations) == (want.sweeps, want.rotations)
 
 
 class TestStack:
     """_hermitian_eigs solves equal-size matrices as one stack; each must
     come out with the bits it gets alone."""
 
-    @pytest.mark.parametrize("n", [13, 16, 33, 64])
+    @pytest.mark.parametrize("n", [12, 13, 16, 33, 64])
     def test_stacked_equals_single(self, rng, n):
         hs = stack_mates(rng, n)
         alone = [hermitian_eig(h) for h in hs]
@@ -223,9 +226,19 @@ class TestStack:
     def test_mixed_sizes(self, rng):
         # two stacks and the list path in one call, in the caller's order
         hs = [*stack_mates(rng, 13)[:2], random_hermitian(rng, 5),
-              *stack_mates(rng, 16)[:3], random_hermitian(rng, 12)]
+              *stack_mates(rng, 16)[:3], random_hermitian(rng, 11),
+              *stack_mates(rng, 12)[:2]]
         for got, h in zip(_hermitian_eigs(hs, 1e-10), hs, strict=True):
             assert_same_bits(got, hermitian_eig(h))
+
+    def test_hosvd_of_size_12_modes_never_uses_lists(self, rng, monkeypatch):
+        def no_lists(a):
+            raise AssertionError(f"a {a.shape[0]}x{a.shape[0]} matrix was swept on lists")
+
+        monkeypatch.setattr("hosvd3.smalllinalg._solve_lists", no_lists)
+        dims = (12, 12, 12)
+        r = hosvd(ComplexTensor(rng.standard_normal(dims) + 1j * rng.standard_normal(dims)))
+        assert [len(s) for s in r.spectra] == [12, 12, 12]
 
     def test_lowest_failing_matrix_is_raised(self, rng, monkeypatch):
         # one sweep: the diagonal matrix converges, the others do not
@@ -239,6 +252,29 @@ class TestStack:
             assert exc.value.mode == mode
         with pytest.raises(ValidationError, match="square"):
             _hermitian_eigs([diagonal, np.zeros((2, 3)), full], 1e-10)
+
+
+class TestCounts:
+    """EigenDecomposition.sweeps (the last, rotation-free sweep included) and
+    .rotations, on the list path and the stack path; TestStack checks that a
+    matrix gets the same counts in a stack as alone."""
+
+    @pytest.mark.parametrize("n", [3, _VECTOR_MIN])
+    def test_diagonal_takes_one_sweep_and_no_rotation(self, rng, n):
+        e = hermitian_eig(np.diag(rng.standard_normal(n)))
+        assert (e.sweeps, e.rotations) == (1, 0)
+
+    def test_one_pivot_takes_one_rotation(self):
+        e = hermitian_eig(np.array([[1.0, 0.5 - 0.25j], [0.5 + 0.25j, -1.0]]))
+        assert (e.sweeps, e.rotations) == (2, 1)
+
+    @pytest.mark.parametrize("n", [2, 5, 11, 12, 13, 16, 33])
+    def test_rotations_bounded_by_pairs_per_sweep(self, rng, n):
+        for _, h in differential_cases(rng, n):
+            e = hermitian_eig(h)
+            assert type(e.sweeps) is int and type(e.rotations) is int
+            assert 1 <= e.sweeps <= _MAX_SWEEPS
+            assert 0 <= e.rotations <= (e.sweeps - 1) * n * (n - 1) // 2
 
 
 class TestRoundRobin:
