@@ -113,13 +113,6 @@ def _tolerance(flag: str, value: float) -> float:
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _floats(values) -> list:
-    """Floats as json writes them: float.__repr__, and NaN, Infinity and
-    -Infinity for the non-finite values."""
-    texts = list(map(float.__repr__, values))
-    return list(map(_NONFINITE.get, texts, texts))
-
-
 def _block(items, level: int, brackets: str = "[]") -> str:
     # a non-empty container at nesting level `level`, one item a line
     inner = "\n" + "  " * (level + 1)
@@ -127,16 +120,23 @@ def _block(items, level: int, brackets: str = "[]") -> str:
 
 
 def _array_text(values: np.ndarray, level: int) -> str:
-    # values nested as [re, im] pairs.  Only the outer axes recurse; the
-    # pairs of the last axis are formatted by C-level map and join.
-    if not len(values):
-        return "[]"
-    if values.ndim > 1:
-        return _block([_array_text(row, level + 1) for row in values], level)
-    inner = "\n" + "  " * (level + 1)
-    pair = "[" + inner + "  {}," + inner + "  {}" + inner + "]"
-    return _block(map(pair.format, _floats(values.real.tolist()),
-                      _floats(values.imag.tolist())), level)
+    # values nested as [re, im] pairs: every float is written in one pass, each
+    # last-axis row with two joins, and only the outer axes nest through _block
+    if not values.size:  # no floats, so the nested lists are the whole text
+        return _json_text(values.tolist(), level)
+    texts = list(map(repr, values.ravel().view(np.float64).tolist()))
+    if not np.isfinite(values).all():
+        texts = list(map(_NONFINITE.get, texts, texts))
+    shape, depth = values.shape, values.ndim - 1
+    inner, n = "\n" + "  " * (level + depth + 1), shape[-1]
+    pairs = list(map(("," + inner + "  ").join, zip(*[iter(texts)] * 2)))
+    between = inner + "]," + inner + "[" + inner + "  "
+    rows = [f"[{inner}[{inner}  {between.join(pairs[i:i + n])}{inner}]{inner[:-2]}]"
+            for i in range(0, len(pairs), n)]
+    for axis in reversed(range(depth)):
+        rows = [_block(rows[i:i + shape[axis]], level + axis)
+                for i in range(0, len(rows), shape[axis])]
+    return rows[0]
 
 
 def _json_text(obj, level: int = 0) -> str:

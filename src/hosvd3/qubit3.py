@@ -160,7 +160,9 @@ def _bits(flags: np.ndarray) -> np.ndarray:
 def _separability(sigma: np.ndarray, tol: float) -> np.ndarray:
     """Separability of each row of an (M, 3) sigma array, decided by one-body
     purity: sigma1(n)^2 >= 1 - tol means the state is bi-separable across
-    that qubit's cut."""
+    that qubit's cut.  At tol 0 that needs sigma >= 1 exactly, so an exactly
+    separable state whose sigma rounds to just below 1 is labeled genuine:
+    the label then rests on the last bit of sigma."""
     return _SEPARABILITY[_bits(sigma >= 1.0 - tol)]
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,16 +68,32 @@ class ComplexTensor:
         return complex(self.data[tuple(i - 1 for i in indices)])
 
 
+def _dims(dims) -> tuple[int, ...]:
+    """dims as a tuple of positive ints.  Python and numpy integers pass;
+    bools, floats, strings and values below 1 raise ShapeError."""
+    dims = tuple(dims)
+    try:  # bool is an int subclass, and True must not read as 1
+        if any(isinstance(d, bool) for d in dims):
+            raise TypeError
+        checked = tuple(map(operator.index, dims))
+    except TypeError:
+        raise ShapeError(f"dims must be integers, got {dims!r}") from None
+    if any(d < 1 for d in checked):
+        raise ShapeError(f"dims must be positive, got {checked}")
+    return checked
+
+
 def make_tensor(dims, elements) -> ComplexTensor:
     """Build a tensor from its dimension vector and flat element vector.
 
     Parameters
     ----------
-    dims : sequence of positive int
+    dims : sequence of positive int (bools, floats and strings raise
+        ShapeError)
     elements : array-like of complex, length prod(dims), C order
         (last index varies fastest).
     """
-    dims = tuple(int(d) for d in dims)
+    dims = _dims(dims)
     flat = np.asarray(elements, dtype=np.complex128).ravel()
     expected = math.prod(dims)
     if flat.size != expected:
@@ -111,7 +128,7 @@ def unfold(t: ComplexTensor, mode: int) -> np.ndarray:
 def refold(m, mode: int, dims) -> ComplexTensor:
     """Inverse of :func:`unfold`: the tensor of shape dims whose mode-n
     unfolding is m; exact (no arithmetic) round trip."""
-    dims = tuple(int(d) for d in dims)
+    dims = _dims(dims)
     if not 1 <= mode <= len(dims):
         raise ValueError(f"mode {mode} out of range 1..{len(dims)}")
     m = np.asarray(m, dtype=np.complex128)

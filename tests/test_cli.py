@@ -556,6 +556,31 @@ class TestReportWriter:
     def test_matches_json_dumps(self, doc):
         assert cli._json_text(doc) == json_oracle(doc)
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("shape", [(4096,), (32, 32), (16, 16, 16), (3, 4, 5, 6)])
+    def test_report_sizes(self, rng, shape, layout):
+        # the strategy above draws sides of at most 3; decompose writes cores
+        # of thousands of entries and factors of 32 rows
+        values = _layout(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), layout)
+        doc = {"core": values, "factors": [values, values.T]}
+        assert cli._json_text(doc) == json_oracle(doc)
+
+    def test_non_finite_and_extremes_in_a_large_array(self, rng):
+        values = rng.standard_normal((16, 16, 16)) + 1j * rng.standard_normal((16, 16, 16))
+        flat = values.reshape(-1).view(np.float64)
+        specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16]
+        for k, at in enumerate(rng.choice(flat.size, 60, replace=False)):
+            flat[at] = specials[k % len(specials)]
+        doc = {"core": values, "factors": [values[3], values[:, 5].T]}
+        text = cli._json_text(doc)
+        assert text == json_oracle(doc)
+        assert all(word in text for word in ("NaN", "-Infinity", "-0.0", "5e-324", "1e+16"))
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0), (0, 3), (2, 0, 3)])
+    def test_empty_arrays(self, shape):
+        doc = {"core": np.zeros(shape, dtype=complex), "spectra": [np.zeros(shape, dtype=complex)]}
+        assert cli._json_text(doc) == json_oracle(doc)
+
     @pytest.mark.parametrize("value", [
         object(), 1j, np.int64(1), np.bool_(True), np.array([1.0]),
         np.array(1 + 2j), {1: "int key"},

@@ -166,6 +166,24 @@ class TestReconstruct:
         assert worst <= 1e-12
 
 
+def assert_lu_invariant(rng, dims, tensors, copies):
+    """hosvd of Gaussian tensors of shape dims and of copies of each under
+    Haar local unitaries: no degenerate mode, spectra within 1e-13 relative
+    and, since with no degenerate mode the factors are fixed up to a phase
+    per column, |core| within 1e-13 of its largest entry."""
+    for _ in range(tensors):
+        t = ComplexTensor(rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
+        r1 = hosvd(t)
+        assert not r1.degenerate_modes
+        size = np.abs(r1.core.data)
+        for _ in range(copies):
+            r2 = hosvd(multilinear_transform(t, [haar_unitary(rng, n) for n in dims]))
+            assert r2.degenerate_modes == r1.degenerate_modes
+            for a, b in zip(r1.spectra, r2.spectra, strict=True):
+                assert np.abs(a - b).max() <= 1e-13 * a.max()
+            assert np.abs(np.abs(r2.core.data) - size).max() <= 1e-13 * size.max()
+
+
 class TestInvariants:
     def test_spectra_idempotent(self, rng):
         r = hosvd(haar_tensor(rng))
@@ -184,19 +202,13 @@ class TestInvariants:
 
     @pytest.mark.parametrize("dims", [(16, 16), (13, 13, 3), (12, 12), (12, 12, 12)])
     def test_lu_invariance_of_stacked_modes(self, rng, dims):
-        # modes of 12 and up are solved as one stack of equal-size Grams.  With
-        # no degenerate mode the factors are fixed up to a phase per column,
-        # so |core| is invariant too.
-        t = ComplexTensor(rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
-        r1 = hosvd(t)
-        assert not r1.degenerate_modes
-        size = np.abs(r1.core.data)
-        for _ in range(3):
-            r2 = hosvd(multilinear_transform(t, [haar_unitary(rng, n) for n in dims]))
-            assert r2.degenerate_modes == r1.degenerate_modes
-            for a, b in zip(r1.spectra, r2.spectra, strict=True):
-                assert np.abs(a - b).max() <= 1e-13 * a.max()
-            assert np.abs(np.abs(r2.core.data) - size).max() <= 1e-13 * size.max()
+        # modes of 12 and up are solved as one stack of equal-size Grams
+        assert_lu_invariant(rng, dims, tensors=1, copies=3)
+
+    @pytest.mark.parametrize("dims", [(3, 4, 5), (2, 3, 2), (8, 8, 8), (6, 6, 6, 6), (11, 11)])
+    def test_lu_invariance_of_list_modes(self, rng, dims):
+        # modes below 12 are swept one matrix at a time, as Python lists
+        assert_lu_invariant(rng, dims, tensors=10, copies=1)
 
     def test_global_phase_invariance(self, rng):
         t = haar_tensor(rng)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -588,6 +589,55 @@ class TestQubitPermutation:
                 for name in ("core_bisep", "minors"):
                     got, want = p.residuals[f"{name}_{CUTS[inv[q]]}"], c.residuals[f"{name}_{cut}"]
                     assert abs(got - want) <= 1e-14
+
+
+class TestGlobalSymmetries:
+    """Global phase, complex conjugation and power-of-two scaling leave the
+    classify record unchanged, on 120 Haar states and 50 states on each
+    special support pattern (Philox 11).  The pattern coefficients have
+    magnitudes in [0.05, 1], so that no entry sits on a decision threshold."""
+
+    @staticmethod
+    def states():
+        rng = np.random.Generator(np.random.Philox(11))
+        amps = list(philox_haar(120, 11))
+        for _, pattern, _ in _SPECIAL_SUPPORT:
+            idx = sorted(pattern)
+            for _ in range(50):
+                a = np.zeros(8, dtype=complex)
+                a[idx] = rng.uniform(0.05, 1, len(idx)) * np.exp(2j * np.pi * rng.random(len(idx)))
+                amps.append(a)
+        return rng, amps
+
+    @staticmethod
+    def labels(c):
+        return c.separability, c.case, c.special, c.gauge_warning, c.degenerate_modes
+
+    def test_global_phase(self):
+        # e^{i phi} is rounded, so sigma moves in its last bits: by up to 1.4e-15
+        # on these states, past a bound of 1e-15
+        rng, amps = self.states()
+        for a in amps:
+            c = classify(normalize(a))
+            p = classify(normalize(np.exp(2j * np.pi * rng.random()) * a))
+            assert self.labels(p) == self.labels(c)
+            np.testing.assert_allclose(p.sigma_triple, c.sigma_triple, rtol=0, atol=4e-15)
+
+    def test_complex_conjugation(self):
+        _, amps = self.states()
+        for a in amps:
+            c = classify(normalize(a))
+            p = classify(normalize(a.conj()))
+            assert self.labels(p) == self.labels(c)
+            np.testing.assert_allclose(p.sigma_triple, c.sigma_triple, rtol=0, atol=1e-15)
+
+    def test_power_of_two_scaling_is_bit_identical(self):
+        rng, amps = self.states()
+        for a, k in zip(amps, rng.integers(-600, 601, len(amps)).tolist()):
+            c = classify(normalize(a))
+            p = classify(normalize(np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k)))
+            # repr tells -0.0 from 0.0 and reads NaN as equal to NaN
+            assert repr(dataclasses.asdict(p)) == repr(dataclasses.asdict(c))
 
 
 class TestPolytope:

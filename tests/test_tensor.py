@@ -50,6 +50,28 @@ class TestMakeTensor:
         with pytest.raises(ShapeError):
             make_tensor([2, 2, 2], np.zeros(7))
 
+    def test_float_dim_rejected(self):
+        with pytest.raises(ShapeError, match="integers"):
+            make_tensor([2.5, 2], np.arange(4))
+
+    def test_string_dim_rejected(self):
+        with pytest.raises(ShapeError, match="integers"):
+            make_tensor(["2", 2], np.arange(4))
+
+    def test_bool_dim_rejected(self):
+        # True would otherwise read as 1 and build a (1, 4) tensor
+        with pytest.raises(ShapeError, match="integers"):
+            make_tensor([True, 4], np.arange(4))
+
+    def test_negative_dims_rejected_before_reshape(self):
+        # numpy's reshape would otherwise fail on them with its own message
+        with pytest.raises(ShapeError, match="positive"):
+            make_tensor([-2, -2], np.arange(4))
+
+    def test_numpy_integer_dims_accepted(self):
+        t = make_tensor(np.array([2, 3]), np.arange(6))
+        assert t.dims == (2, 3) and all(type(d) is int for d in t.dims)
+
     def test_value_semantics(self):
         buf = np.ones(4, dtype=complex)
         t = make_tensor([2, 2], buf)
@@ -168,6 +190,10 @@ class TestRefold:
         for mode in (0, 4):
             with pytest.raises(ValueError):
                 refold(np.zeros((2, 4)), mode, [2, 2, 2])
+
+    def test_float_dim_rejected(self):
+        with pytest.raises(ShapeError, match="integers"):
+            refold(np.zeros((2, 2)), 1, [2.9, 2])
 
 
 class TestMultilinearTransform:
