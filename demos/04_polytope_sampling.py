@@ -7,7 +7,7 @@ import pathlib
 
 import numpy as np
 
-from hosvd3 import batch_sigma_squares
+from hosvd3 import classify_batch
 
 OUT = pathlib.Path(__file__).with_name("polytope_cloud.csv")
 COUNT = 20_000
@@ -16,7 +16,7 @@ rng = np.random.Generator(np.random.Philox(99))
 z = rng.standard_normal((COUNT, 8)) + 1j * rng.standard_normal((COUNT, 8))
 z /= np.linalg.norm(z, axis=1, keepdims=True)
 
-sig = batch_sigma_squares(z)
+sig = classify_batch(z).sigma
 s1, s2, s3 = sig.T
 
 print(f"sampled {COUNT} Haar-random states")

@@ -7,34 +7,20 @@ line front end.
 """
 
 from .errors import DomainError, NumericalError, ShapeError, ValidationError
-from .hosvd import (
-    HosvdResiduals,
-    HosvdResult,
-    hosvd,
-    mode_singular_values,
-    reconstruct,
-    verify_all_orthogonality,
-)
+from .hosvd import HosvdResiduals, HosvdResult, hosvd, verify_all_orthogonality
 from .qubit3 import (
     BatchClassification,
     Classification,
     PolytopeMembership,
     ThreeQubitState,
-    batch_sigma_squares,
     classify,
     classify_batch,
-    core_biseparability_residual,
-    guarded_t111_t222_check,
     normalize,
     one_body_rdms,
-    phase_identity_residual,
-    plane_coefficients,
-    plane_identity_residual,
     polytope_membership,
-    separability_minor_residual,
     two_body_rdms,
 )
-from .smalllinalg import EigenDecomposition, gram, hermitian_eig, validate_unitary
+from .smalllinalg import EigenDecomposition, gram, hermitian_eig
 from .tensor import (
     ComplexTensor,
     make_tensor,
@@ -56,30 +42,20 @@ __all__ = [
     "EigenDecomposition",
     "gram",
     "hermitian_eig",
-    "validate_unitary",
     "HosvdResult",
     "HosvdResiduals",
     "hosvd",
-    "mode_singular_values",
     "verify_all_orthogonality",
-    "reconstruct",
     "ThreeQubitState",
     "Classification",
     "PolytopeMembership",
     "normalize",
     "one_body_rdms",
     "two_body_rdms",
-    "separability_minor_residual",
-    "core_biseparability_residual",
-    "plane_identity_residual",
-    "phase_identity_residual",
-    "plane_coefficients",
     "classify",
     "classify_batch",
     "BatchClassification",
     "polytope_membership",
-    "guarded_t111_t222_check",
-    "batch_sigma_squares",
     "ShapeError",
     "DomainError",
     "ValidationError",

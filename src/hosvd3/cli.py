@@ -33,6 +33,7 @@ from .qubit3 import (
     normalize,
     polytope_membership,
 )
+from .smalllinalg import _tolerance
 from .tensor import make_tensor
 
 EXIT_OK = 0
@@ -102,12 +103,6 @@ def haar_random_amplitudes(rng, count: int) -> np.ndarray:
     how a run splits its count."""
     z = rng.standard_normal((count, 2, 8))
     return _unit_rows(z[:, 0] + 1j * z[:, 1])
-
-
-def _tolerance(flag: str, value: float) -> float:
-    if not 0.0 <= value < math.inf:
-        raise InputError(f"{flag} must be finite and >= 0, got {value!r}")
-    return value
 
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

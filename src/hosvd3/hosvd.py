@@ -11,13 +11,12 @@ so the decomposition simultaneously diagonalizes all of them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .smalllinalg import _hermitian_eigs, gram, pow2_prescale
+from .smalllinalg import _hermitian_eigs, _tolerance, gram, pow2_prescale
 from .tensor import ComplexTensor, _mode_rows, multilinear_transform, norm, unfold
 
 
@@ -47,11 +46,9 @@ class HosvdResult:
     degenerate_modes: frozenset[int]
 
 
-def mode_singular_values(core: ComplexTensor, mode: int) -> np.ndarray:
+def _mode_singular_values(core: ComplexTensor, mode: int) -> np.ndarray:
     """Norms of the mode-n slices: entry i is the Frobenius norm of the core
     with its n-th index fixed to i (n = mode counts from 1, i from 0)."""
-    if not 1 <= mode <= core.order:
-        raise ValueError(f"mode {mode} out of range 1..{core.order}")
     return np.sqrt(np.sum(np.abs(_mode_rows(core.data, mode)) ** 2, axis=1))
 
 
@@ -89,8 +86,10 @@ def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:
     The work is done on t scaled by an exact power of two (see
     :func:`pow2_prescale`), and the core, spectra and all-orthogonality
     residual are scaled back, so the result does not depend on the scale
-    of t: no Gram entry overflows or underflows.
+    of t: no Gram entry overflows or underflows.  A tol that is negative
+    or not finite raises ValidationError.
     """
+    _tolerance("tol", tol)
     data, e = pow2_prescale(t.data)
     x = ComplexTensor(data)
     total = norm(x)
@@ -109,7 +108,7 @@ def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:
 
     core = multilinear_transform(x, [u.conj().T for u in factors])
     spectra = tuple(
-        np.ldexp(mode_singular_values(core, m), e) for m in range(1, x.order + 1)
+        np.ldexp(_mode_singular_values(core, m), e) for m in range(1, x.order + 1)
     )
 
     recon = multilinear_transform(core, factors)
@@ -124,8 +123,3 @@ def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:
         residuals=HosvdResiduals(rec_residual, ao_residual),
         degenerate_modes=frozenset(degenerate),
     )
-
-
-def reconstruct(r: HosvdResult) -> ComplexTensor:
-    """Reassemble the original tensor: multilinear_transform(core, factors)."""
-    return multilinear_transform(r.core, r.factors)

@@ -11,8 +11,8 @@ s_i + s_j - s_k <= 1.  The three-qubit HOSVD has one route: in closed form
 (one Jacobi rotation per 2x2 Gram matrix) as array operations over a batch
 of states.  :func:`classify_batch` runs it on many states,
 :func:`classify` on a batch of one, where it also evaluates the core
-identities with one array kernel; :func:`batch_sigma_squares` is its sigma
-triple.  The generic :func:`~hosvd3.hosvd.hosvd` is not used here.
+identities with one array kernel and reports them in its ``residuals``.
+The generic :func:`~hosvd3.hosvd.hosvd` is not used here.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, ShapeError, ValidationError
-from .smalllinalg import _PIVOT_TOL, gram, pow2_prescale
+from .smalllinalg import _PIVOT_TOL, _tolerance, gram
 from .tensor import ComplexTensor, unfold
 
 CUTS = ("A_BC", "B_CA", "C_AB")
@@ -255,16 +255,6 @@ def _hosvd_batch(x: np.ndarray, tol: float):
     return core, v, norms**2, degenerate
 
 
-def batch_sigma_squares(amplitudes) -> np.ndarray:
-    """(sigma1(1)^2, sigma1(2)^2, sigma1(3)^2) of each state in a batch, as
-    an (M, 3) array: the sigma of :func:`classify_batch`, and so of
-    :func:`classify`.
-
-    `amplitudes` is (M, 8) or (M, 2, 2, 2); each row is normalized first.
-    """
-    return _hosvd_batch(_batch(amplitudes), 1e-10)[2]
-
-
 @dataclass(frozen=True, eq=False)
 class BatchClassification:
     """The records of :func:`classify_batch`, one row per state: labels as
@@ -298,6 +288,8 @@ def classify_batch(amplitudes, tol: float = 1e-10, sigma_tol: float = 1e-8) -> B
 def _classify_rows(x: np.ndarray, tol: float, sigma_tol: float):
     # classify_batch of unit-norm states x (M, 2, 2, 2), with their HOSVD
     # cores and factors
+    _tolerance("tol", tol)
+    _tolerance("sigma_tol", sigma_tol)
     core, factors, sigma, degenerate = _hosvd_batch(x, tol)
     separability = _separability(sigma, tol)
     case = _decide_case(sigma, sigma_tol)
@@ -364,104 +356,6 @@ def _identities(x: np.ndarray, core: np.ndarray, sigma: np.ndarray, tol: float):
     return out, total
 
 
-def _identities_of(t: ComplexTensor, names, degree: int, sigma=(0.0, 0.0, 0.0),
-                   tol: float = 1e-10, core: bool = False) -> tuple[float, ...]:
-    """The :func:`_identities` named in `names`, each of degree `degree` in
-    the entries, of one 2x2x2 tensor read as its own core.  They are
-    evaluated for the tensor scaled by 2^-e (see :func:`pow2_prescale`), so
-    none overflows or underflows on the way, and scaled back by 2^(degree e),
-    to inf where that overflows.  With `core`, a tensor whose
-    all-orthogonality exceeds tol * norm^2 raises ValidationError.  At
-    sigma = 0 both plane forms are 0."""
-    if t.dims != (2, 2, 2):
-        raise ShapeError(f"expected a 2x2x2 core, got dims {t.dims}")
-    unit, e = pow2_prescale(t.data)
-    x = unit[None]
-    out, total = _identities(x, x, np.asarray(sigma, dtype=np.float64).reshape(1, 3), tol)
-    if core and out["all_orthogonality"][0] > tol * total[0]:
-        raise ValidationError("input violates all-orthogonality; not an HOSVD core")
-    with np.errstate(over="ignore"):
-        return tuple(float(np.ldexp(out[name][0], degree * e)) for name in names)
-
-
-def _check_cut(cut: str) -> None:
-    if cut not in CUTS:
-        raise ValueError(f"unknown cut {cut!r}; expected one of {CUTS}")
-
-
-def separability_minor_residual(s: ThreeQubitState, cut: str) -> float:
-    """Max |2x2 minor| of the cut's unfolding; 0 iff the amplitude-level
-    polynomial bi-separability conditions for that cut all hold.
-
-    For C|AB the six minors are exactly the six conditions
-    psi111 psi222 = psi112 psi221, ..., psi211 psi122 = psi212 psi121.
-    """
-    _check_cut(cut)
-    return _identities_of(s, [f"minors_{cut}"], 2)[0]
-
-
-def core_biseparability_residual(core: ComplexTensor, cut: str, tol: float = 1e-10) -> float:
-    """|lhs - rhs| of the single core-level bi-separability condition for the cut:
-
-        A_BC: t112 t221 = t212 t121
-        B_CA: t112 t221 = t211 t122
-        C_AB: t211 t122 = t212 t121
-
-    The input must already be an HOSVD core (all-orthogonality within
-    tol * norm^2), otherwise the single condition carries no meaning and
-    ValidationError is raised.
-    """
-    _check_cut(cut)
-    return _identities_of(core, [f"core_bisep_{cut}"], 2, tol=tol, core=True)[0]
-
-
-def plane_coefficients(core: ComplexTensor) -> tuple[float, float, float]:
-    """(a, b, c) = (|t112|^2 - |t121|^2, |t211|^2 - |t112|^2, |t121|^2 - |t211|^2);
-    the normal of the plane a s1 + b s2 + c s3 = 0 satisfied by the core's
-    sigma triple.  a + b + c == 0 by construction.
-    """
-    return _identities_of(core, ("plane_a", "plane_b", "plane_c"), 2)
-
-
-def plane_identity_residual(core: ComplexTensor, sigma) -> float:
-    """Residual of the sigma-plane identity every HOSVD core satisfies:
-
-        a s1 + b s2 + c s3 = 0,  (a, b, c) = plane_coefficients(core),
-
-    i.e. |t112|^2 (s1 - s2) + |t211|^2 (s2 - s3) + |t121|^2 (s3 - s1) = 0,
-    where sigma = (s1, s2, s3) holds the core's sigma1(n)^2, such as
-    ``classify(s).sigma_triple``.  The companion form in t221, t122, t212 is
-    algebraically identical; both are evaluated and must agree to 1e-12 of
-    ||core||^2 max|s_i| (floating-point consistency), else a NumericalError
-    is raised.
-    """
-    return _identities_of(core, ["plane_identity"], 2, sigma)[0]
-
-
-def phase_identity_residual(core: ComplexTensor) -> float:
-    """Modulus of the cyclic quartic phase identity of HOSVD cores:
-
-        conj(t112 t221) (t122 t211 - t121 t212)
-      + conj(t121 t212) (t112 t221 - t122 t211)
-      + conj(t122 t211) (t121 t212 - t112 t221)  = 0
-    """
-    return _identities_of(core, ["phase_identity"], 4)[0]
-
-
-def guarded_t111_t222_check(core: ComplexTensor, tol: float = 1e-10):
-    """Check the closed-form elimination of t111 and t222 from the
-    all-orthogonality conditions.  Returns (|t111 - formula|, |t222 - formula|),
-    or None when the shared denominator t212 conj(t211) - t122 conj(t121)
-    is within tol * norm(core)^2 of zero (formulas undefined there).
-
-    The guard is relative, and the residuals are scaled back from those of
-    the core scaled by an exact power of two (see :func:`pow2_prescale`),
-    so neither depends on the scale of the core.
-    """
-    residuals = _identities_of(core, ("t111_formula", "t222_formula"), 1, tol=tol)
-    return None if math.isnan(residuals[0]) else residuals
-
-
 @dataclass(frozen=True)
 class PolytopeMembership:
     """Whether a sigma triple lies in the polytope, and the signed residual
@@ -477,8 +371,19 @@ class PolytopeMembership:
 def polytope_membership(sigma, tol: float = 1e-10) -> PolytopeMembership:
     """Check a triple (s1, s2, s3) of largest one-body eigenvalues, such as
     ``classify(s).sigma_triple``, against the five constraint families;
-    residuals > 0 measure violation."""
-    residuals = _polytope_residuals(*sigma)
+    residuals > 0 measure violation.  A sigma that is not three numbers
+    raises ShapeError, a non-finite entry ValidationError, and so does a
+    tol that is negative or not finite."""
+    _tolerance("tol", tol)
+    if np.shape(sigma) != (3,):
+        raise ShapeError(f"sigma must be a triple (s1, s2, s3), got {sigma!r}")
+    try:
+        s1, s2, s3 = map(float, sigma)
+    except (TypeError, ValueError):
+        raise ValidationError(f"sigma must hold numbers, got {sigma!r}") from None
+    if not all(math.isfinite(v) for v in (s1, s2, s3)):
+        raise ValidationError(f"sigma entries must be finite, got {sigma!r}")
+    residuals = _polytope_residuals(s1, s2, s3)
     member = all(v <= tol for v in residuals.values())
     return PolytopeMembership(member, residuals)
 
@@ -527,8 +432,11 @@ def classify(
     ``gauge_warning=True`` instead of being trusted against the case.
     The residuals are the reconstruction error and all-orthogonality of
     that decomposition, reported and not held against `tol`, and the core
-    identities, evaluated at its sigma triple.
+    identities, evaluated at its sigma triple.  A tensor that is not
+    2x2x2 raises ShapeError.
     """
+    if s.dims != (2, 2, 2):
+        raise ShapeError(f"classify needs a 2x2x2 state, got dims {s.dims}")
     x = s.data[None]
     row, core, factors = _classify_rows(x, tol, sigma_tol)
     # relative, since s has unit norm

@@ -75,13 +75,12 @@ def gram(m) -> np.ndarray:
     return (g + g.conj().T) / 2.0
 
 
-def validate_unitary(u) -> float:
-    """Frobenius residual ||u^dagger u - I||_F (0 for exact unitaries)."""
-    u = np.asarray(u, dtype=np.complex128)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValidationError("unitarity check expects a square matrix")
-    eye = np.eye(u.shape[0])
-    return float(np.linalg.norm(u.conj().T @ u - eye, "fro"))
+def _tolerance(name: str, value: float) -> float:
+    """value, when it is finite and >= 0; ValidationError naming it otherwise
+    (NaN included).  The tolerances of every entry point go through this."""
+    if not 0.0 <= value < math.inf:
+        raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+    return value
 
 
 def pow2_prescale(x) -> tuple[np.ndarray, int]:
@@ -369,6 +368,7 @@ def hermitian_eig(h, tol: float = 1e-10) -> EigenDecomposition:
     This is the solver of :func:`~hosvd3.hosvd.hosvd` on a stack of one:
     ``hosvd`` solves all its Gram matrices in one call, and a matrix of
     size 12 or more, swept together with the others of its size, comes
-    out with the same bits and counts as here.
+    out with the same bits and counts as here.  A tol that is negative or
+    not finite raises ValidationError.
     """
-    return _hermitian_eigs([h], tol)[0]
+    return _hermitian_eigs([h], _tolerance("tol", tol))[0]

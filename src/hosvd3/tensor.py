@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
+from .smalllinalg import pow2_prescale
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,6 +104,20 @@ def make_tensor(dims, elements) -> ComplexTensor:
     return ComplexTensor(flat.reshape(dims))
 
 
+def _mode(mode, order: int) -> int:
+    """mode as an int in 1..order.  Python and numpy integers pass; bools,
+    floats and values out of range raise ValueError."""
+    try:  # bool is an int subclass, and True must not read as 1
+        if isinstance(mode, bool):
+            raise TypeError
+        checked = operator.index(mode)
+    except TypeError:
+        raise ValueError(f"mode must be an integer in 1..{order}, got {mode!r}") from None
+    if not 1 <= checked <= order:
+        raise ValueError(f"mode {checked} out of range 1..{order}")
+    return checked
+
+
 def _cyclic_axes(order: int, mode: int) -> list[int]:
     # 0-based axis order (mode, mode+1, ..., N, 1, ..., mode-1)
     return [mode - 1] + list(range(mode, order)) + list(range(0, mode - 1))
@@ -118,8 +133,7 @@ def _mode_rows(data: np.ndarray, mode: int) -> np.ndarray:
 def unfold(t: ComplexTensor, mode: int) -> np.ndarray:
     """Mode-n unfolding with the cyclic column ordering (see module docstring):
     a read-only complex ndarray of shape (dims[mode - 1], size / dims[mode - 1])."""
-    if not 1 <= mode <= t.order:
-        raise ValueError(f"mode {mode} out of range 1..{t.order}")
+    mode = _mode(mode, t.order)
     m = t.data.transpose(_cyclic_axes(t.order, mode)).reshape(t.dims[mode - 1], -1)
     m.setflags(write=False)
     return m
@@ -129,8 +143,7 @@ def refold(m, mode: int, dims) -> ComplexTensor:
     """Inverse of :func:`unfold`: the tensor of shape dims whose mode-n
     unfolding is m; exact (no arithmetic) round trip."""
     dims = _dims(dims)
-    if not 1 <= mode <= len(dims):
-        raise ValueError(f"mode {mode} out of range 1..{len(dims)}")
+    mode = _mode(mode, len(dims))
     m = np.asarray(m, dtype=np.complex128)
     perm = _cyclic_axes(len(dims), mode)
     permuted_dims = tuple(dims[a] for a in perm)
@@ -164,5 +177,11 @@ def multilinear_transform(t: ComplexTensor, mats) -> ComplexTensor:
 
 
 def norm(t: ComplexTensor) -> float:
-    """Frobenius norm, sqrt(sum |t|^2)."""
-    return float(np.linalg.norm(t.data.ravel()))
+    """Frobenius norm, sqrt(sum |t|^2), of t scaled by an exact power of two
+    (see :func:`~hosvd3.smalllinalg.pow2_prescale`) and scaled back, so no
+    square on the way overflows or underflows; inf only where the norm
+    itself exceeds the float range.  Non-finite entries raise
+    ValidationError."""
+    data, e = pow2_prescale(t.data)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(data.ravel()), e))

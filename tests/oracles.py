@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from hosvd3 import ComplexTensor, ShapeError
+from hosvd3 import ComplexTensor, ShapeError, ValidationError
 
 
 def transform_by_summation(mats, data):
@@ -35,6 +35,15 @@ def transform_by_tensordot(mats, data):
     for axis, m in enumerate(mats):
         out = np.moveaxis(np.tensordot(m, out, axes=([1], [axis])), 0, axis)
     return np.ascontiguousarray(out)
+
+
+def validate_unitary(u):
+    """Frobenius residual ||u^dagger u - I||_F (0 for exact unitaries)."""
+    u = np.asarray(u, dtype=np.complex128)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValidationError("unitarity check expects a square matrix")
+    eye = np.eye(u.shape[0])
+    return float(np.linalg.norm(u.conj().T @ u - eye, "fro"))
 
 
 def inner(a, b):

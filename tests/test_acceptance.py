@@ -9,16 +9,9 @@ import time
 import numpy as np
 import pytest
 
-from hosvd3 import (
-    batch_sigma_squares,
-    classify,
-    hosvd,
-    multilinear_transform,
-    normalize,
-    phase_identity_residual,
-    plane_identity_residual,
-)
+from hosvd3 import classify, classify_batch, hosvd, multilinear_transform, normalize
 from hosvd3.cli import run
+from hosvd3.qubit3 import _identities
 from conftest import amplitudes
 from oracles import haar_state, haar_unitary, rdm_eigenvalues
 
@@ -47,12 +40,12 @@ def thousand_decompositions():
 
 @pytest.fixture(scope="module")
 def bulk_sigma():
-    """1e5 Haar-random sigma triples, computed with the vectorized helper."""
+    """1e5 Haar-random sigma triples, computed by classify_batch."""
     rng = np.random.Generator(np.random.Philox(BULK_SEED))
     start = time.perf_counter()
     z = rng.standard_normal((100_000, 8)) + 1j * rng.standard_normal((100_000, 8))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
-    sig = batch_sigma_squares(z)
+    sig = classify_batch(z).sigma
     elapsed = time.perf_counter() - start
     return sig, elapsed
 
@@ -88,11 +81,13 @@ def test_criterion_2_normalization(thousand_decompositions):
 def test_criterion_3_derived_identities(thousand_decompositions):
     records, _ = thousand_decompositions
     worst_plane = worst_phase = worst_forms = 0.0
-    for _, result in records:
+    for amps, result in records:
         core = result.core
         sigma = tuple(float(spec[0]) ** 2 for spec in result.spectra)
-        worst_plane = max(worst_plane, plane_identity_residual(core, sigma))
-        worst_phase = max(worst_phase, phase_identity_residual(core))
+        # the kernel of classify's residuals, on the generic route's core
+        found, _ = _identities(amps[None], core.data[None], np.array([sigma]), 1e-10)
+        worst_plane = max(worst_plane, float(found["plane_identity"][0]))
+        worst_phase = max(worst_phase, float(found["phase_identity"][0]))
         # the two equivalent plane forms, evaluated independently here
         t = core.data
         s1 = float(np.sum(np.abs(t[0]) ** 2))
@@ -224,13 +219,9 @@ def test_criterion_6_lu_covariance():
 
 
 def _polynomial_separability(state, tol=1e-10):
-    from hosvd3 import separability_minor_residual
-
-    pure = [
-        cut
-        for cut in ("A_BC", "B_CA", "C_AB")
-        if separability_minor_residual(state, cut) <= tol
-    ]
+    x = state.data[None]
+    minors, _ = _identities(x, x, np.zeros((1, 3)), tol)
+    pure = [cut for cut in ("A_BC", "B_CA", "C_AB") if minors[f"minors_{cut}"][0] <= tol]
     if len(pure) >= 2:
         return "fully_separable"
     if len(pure) == 1:

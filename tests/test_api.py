@@ -1,20 +1,19 @@
 import inspect
+import pathlib
 
 import hosvd3
 
 PUBLIC = {
     "ComplexTensor", "make_tensor", "unfold", "refold", "multilinear_transform", "norm",
-    "EigenDecomposition", "gram", "hermitian_eig", "validate_unitary",
-    "HosvdResult", "HosvdResiduals", "hosvd", "mode_singular_values",
-    "verify_all_orthogonality", "reconstruct",
+    "EigenDecomposition", "gram", "hermitian_eig",
+    "HosvdResult", "HosvdResiduals", "hosvd", "verify_all_orthogonality",
     "ThreeQubitState", "Classification", "PolytopeMembership", "normalize",
-    "one_body_rdms", "two_body_rdms", "separability_minor_residual",
-    "core_biseparability_residual", "plane_identity_residual", "phase_identity_residual",
-    "plane_coefficients", "classify", "polytope_membership", "guarded_t111_t222_check",
-    "batch_sigma_squares", "classify_batch", "BatchClassification",
+    "one_body_rdms", "two_body_rdms", "classify", "polytope_membership",
+    "classify_batch", "BatchClassification",
     "ShapeError", "DomainError", "ValidationError", "NumericalError",
     "__version__",
 }
+README = pathlib.Path(__file__).parent.parent.joinpath("README.md")
 
 
 def test_public_names():
@@ -27,7 +26,11 @@ def test_public_names():
         assert doc and not doc.startswith(f"{name}("), name
     assert isinstance(hosvd3.__version__, str)
     for gone in ("UnfoldedMatrix", "DensityMatrix", "PolytopePoint", "polytope_point",
-                 "separability_class"):
+                 "separability_class", "batch_sigma_squares", "reconstruct",
+                 "mode_singular_values", "validate_unitary", "separability_minor_residual",
+                 "core_biseparability_residual", "plane_coefficients",
+                 "plane_identity_residual", "phase_identity_residual",
+                 "guarded_t111_t222_check"):
         assert not hasattr(hosvd3, gone)
     assert not hasattr(hosvd3.ComplexTensor, "elements")
     # a state is its tensor: no second copy and no accessors of its own
@@ -35,3 +38,11 @@ def test_public_names():
     state = hosvd3.normalize([1, 0, 0, 0, 0, 0, 0, 0])
     for gone in ("amplitudes", "amplitude", "as_tensor", "_tensor"):
         assert not hasattr(state, gone), gone
+
+
+def test_every_public_name_is_documented():
+    # the README names each export, in backticks, with what it computes
+    text = README.read_text()
+    assert len(hosvd3.__all__) == 28
+    for name in hosvd3.__all__:
+        assert f"`{name}`" in text, name

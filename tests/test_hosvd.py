@@ -7,14 +7,12 @@ from hosvd3 import (
     ValidationError,
     hosvd,
     make_tensor,
-    mode_singular_values,
     multilinear_transform,
     norm,
-    reconstruct,
-    validate_unitary,
     verify_all_orthogonality,
 )
-from oracles import haar_state, haar_unitary, inner, rdm_eigenvalues, subtensor
+from hosvd3.hosvd import _mode_singular_values
+from oracles import haar_state, haar_unitary, inner, rdm_eigenvalues, subtensor, validate_unitary
 
 
 def haar_tensor(rng):
@@ -71,7 +69,7 @@ class TestModeSingularValues:
         core = ghz_equal
         for mode in (1, 2, 3):
             np.testing.assert_allclose(
-                mode_singular_values(core, mode),
+                _mode_singular_values(core, mode),
                 [1 / np.sqrt(2), 1 / np.sqrt(2)],
                 atol=1e-15,
             )
@@ -80,7 +78,7 @@ class TestModeSingularValues:
         core = w_state
         for mode in (1, 2, 3):
             np.testing.assert_allclose(
-                mode_singular_values(core, mode),
+                _mode_singular_values(core, mode),
                 [np.sqrt(2 / 3), np.sqrt(1 / 3)],
                 atol=1e-15,
             )
@@ -88,7 +86,7 @@ class TestModeSingularValues:
     def test_basis(self):
         core = make_tensor([2, 2, 2], np.eye(8)[0])
         for mode in (1, 2, 3):
-            np.testing.assert_array_equal(mode_singular_values(core, mode), [1.0, 0.0])
+            np.testing.assert_array_equal(_mode_singular_values(core, mode), [1.0, 0.0])
 
     def test_matches_subtensor_norms(self, rng):
         t = ComplexTensor(rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4)))
@@ -96,11 +94,7 @@ class TestModeSingularValues:
             expected = [
                 norm(subtensor(t, mode, i)) for i in range(1, t.dims[mode - 1] + 1)
             ]
-            np.testing.assert_allclose(mode_singular_values(t, mode), expected, rtol=1e-15)
-
-    def test_mode_out_of_range(self):
-        with pytest.raises(ValueError):
-            mode_singular_values(make_tensor([2, 2], np.zeros(4)), 3)
+            np.testing.assert_allclose(_mode_singular_values(t, mode), expected, rtol=1e-15)
 
 
 class TestAllOrthogonality:
@@ -149,19 +143,25 @@ class TestAllOrthogonality:
 
 
 class TestReconstruct:
+    """The factors applied to the core give back the input."""
+
     def test_basis(self):
         t = make_tensor([2, 2, 2], np.eye(8)[0])
-        np.testing.assert_allclose(reconstruct(hosvd(t)).data, t.data, atol=1e-15)
+        r = hosvd(t)
+        np.testing.assert_allclose(multilinear_transform(r.core, r.factors).data, t.data,
+                                   atol=1e-15)
 
     def test_ghz_86(self, ghz_86):
-        t = ghz_86
-        np.testing.assert_allclose(reconstruct(hosvd(t)).data, t.data, atol=1e-13)
+        r = hosvd(ghz_86)
+        np.testing.assert_allclose(multilinear_transform(r.core, r.factors).data, ghz_86.data,
+                                   atol=1e-13)
 
     def test_many_random(self, rng):
         worst = 0.0
         for _ in range(200):
             t = haar_tensor(rng)
-            err = norm(ComplexTensor(reconstruct(hosvd(t)).data - t.data))
+            r = hosvd(t)
+            err = norm(ComplexTensor(multilinear_transform(r.core, r.factors).data - t.data))
             worst = max(worst, err)
         assert worst <= 1e-12
 
@@ -256,6 +256,12 @@ def test_nan_rejected_before_eigensolve():
         hosvd(ComplexTensor(data))
 
 
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+def test_bad_tol_rejected(tol):
+    with pytest.raises(ValidationError, match="tol must be finite and >= 0"):
+        hosvd(make_tensor([2, 2], [1, 0, 0, 1]), tol=tol)
+
+
 def test_degenerate_modes_scale_free(rng, b1_fixture):
     generic = ComplexTensor(rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2)))
     for t in (generic, b1_fixture):
@@ -277,7 +283,7 @@ def test_scale_exact(rng):
         for got, want in zip(r.spectra, ref.spectra):
             np.testing.assert_allclose(got / c, want, rtol=1e-13)
         np.testing.assert_allclose(
-            reconstruct(r).data / c, t.data, rtol=0, atol=1e-13
+            multilinear_transform(r.core, r.factors).data / c, t.data, rtol=0, atol=1e-13
         )
 
 

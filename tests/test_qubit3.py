@@ -13,20 +13,13 @@ from hosvd3 import (
     ShapeError,
     ThreeQubitState,
     ValidationError,
-    batch_sigma_squares,
     classify,
     classify_batch,
-    core_biseparability_residual,
-    guarded_t111_t222_check,
     hosvd,
     multilinear_transform,
     normalize,
     one_body_rdms,
-    phase_identity_residual,
-    plane_coefficients,
-    plane_identity_residual,
     polytope_membership,
-    separability_minor_residual,
     two_body_rdms,
 )
 from hosvd3.qubit3 import (
@@ -35,6 +28,7 @@ from hosvd3.qubit3 import (
     _decide_case,
     _decide_special,
     _hosvd_batch,
+    _identities,
     _separability,
     _unit_rows,
 )
@@ -66,6 +60,15 @@ def biproduct_state(rng, cut):
     else:
         amps = np.einsum("k,ij->ijk", q, pair)
     return normalize(amps)
+
+
+def identities(x, core, sigma=(0.0, 0.0, 0.0), tol=1e-10):
+    """The identities classify reports in its residuals, from the one kernel
+    that evaluates them: of the state x (the minors) and of its core (the
+    rest), at the sigma triple, as floats.  At sigma 0 both plane forms
+    read 0."""
+    out, _ = _identities(x.data[None], core.data[None], np.array([sigma], dtype=float), tol)
+    return {name: float(value[0]) for name, value in out.items()}
 
 
 def apply_lu(state, mats):
@@ -249,7 +252,7 @@ class TestSeparability:
             s[2, 1, 1] * s[1, 2, 2] - s[2, 1, 2] * s[1, 2, 1],
         ]
         expected = max(abs(v) for v in conditions)
-        assert separability_minor_residual(s, "C_AB") == pytest.approx(expected, rel=1e-12)
+        assert identities(s, s)["minors_C_AB"] == pytest.approx(expected, rel=1e-12)
 
     def test_spectral_vs_polynomial_consistency(self, rng):
         # small version of the bulk acceptance run
@@ -264,7 +267,7 @@ class TestSeparability:
             spectral = classify(s).separability
             polynomial_pure = [
                 cut for cut in ("A_BC", "B_CA", "C_AB")
-                if separability_minor_residual(s, cut) <= 1e-10
+                if identities(s, s)[f"minors_{cut}"] <= 1e-10
             ]
             if len(polynomial_pure) >= 2:
                 poly = "fully_separable"
@@ -278,45 +281,19 @@ class TestSeparability:
 class TestCoreBiseparability:
     def test_cab_core_zero(self):
         core = ComplexTensor(amplitudes(a111=np.sqrt(0.7), a221=np.sqrt(0.3)).reshape(2, 2, 2))
-        assert core_biseparability_residual(core, "C_AB") == 0.0
+        assert identities(core, core)["core_bisep_C_AB"] == 0.0
 
     def test_ghz_core_all_cuts_zero(self, ghz_equal):
         core = ghz_equal
         for cut in ("A_BC", "B_CA", "C_AB"):
             # all six monomials vanish even though GHZ is genuine; the single
             # condition is necessary only
-            assert core_biseparability_residual(core, cut) == 0.0
+            assert identities(core, core)[f"core_bisep_{cut}"] == 0.0
 
     def test_product_core(self, rng):
         for _ in range(10):
             s = biproduct_state(rng, "C_AB")
-            core = hosvd(s).core
-            assert core_biseparability_residual(core, "C_AB") <= 1e-12
-
-    def test_non_core_rejected(self):
-        not_core = ComplexTensor(
-            amplitudes(a111=1 / np.sqrt(2), a211=1 / np.sqrt(2)).reshape(2, 2, 2)
-        )
-        with pytest.raises(ValidationError):
-            core_biseparability_residual(not_core, "C_AB")
-
-    @pytest.mark.parametrize("scale", [1e-3, 1e-6, 1e-170, 1e200])
-    def test_non_core_rejected_at_any_scale(self, scale):
-        not_core = ComplexTensor(
-            scale * amplitudes(a111=1 / np.sqrt(2), a211=1 / np.sqrt(2)).reshape(2, 2, 2)
-        )
-        with pytest.raises(ValidationError):
-            core_biseparability_residual(not_core, "C_AB")
-
-    @pytest.mark.parametrize("scale", [1e-170, 1e-6, 1e6, 1e150])
-    def test_scaled_core_accepted(self, rng, scale):
-        core, _ = core_and_sigma(biproduct_state(rng, "C_AB"))
-        scaled = ComplexTensor(scale * core.data)
-        assert core_biseparability_residual(scaled, "C_AB") <= 1e-12 * scale**2
-
-    def test_unknown_cut(self, ghz_equal):
-        with pytest.raises(ValueError):
-            core_biseparability_residual(ghz_equal, "AB_C")
+            assert identities(s, hosvd(s).core)["core_bisep_C_AB"] <= 1e-12
 
 
 def core_and_sigma(s):
@@ -325,29 +302,35 @@ def core_and_sigma(s):
     return result.core, tuple(float(spec[0]) ** 2 for spec in result.spectra)
 
 
+def core_identities(s, tol=1e-10):
+    """identities of s with its hosvd core, at the core's sigma triple."""
+    core, sigma = core_and_sigma(s)
+    return identities(s, core, sigma, tol)
+
+
 class TestPlaneIdentity:
     def test_ghz_core_exact_zero(self, ghz_86):
-        assert plane_identity_residual(*core_and_sigma(ghz_86)) == 0.0
+        assert core_identities(ghz_86)["plane_identity"] == 0.0
 
     def test_w_core_zero(self, w_state):
-        assert plane_identity_residual(w_state, (2 / 3, 2 / 3, 2 / 3)) == 0.0
+        assert identities(w_state, w_state, (2 / 3, 2 / 3, 2 / 3))["plane_identity"] == 0.0
 
     def test_random_cores(self, rng):
         worst = 0.0
         for _ in range(300):
-            worst = max(worst, plane_identity_residual(*core_and_sigma(haar_3q(rng))))
+            worst = max(worst, core_identities(haar_3q(rng))["plane_identity"])
         assert worst <= 1e-11
 
     def test_forms_disagree_off_the_plane(self):
         # a triple that is not the core's: the companion form, in t221, t122
         # and t212, reads 0 while the first does not
+        s = normalize(amplitudes(a111=0.8, a112=0.6))
         with pytest.raises(NumericalError):
-            plane_identity_residual(normalize(amplitudes(a111=0.8, a112=0.6)), (0.1, 0.9, 0.5))
+            identities(s, s, (0.1, 0.9, 0.5))
 
     def test_coefficients_sum_to_zero(self, rng):
-        core = hosvd(haar_3q(rng)).core
-        a, b, c = plane_coefficients(core)
-        assert a + b + c == pytest.approx(0.0, abs=1e-15)
+        r = core_identities(haar_3q(rng))
+        assert r["plane_a"] + r["plane_b"] + r["plane_c"] == pytest.approx(0.0, abs=1e-15)
 
     def test_symbolic_equivalence(self):
         sympy = pytest.importorskip("sympy")
@@ -366,80 +349,44 @@ class TestPlaneIdentity:
 
 class TestPhaseIdentity:
     def test_ghz_core(self, ghz_equal):
-        assert phase_identity_residual(ghz_equal) == 0.0
+        assert identities(ghz_equal, ghz_equal)["phase_identity"] == 0.0
 
     def test_two_off_corner_elements(self):
-        t = ComplexTensor(
-            normalize(amplitudes(a112=0.6, a221=0.8j)).data
-        )
+        t = normalize(amplitudes(a112=0.6, a221=0.8j))
         # every quartic product contains a vanishing factor
-        assert phase_identity_residual(t) == 0.0
+        assert identities(t, t)["phase_identity"] == 0.0
 
     def test_random_cores(self, rng):
         worst = 0.0
         for _ in range(2000):
-            core = hosvd(haar_3q(rng)).core
-            worst = max(worst, phase_identity_residual(core))
+            s = haar_3q(rng)
+            worst = max(worst, identities(s, hosvd(s).core)["phase_identity"])
         assert worst <= 1e-11
 
 
 class TestGuardedCheck:
+    """The t111/t222 formulas read NaN where their shared denominator is
+    within tol * norm^2 of zero."""
+
     def test_ghz_absent(self, ghz_86):
-        assert guarded_t111_t222_check(hosvd(ghz_86).core) is None
+        r = core_identities(ghz_86)
+        assert math.isnan(r["t111_formula"]) and math.isnan(r["t222_formula"])
 
     def test_b1_absent(self, b1_fixture):
-        core = hosvd(b1_fixture).core
-        assert guarded_t111_t222_check(core) is None
+        r = core_identities(b1_fixture)
+        assert math.isnan(r["t111_formula"]) and math.isnan(r["t222_formula"])
 
     def test_random_cores(self, rng):
         checked = 0
         for _ in range(300):
-            core = hosvd(haar_3q(rng)).core
-            result = guarded_t111_t222_check(core, tol=1e-6)
-            if result is None:
+            r = core_identities(haar_3q(rng), tol=1e-6)
+            if math.isnan(r["t111_formula"]):
+                assert math.isnan(r["t222_formula"])
                 continue
             checked += 1
-            r111, r222 = result
-            assert r111 <= 1e-9
-            assert r222 <= 1e-9
+            assert r["t111_formula"] <= 1e-9
+            assert r["t222_formula"] <= 1e-9
         assert checked > 250  # generic states pass the guard
-
-    @pytest.mark.parametrize("scale", [1e-150, 1e-6, 1e6, 1e150])
-    def test_scale_invariant(self, rng, scale):
-        for _ in range(20):
-            core = hosvd(haar_3q(rng)).core
-            unit = guarded_t111_t222_check(core)
-            scaled = guarded_t111_t222_check(ComplexTensor(scale * core.data))
-            assert (unit is None) == (scaled is None)
-            if unit is not None:
-                assert max(scaled) / scale <= 1e-13
-
-
-class TestIdentityScales:
-    """The identity readers evaluate the tensor scaled by a power of two and
-    scale back: a tensor scaled by 2^k reads 2^(degree k) times the values
-    of the tensor, and inf where that is beyond the float range."""
-
-    @pytest.mark.parametrize("k", [-500, 200, 500, 660])
-    def test_values_scale_back(self, rng, k):
-        core, sigma = core_and_sigma(haar_3q(rng))
-        # a generic tensor, not a core, so that the phase identity is not 0
-        t = ComplexTensor(rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2)))
-        readers = [
-            (phase_identity_residual, t, 4),
-            (lambda x: core_biseparability_residual(x, "A_BC"), core, 2),
-            (lambda x: plane_identity_residual(x, sigma), core, 2),
-            (lambda x: plane_coefficients(x)[0], core, 2),
-        ]
-        for read, x, degree in readers:
-            unit = read(x)
-            assert unit != 0.0
-            try:
-                want = math.ldexp(unit, degree * k)
-            except OverflowError:
-                want = math.copysign(math.inf, unit)
-            assert read(ComplexTensor(np.ldexp(x.data.view(np.float64), k)
-                                      .view(np.complex128))) == want
 
 
 class TestClassify:
@@ -668,6 +615,22 @@ class TestPolytope:
         assert not m.member
         assert m.residuals["s1+s2-s3<=1"] == pytest.approx(0.3)
 
+    @pytest.mark.parametrize("sigma", [(1.0, 0.5), (1.0, 0.5, 0.5, 0.5), "abc", 0.75,
+                                       [[1.0, 0.5, 0.5]]])
+    def test_membership_needs_a_triple(self, sigma):
+        with pytest.raises(ShapeError, match="triple"):
+            polytope_membership(sigma)
+
+    @pytest.mark.parametrize("sigma", [(0.75, np.nan, 0.75), (np.inf, 0.5, 0.5),
+                                       (0.5, 0.5, -np.inf), ("a", "b", "c"), (0.5, 0.5, 1j)])
+    def test_membership_needs_finite_numbers(self, sigma):
+        with pytest.raises(ValidationError):
+            polytope_membership(sigma)
+
+    def test_membership_residuals_are_floats(self):
+        m = polytope_membership(np.array([0.75, 0.75, 0.5]))
+        assert m.member and all(type(v) is float for v in m.residuals.values())
+
     def test_sampled_states_inside(self, rng):
         for _ in range(200):
             sigma = classify(haar_3q(rng)).sigma_triple
@@ -675,7 +638,7 @@ class TestPolytope:
 
     def test_batch_matches_pointwise(self, rng):
         batch = np.array([haar_state(rng) for _ in range(64)])
-        vec = batch_sigma_squares(batch)
+        vec = classify_batch(batch).sigma
         for row, amps in zip(vec, batch):
             sigma = classify(normalize(amps)).sigma_triple
             np.testing.assert_allclose(row, sigma, atol=1e-12)
@@ -814,7 +777,6 @@ class TestClassifyBatch:
         amps = philox_haar(20, 4)
         flat, tensor = classify_batch(amps), classify_batch(amps.reshape(20, 2, 2, 2))
         np.testing.assert_array_equal(flat.sigma, tensor.sigma)
-        assert batch_sigma_squares(amps).tolist() == flat.sigma.tolist()
 
     @pytest.mark.parametrize("shape", [(8,), (2, 2, 2), (3, 7), (3, 2, 4), (3, 2, 2, 2, 1), (3, 4, 2)])
     def test_wrong_shape(self, shape):
@@ -846,5 +808,39 @@ class TestInputValidation:
             normalize(np.zeros(7))
 
     def test_plane_identity_needs_2x2x2(self):
-        with pytest.raises(ShapeError):
-            plane_identity_residual(ComplexTensor(np.zeros((2, 2))), (1.0, 1.0, 1.0))
+        # classify's residuals are the route to the identities
+        for dims in ((2, 2), (2, 2, 2, 1), (8,)):
+            with pytest.raises(ShapeError):
+                classify(ComplexTensor(np.full(dims, 1 / np.sqrt(8))))
+
+
+BAD_TOLERANCES = [-1.0, -1e-300, np.nan, np.inf, -np.inf]
+
+
+class TestTolerances:
+    """Every tolerance must be finite and >= 0, as the CLI flags must be."""
+
+    @pytest.mark.parametrize("bad", BAD_TOLERANCES)
+    def test_classify(self, ghz_86, bad):
+        with pytest.raises(ValidationError, match="^tol must be finite and >= 0"):
+            classify(ghz_86, tol=bad)
+        with pytest.raises(ValidationError, match="^sigma_tol must be finite and >= 0"):
+            classify(ghz_86, sigma_tol=bad)
+
+    @pytest.mark.parametrize("bad", BAD_TOLERANCES)
+    def test_classify_batch(self, bad):
+        amps = philox_haar(4, 1)
+        with pytest.raises(ValidationError, match="^tol must be finite and >= 0"):
+            classify_batch(amps, tol=bad)
+        with pytest.raises(ValidationError, match="^sigma_tol must be finite and >= 0"):
+            classify_batch(amps, sigma_tol=bad)
+
+    @pytest.mark.parametrize("bad", BAD_TOLERANCES)
+    def test_polytope_membership(self, bad):
+        with pytest.raises(ValidationError, match="^tol must be finite and >= 0"):
+            polytope_membership((0.75, 0.75, 0.5), tol=bad)
+
+    def test_zero_accepted(self, ghz_86):
+        assert classify(ghz_86, tol=0.0, sigma_tol=0.0).special == "ghz"
+        assert classify_batch(philox_haar(4, 1), tol=0.0, sigma_tol=0.0).sigma.shape == (4, 3)
+        assert polytope_membership((0.75, 0.75, 0.5), tol=0.0).member

@@ -10,7 +10,6 @@ from hosvd3 import (
     hosvd,
     make_tensor,
     unfold,
-    validate_unitary,
 )
 from hosvd3.smalllinalg import _MAX_SWEEPS, _VECTOR_MIN, _hermitian_eigs, _round_robin
 from oracles import (
@@ -18,6 +17,7 @@ from oracles import (
     eigh_descending,
     haar_unitary,
     one_body_rdm_by_summation,
+    validate_unitary,
 )
 
 
@@ -114,6 +114,12 @@ class TestHermitianEig:
     def test_degenerate_flag_relative_to_trace(self):
         assert not hermitian_eig(np.diag([1e-6, 0.5e-6])).degenerate
         assert hermitian_eig(np.diag([0.5e6, 0.5e6 + 1e-6])).degenerate
+
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, -np.inf, np.inf])
+    def test_bad_tol_rejected(self, tol):
+        # not read as a hermiticity slack: "not Hermitian within -1" misleads
+        with pytest.raises(ValidationError, match="tol must be finite and >= 0"):
+            hermitian_eig(np.eye(2), tol=tol)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValidationError):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hosvd3 import (
     ComplexTensor,
     ShapeError,
+    ValidationError,
     make_tensor,
     multilinear_transform,
     norm,
@@ -151,12 +152,51 @@ class TestUnfold:
         with pytest.raises(ValueError):
             unfold(t, 0)
 
+    @pytest.mark.parametrize("mode", [True, 1.5, 2.0, "1", None])
+    def test_mode_not_an_integer(self, mode):
+        t = make_tensor([2, 2], np.zeros(4))
+        with pytest.raises(ValueError, match="mode must be an integer"):
+            unfold(t, mode)
+        with pytest.raises(ValueError, match="mode must be an integer"):
+            refold(np.zeros((2, 2)), mode, [2, 2])
+
+    def test_numpy_integer_mode_accepted(self, rng):
+        t = random_tensor(rng, (3, 2, 4))
+        for mode in (np.int64(2), np.uint8(3)):
+            assert unfold(t, mode).tobytes() == unfold(t, int(mode)).tobytes()
+            assert refold(unfold(t, mode), mode, t.dims).data.tobytes() == t.data.tobytes()
+
     def test_frobenius_norm_preserved(self, rng):
         t = random_tensor(rng, (3, 2, 4))
         for mode in (1, 2, 3):
             assert np.isclose(
                 np.linalg.norm(unfold(t, mode)), norm(t), rtol=1e-15
             )
+
+
+class TestNorm:
+    def test_power_of_two_scales_exactly(self, rng):
+        # entries of magnitude in [1, 2) stay normal numbers at every scale
+        # here, so scaling by 2^k scales the norm by exactly 2^k
+        data = rng.uniform(1.0, 2.0, (2, 2, 2)) * rng.choice([-1.0, 1.0], (2, 2, 2))
+        t = ComplexTensor(data + 1j * data[::-1])
+        unit = norm(t)
+        for k in range(-1020, 1021, 5):
+            assert norm(ComplexTensor(np.ldexp(1.0, k) * t.data)) == np.ldexp(unit, k), k
+
+    @pytest.mark.parametrize("value", [1e200, 1e-170, 1e-200])
+    def test_no_overflow_or_underflow(self, value):
+        t = make_tensor([2], [value, value])
+        assert norm(t) == pytest.approx(value * np.sqrt(2.0), rel=1e-15, abs=0.0)
+
+    def test_beyond_the_float_range_is_inf(self):
+        assert norm(make_tensor([2], [1.7e308, 1.7e308])) == np.inf
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_rejected(self, bad):
+        # as hosvd rejects it: no scale exists for an inf or nan entry
+        with pytest.raises(ValidationError, match="must be finite"):
+            norm(make_tensor([2], [1.0, bad]))
 
 
 class TestRefold:
