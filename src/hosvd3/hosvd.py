@@ -32,11 +32,14 @@ class HosvdResiduals:
 class HosvdResult:
     """Factors U(n), core tensor, per-mode singular values, and diagnostics.
 
-    ``spectra[n-1]`` holds the mode-n singular values, descending; their
-    squares are the eigenvalues of gram(unfold(input, n)).  Modes whose
-    Gram spectrum has a gap at or below tol * ||input||^2 (the decomposition
-    tolerance relative to the Gram trace) are listed in ``degenerate_modes``
-    (1-based); core element patterns are gauge-dependent there.
+    ``spectra[n-1]`` holds the mode-n singular values: the core's mode-n
+    slice norms, in the order of the descending eigenvalues of
+    gram(unfold(input, n)), which they square.  At noise level that order
+    can break (ROADMAP item 11): most Gaussian 4x4x4 tensors of multilinear
+    rank (2, 2, 2) read their two noise-level values out of order.  Modes
+    whose Gram spectrum has a gap at or below tol * ||input||^2 (relative
+    to the Gram trace) are listed in ``degenerate_modes`` (1-based); core
+    element patterns are gauge-dependent there.
     """
 
     factors: tuple[np.ndarray, ...]
@@ -80,7 +83,7 @@ def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:
     t transformed by the conjugate transposes.  `tol` controls hermiticity
     validation inside the eigensolver and the degeneracy flags.  The Gram
     matrices of all modes are solved in one eigensolver call (equal sizes
-    from 12 up as one stack); when sweeps do not converge, the
+    as one stack); when sweeps do not converge, the
     NumericalError names the lowest-numbered mode that failed.
 
     The work is done on t scaled by an exact power of two (see

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, ShapeError, ValidationError
-from .smalllinalg import _PIVOT_TOL, _tolerance, gram
+from .smalllinalg import _PIVOT_TOL, _ordered, _rotation, _tolerance, gram
 from .tensor import ComplexTensor, unfold
 
 CUTS = ("A_BC", "B_CA", "C_AB")
@@ -93,11 +93,13 @@ class ThreeQubitState(ComplexTensor):
             raise ValidationError("entries must be finite")
         object.__setattr__(self, "data", arr.reshape(2, 2, 2))
         super().__post_init__()
-        total = np.linalg.norm(self.data.ravel())
-        if not abs(total - 1.0) <= 1e-10:
-            raise ValidationError(
-                f"state is not normalized (norm {total!r}); use normalize()"
-            )
+        _check_unit_norm(self.data)
+
+
+def _check_unit_norm(data: np.ndarray) -> None:
+    total = np.linalg.norm(data.ravel())
+    if not abs(total - 1.0) <= 1e-10:
+        raise ValidationError(f"state is not normalized (norm {total!r}); use normalize()")
 
 
 def normalize(amplitudes) -> ThreeQubitState:
@@ -202,57 +204,52 @@ def _transform(x: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return x
 
 
+def _grams(x: np.ndarray) -> np.ndarray:
+    """The one-body Gram matrices of states x (M, 2, 2, 2), as (M, 3, 2, 2),
+    made exactly Hermitian, each scaled by the power of two that puts its
+    largest real or imaginary part in [0.5, 1), as pow2_prescale does."""
+    unf = x.reshape(-1, 8)[:, _UNFOLD]
+    g = unf @ unf.conj().swapaxes(2, 3)
+    parts = ((g + g.conj().swapaxes(2, 3)) / 2.0).view(np.float64)
+    e = np.frexp(np.abs(parts).max(axis=(2, 3)))[1]
+    return np.ldexp(parts, -e[..., None, None]).view(np.complex128)
+
+
 def _hosvd_batch(x: np.ndarray, tol: float):
     """(core, factors, sigma, degenerate) of unit-norm states x, shape
     (M, 2, 2, 2): the HOSVD cores (M, 2, 2, 2), the factors U(n) as
     (M, 3, 2, 2), the sigma triples (M, 3) and the per-mode degeneracy
     flags (M, 3).
 
-    A 2x2 Gram matrix takes exactly one Jacobi rotation, and this applies
-    the rotation of hermitian_eig as array operations: the same
-    power-of-two prescale of the Gram matrix, pivot test, formulas, column
-    gauge (largest entry real and >= 0, lowest row on ties), stable
-    descending order and degeneracy rule.  The core and sigma are then
-    formed as hosvd forms them, so they agree with its to the last bit or
-    so, which is what decides a pure one-body matrix at tol = 0.
+    A 2x2 Gram matrix takes exactly one Jacobi rotation.  Each prescaled
+    Gram (see :func:`_grams`) gets the eigensolver's pivot test, rotation
+    (``_rotation``) and epilogue (``_ordered``: gauge, stable descending
+    order and degeneracy rule) as array operations, so the factors and
+    flags are those hermitian_eig gives for the same prescaled Gram, bit
+    for bit.  The core and sigma are then formed as hosvd forms them, so
+    they agree with its to the last bit or so, which is what decides a
+    pure one-body matrix at tol = 0.
     """
-    unf = x.reshape(-1, 8)[:, _UNFOLD]
-    g = unf @ unf.conj().swapaxes(2, 3)
-    g = (g + g.conj().swapaxes(2, 3)) / 2.0
-    parts = g.view(np.float64)
-    e = np.frexp(np.abs(parts).max(axis=(2, 3)))[1]
-    a = np.ldexp(parts, -e[..., None, None]).view(np.complex128)
+    a = _grams(x)
     app, aqq, apq = a[..., 0, 0].real, a[..., 1, 1].real, a[..., 0, 1]
-
     mag = np.hypot(apq.real, apq.imag)
     rotated = mag > _PIVOT_TOL
-    # t = 0 and a unit phase leave an unrotated matrix and V = I as they are
-    mag = np.where(rotated, mag, 1.0)
-    d, m2 = aqq - app, 2.0 * mag
-    t = np.where(rotated, np.copysign(m2 / (np.abs(d) + np.hypot(d, m2)), d), 0.0)
-    c = 1.0 / np.hypot(1.0, t)
-    s = t * c
-    # conj(apq / mag), divided part by part
-    phase = np.where(rotated, apq.real / mag - 1j * (apq.imag / mag), 1.0)
-    # the rotated diagonal, and the eigenvector columns (c, -s phase) and
-    # (s, c phase) that the rotation leaves in V
-    ev0, ev1 = app - t * mag, aqq + t * mag
-    v = np.stack([c, s, -(s * phase), c * phase], axis=-1).reshape(-1, 3, 2, 2)
-
-    # gauge, then descending order, as hermitian_eig
-    size = np.abs(v)
-    pivots = np.where(size[..., 1, :] > size[..., 0, :], v[..., 1, :], v[..., 0, :])
-    v = v * (pivots.conj() / np.abs(pivots))[..., None, :]
-    v = np.where((ev1 > ev0)[..., None, None], v[..., ::-1], v)
-    high, low = np.maximum(ev0, ev1), np.minimum(ev0, ev1)
-    degenerate = high - low <= tol * (np.abs(high) + np.abs(low))
+    # t = 0, c = 1, s = 0 and a unit phase leave an unrotated matrix and
+    # V = I as they are
+    t, c, s, phase = _rotation(app, aqq, apq, np.where(rotated, mag, 1.0))
+    t, s = np.where(rotated, t, 0.0), np.where(rotated, s, 0.0)
+    c, phase = np.where(rotated, c, 1.0), np.where(rotated, phase, 1.0)
+    eigenvalues = np.stack([app - t * mag, aqq + t * mag], axis=-1).reshape(-1, 2)
+    v = np.stack([c, s, -(s * phase), c * phase], axis=-1).reshape(-1, 2, 2)
+    _, v, degenerate = _ordered(eigenvalues, v, tol)
+    v = v.reshape(-1, 3, 2, 2)
 
     core = _transform(x, v.conj().swapaxes(2, 3))
     # sigma1(n)^2: the squared norm of the core's first mode-n slice, as hosvd
     power = np.abs(core) ** 2
     norms = np.sqrt(np.stack([power.take(0, axis=n).reshape(-1, 4).sum(axis=1)
                               for n in (1, 2, 3)], axis=1))
-    return core, v, norms**2, degenerate
+    return core, v, norms**2, degenerate.reshape(-1, 3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,10 +430,12 @@ def classify(
     The residuals are the reconstruction error and all-orthogonality of
     that decomposition, reported and not held against `tol`, and the core
     identities, evaluated at its sigma triple.  A tensor that is not
-    2x2x2 raises ShapeError.
+    2x2x2 raises ShapeError, one whose norm is not 1 within 1e-10
+    ValidationError, as :class:`ThreeQubitState` does.
     """
     if s.dims != (2, 2, 2):
         raise ShapeError(f"classify needs a 2x2x2 state, got dims {s.dims}")
+    _check_unit_norm(s.data)
     x = s.data[None]
     row, core, factors = _classify_rows(x, tol, sigma_tol)
     # relative, since s has unit norm

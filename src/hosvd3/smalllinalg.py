@@ -4,13 +4,15 @@ Hermitian eigenproblems are solved by complex Jacobi rotations, which are
 unconditionally stable, in the round-robin (parallel) order of Brent and
 Luk: each sweep is a fixed sequence of steps of disjoint index pairs, and
 every pair is rotated at most once per sweep.  A rotation is elementwise
-work on two rows and two columns.  Below ``_VECTOR_MIN`` (12) the rotations
-are applied pair by pair on Python complex lists; from 12 up, the
-matrices of one size are swept together as a stack, stored side by side
-in one array, and the rotations of one step in every matrix of the stack
-are applied as one numpy update.  Each entry gets the same elementwise
-operations in the same order whatever else is in the stack, so a matrix's
-bits do not depend on its stack mates.  No rotation goes through a matrix
+work on two rows and two columns.  The matrices of one size are swept
+together as a stack, stored side by side in one array, and the rotations
+of one step in every matrix of the stack are applied as one numpy update;
+a matrix solved alone is a stack of one.  Each entry gets the same
+elementwise operations in the same order whatever else is in the stack, so
+a matrix's bits do not depend on its stack mates.  The rotation
+(:func:`_rotation`) and the epilogue (:func:`_ordered`: gauge, order and
+degeneracy flag) are array functions over many matrices, which the
+three-qubit closed form shares.  No rotation goes through a matrix
 product, so the eigensolver uses no BLAS and its output does not depend on
 the memory layout of its input.  The order, pivot test and gauge are
 fixed, so the same input gives the same output bits.  Gram products and
@@ -33,17 +35,6 @@ _MAX_SWEEPS = 60
 # pivots at or below this are not rotated, in a matrix prescaled so that its
 # largest part lies in [0.5, 1); a sweep that rotates nothing ends the solve
 _PIVOT_TOL = 1e-15
-# smallest n swept as a stack by whole-step numpy updates.  A stack costs
-# about the same for 1-4 matrices, the list sweeps cost the same again for
-# each matrix.  List/stack time ratio per solve of b Gaussian Grams (medians
-# of 41 interleaved solves; 2 CPUs, Python 3.11.7, numpy 2.4.6):
-#   n      b = 1   2      3      4
-#   11     0.78    1.34   1.95   2.54
-#   12     0.98    1.71   2.37   2.97
-#   13     1.00    1.89   2.58   3.23
-# so 12 is the smallest size at which a matrix alone is not slower on the
-# stack and a stack of two or more is well ahead.
-_VECTOR_MIN = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,43 +113,18 @@ def _round_robin(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     return tuple(steps)
 
 
-def _sweep_lists(a: list, vt: list, n: int) -> int:
-    # One sweep, rotating pair by pair.  a holds the rows of the matrix, vt
-    # the columns of V.  Each off-pivot entry of columns p and q is rotated
-    # once and mirrored by its conjugate, so a stays exactly Hermitian.
-    # Returns the number of pairs rotated.
-    rotations = 0
-    for ps, qs in _round_robin(n):
-        for p, q in zip(ps, qs):
-            rp, rq = a[p], a[q]
-            apq = rp[q]
-            mag = abs(apq)
-            if not mag > _PIVOT_TOL:
-                continue
-            rotations += 1
-            app, aqq = rp[p].real, rq[q].real
-            d, m2 = aqq - app, 2.0 * mag
-            t = math.copysign(m2 / (abs(d) + math.hypot(d, m2)), d)
-            c = 1.0 / math.hypot(1.0, t)
-            s = t * c
-            phase = (apq / mag).conjugate()
-            sp, cp = s * phase, c * phase
-            for k in range(n):
-                if k == p or k == q:
-                    continue
-                rk = a[k]
-                akp, akq = rk[p], rk[q]
-                x = c * akp - sp * akq
-                y = s * akp + cp * akq
-                rk[p], rk[q] = x, y
-                rp[k], rq[k] = x.conjugate(), y.conjugate()
-            rp[p] = app - t * mag
-            rq[q] = aqq + t * mag
-            rp[q] = rq[p] = 0j
-            vp, vq = vt[p], vt[q]
-            vt[p] = [c * x - sp * y for x, y in zip(vp, vq)]
-            vt[q] = [s * x + cp * y for x, y in zip(vp, vq)]
-    return rotations
+def _rotation(app, aqq, apq, mag):
+    """(t, c, s, phase) of the Jacobi rotations that zero the pivots apq of
+    the 2x2 Hermitian blocks [[app, apq], [conj(apq), aqq]], as arrays: app
+    and aqq are the real diagonals, mag = np.hypot(apq.real, apq.imag) > 0.
+    t is the tangent, c and s the cosine and sine, phase = conj(apq) / mag;
+    the rotation leaves app - t * mag and aqq + t * mag on the diagonal, and
+    the columns (c, -s phase) and (s, c phase) in V."""
+    d, m2 = aqq - app, 2.0 * mag
+    t = np.copysign(m2 / (np.abs(d) + np.hypot(d, m2)), d)
+    c = 1.0 / np.hypot(1.0, t)
+    # divided part by part
+    return t, c, t * c, apq.real / mag - 1j * (apq.imag / mag)
 
 
 @cache
@@ -176,7 +142,7 @@ def _stack_steps(n: int, b: int) -> tuple[np.ndarray, ...]:
     k = np.repeat(np.arange(b), n // 2)
     steps = []
     for ps, qs in _round_robin(n):
-        p, q = np.tile(ps, b), np.tile(qs, b)
+        p, q = np.tile(np.array((ps, qs), dtype=np.intp), b)
         col_p, col_q = k * n + p, k * n + q
         step = np.stack((
             p * width + col_q, p * width + col_p, q * width + col_q, q * width + col_p,
@@ -205,7 +171,7 @@ def _sweep_stack(w: np.ndarray, b: int, steps) -> np.ndarray:
     unmasked = 0
     for step in steps:
         apq = flat[step[0]]
-        mag = np.abs(apq)
+        mag = np.hypot(apq.real, apq.imag)
         big = mag > _PIVOT_TOL
         if big.all():
             unmasked += 1
@@ -216,11 +182,7 @@ def _sweep_stack(w: np.ndarray, b: int, steps) -> np.ndarray:
             step, apq, mag = step[:, big], apq[big], mag[big]
         pq, pp, qq, qp, ps, qs, rp, rq = step
         app, aqq = flat[pp].real, flat[qq].real
-        d, m2 = aqq - app, 2.0 * mag
-        t = np.copysign(m2 / (np.abs(d) + np.hypot(d, m2)), d)
-        c = 1.0 / np.hypot(1.0, t)
-        s = t * c
-        phase = apq.conj() / mag
+        t, c, s, phase = _rotation(app, aqq, apq, mag)
         sp, cp = s * phase, c * phase
         wp, wq = w[:, ps], w[:, qs]
         w[:, ps] = c * wp - sp * wq
@@ -255,24 +217,6 @@ def _solve_stack(blocks: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w, sweeps, rotations
 
 
-def _solve_lists(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int] | None:
-    # Sweeps one matrix on lists until a sweep rotates nothing; None when
-    # that takes more than _MAX_SWEEPS sweeps.  Returns the eigenvalues, V,
-    # and the sweeps and rotations taken.
-    n = a.shape[0]
-    rows = a.tolist()
-    vt = [[float(i == j) for j in range(n)] for i in range(n)]
-    rotations = 0
-    for sweep in range(1, _MAX_SWEEPS + 1):
-        rotated = _sweep_lists(rows, vt, n)
-        if not rotated:
-            eigenvalues = np.array([rows[k][k].real for k in range(n)])
-            v = np.array(vt, dtype=np.complex128).reshape(n, n).T
-            return eigenvalues, v, sweep, rotations
-        rotations += rotated
-    return None
-
-
 def _prescaled(h, tol: float) -> tuple[np.ndarray, int]:
     # (2^-e h made exactly Hermitian, e) for a validated h
     h = np.asarray(h, dtype=np.complex128)
@@ -287,34 +231,32 @@ def _prescaled(h, tol: float) -> tuple[np.ndarray, int]:
     return (a + a.conj().T) / 2.0, e
 
 
-def _finish(
-    eigenvalues: np.ndarray, v: np.ndarray, sweeps: int, rotations: int, e: int, tol: float
-) -> EigenDecomposition:
-    # gauge: largest-magnitude entry of each column real >= 0
-    n = len(eigenvalues)
-    at = np.abs(v).argmax(axis=0) if n else np.zeros(0, dtype=np.intp)
-    pivots = v[at, np.arange(n)]
-    order = (-eigenvalues).argsort(kind="stable")
-    eigenvalues = eigenvalues[order]
-    v = (v * (pivots.conj() / np.abs(pivots)))[:, order]
-
-    gaps = eigenvalues[:-1] - eigenvalues[1:]
-    degenerate = bool((gaps <= tol * np.abs(eigenvalues).sum()).any())
-    eigenvalues = np.ldexp(eigenvalues, e)
-    eigenvalues.setflags(write=False)
-    v.setflags(write=False)
-    return EigenDecomposition(
-        eigenvalues=eigenvalues, unitary=v, degenerate=degenerate,
-        sweeps=sweeps, rotations=rotations,
-    )
+def _ordered(eigenvalues: np.ndarray, v: np.ndarray, tol: float):
+    """(eigenvalues, v, degenerate) of b solved Hermitian matrices, from
+    their eigenvalues (b, n) and eigenvector columns v (b, n, n): each column
+    gauge fixed (its largest-magnitude entry, lowest row on ties, made real
+    and >= 0), the columns in stable descending order of eigenvalue, and per
+    matrix the flag that two consecutive eigenvalues are within
+    tol * sum(|eigenvalues|)."""
+    b, n = eigenvalues.shape
+    stack = np.arange(b)[:, None]
+    order = (-eigenvalues).argsort(axis=1, kind="stable")
+    eigenvalues = eigenvalues[stack, order]
+    columns = v.swapaxes(1, 2)[stack, order]
+    if n:
+        pivots = columns[stack, np.arange(n), np.abs(columns).argmax(axis=2)]
+        columns *= (pivots.conj() / np.abs(pivots))[:, :, None]
+    gaps = eigenvalues[:, :-1] - eigenvalues[:, 1:]
+    degenerate = (gaps <= tol * np.abs(eigenvalues).sum(axis=1, keepdims=True)).any(axis=1)
+    return eigenvalues, np.ascontiguousarray(columns.swapaxes(1, 2)), degenerate
 
 
 def _hermitian_eigs(hs, tol: float) -> list[EigenDecomposition]:
-    # hermitian_eig(h, tol) of each h in hs: the matrices of each size from
-    # _VECTOR_MIN up are swept as one stack, each smaller one on lists.  The
-    # error raised is that of the lowest-numbered matrix that fails, as a
-    # loop over hs would raise it; a NumericalError carries that number,
-    # counted from 1, as its mode (hosvd passes its Grams in mode order).
+    # hermitian_eig(h, tol) of each h in hs: the matrices of each size are
+    # swept as one stack.  The error raised is that of the lowest-numbered
+    # matrix that fails, as a loop over hs would raise it; a NumericalError
+    # carries that number, counted from 1, as its mode (hosvd passes its
+    # Grams in mode order).
     prepared, invalid = [], None
     for h in hs:
         try:
@@ -325,17 +267,22 @@ def _hermitian_eigs(hs, tol: float) -> list[EigenDecomposition]:
     solved = [None] * len(prepared)
     sizes = {}
     for k, (a, _) in enumerate(prepared):
-        if a.shape[0] < _VECTOR_MIN:
-            solved[k] = _solve_lists(a)
-        else:
-            sizes.setdefault(a.shape[0], []).append(k)
+        sizes.setdefault(a.shape[0], []).append(k)
     for n, ks in sizes.items():
         w, sweeps, rotations = _solve_stack([prepared[k][0] for k in ks])
+        blocks = w.reshape(2 * n, len(ks), n)
+        eigenvalues, v, degenerate = _ordered(
+            blocks[:n].diagonal(axis1=0, axis2=2).real, blocks[n:].transpose(1, 0, 2), tol)
+        eigenvalues = np.ldexp(eigenvalues, [[prepared[k][1]] for k in ks])
+        # read-only, and so are the per-matrix views taken below
+        eigenvalues.setflags(write=False)
+        v.setflags(write=False)
         for i, k in enumerate(ks):
             if sweeps[i] <= _MAX_SWEEPS:
-                block = w[:, i * n : (i + 1) * n]
-                solved[k] = (block[:n].diagonal().real.copy(), block[n:].copy(),
-                             int(sweeps[i]), int(rotations[i]))
+                solved[k] = EigenDecomposition(
+                    eigenvalues=eigenvalues[i], unitary=v[i], degenerate=bool(degenerate[i]),
+                    sweeps=int(sweeps[i]), rotations=int(rotations[i]),
+                )
     for k, result in enumerate(solved):
         if result is None:
             raise NumericalError(
@@ -343,7 +290,7 @@ def _hermitian_eigs(hs, tol: float) -> list[EigenDecomposition]:
             )
     if invalid is not None:
         raise invalid
-    return [_finish(*result, e, tol) for result, (_, e) in zip(solved, prepared)]
+    return solved
 
 
 def hermitian_eig(h, tol: float = 1e-10) -> EigenDecomposition:
@@ -366,9 +313,9 @@ def hermitian_eig(h, tol: float = 1e-10) -> EigenDecomposition:
     nonnegative, so identical input bits give identical output bits.
 
     This is the solver of :func:`~hosvd3.hosvd.hosvd` on a stack of one:
-    ``hosvd`` solves all its Gram matrices in one call, and a matrix of
-    size 12 or more, swept together with the others of its size, comes
-    out with the same bits and counts as here.  A tol that is negative or
+    ``hosvd`` solves all its Gram matrices in one call, and a matrix of any
+    size, swept together with the others of its size, comes out with the
+    same bits and counts as here.  A tol that is negative or
     not finite raises ValidationError.
     """
     return _hermitian_eigs([h], _tolerance("tol", tol))[0]

@@ -161,7 +161,7 @@ class TestNumericalFailure:
                                              sweeps, mode):
         # X[i,a,k] = A[i,a] H[i,k] with the rows of H orthonormal: the mode-1
         # Gram is diagonal and converges in one sweep, modes 1 and 3 are
-        # solved as one 16x16 stack, and mode 2 (3x3) on lists
+        # solved as one 16x16 stack, and mode 2 (3x3) as a stack of one
         h = np.array([[1.0]])
         for _ in range(4):
             h = np.block([[h, h], [h, -h]])

@@ -5,6 +5,8 @@ A change that alters an output on purpose regenerates the goldens and names
 the change in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints, per golden, whether its bytes are new, changed or unchanged.
 """
 
 import json
@@ -32,9 +34,9 @@ FIXTURES = (
 TOL = ["--tol", "1e-10"]
 # Seeded complex Gaussian tensors beyond 2x2x2, as (name, dims, Philox seed),
 # so the n > 2 bits of decompose are pinned too, and so are orders 1 and 4,
-# a mode of size 1, and the stack sweeps of modes of 12 and up: even n, odd n
-# (the round robin's dummy index), and a size-12 stack, each next to a mode
-# solved on lists.
+# a mode of size 1, and the stack sweeps: even n, odd n (the round robin's
+# dummy index), and stacks of two equal sizes of 12 and up, each next to a
+# smaller mode.
 GAUSSIAN = (
     ("gaussian_3x4x5", (3, 4, 5), 11),
     ("gaussian_8x8", (8, 8), 12),
@@ -114,6 +116,10 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for golden, argv in cases(pathlib.Path(tmp)):
-            if run([*argv, "--output", str(GOLDEN / golden)]) != EXIT_OK:
+            path = GOLDEN / golden
+            before = path.read_bytes() if path.exists() else None
+            if run([*argv, "--output", str(path)]) != EXIT_OK:
                 sys.exit(f"{golden}: hosvd3 {' '.join(argv)} failed")
-            print(f"wrote {GOLDEN / golden}")
+            status = ("new" if before is None
+                      else "unchanged" if path.read_bytes() == before else "changed")
+            print(f"{status:9} {path}")

@@ -207,7 +207,7 @@ class TestInvariants:
 
     @pytest.mark.parametrize("dims", [(3, 4, 5), (2, 3, 2), (8, 8, 8), (6, 6, 6, 6), (11, 11)])
     def test_lu_invariance_of_list_modes(self, rng, dims):
-        # modes below 12 are swept one matrix at a time, as Python lists
+        # modes below 12, in stacks of one to four equal sizes
         assert_lu_invariant(rng, dims, tensors=10, copies=1)
 
     def test_global_phase_invariance(self, rng):

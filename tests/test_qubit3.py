@@ -27,11 +27,13 @@ from hosvd3.qubit3 import (
     _SPECIAL_SUPPORT,
     _decide_case,
     _decide_special,
+    _grams,
     _hosvd_batch,
     _identities,
     _separability,
     _unit_rows,
 )
+from hosvd3.smalllinalg import _hermitian_eigs
 from conftest import amplitudes
 from oracles import haar_state, haar_unitary, one_body_rdm_by_summation
 
@@ -712,6 +714,25 @@ class TestOneDecomposition:
             if tol:
                 assert batch.special.tolist()[:5] == ["ghz", "none", "s1", "b1", "none"]
 
+    @pytest.mark.parametrize("tol", [1e-10, 0.0])
+    def test_factors_are_the_solvers(self, request, rng, tol):
+        # one rotation and one epilogue: the closed form's factors and flags
+        # are _hermitian_eigs of the same prescaled Grams, bit for bit.  The
+        # GHZ, W and B1 rows give unrotated and degenerate Grams.
+        amps = [*philox_haar(3000, 2026),
+                *(request.getfixturevalue(name).data.ravel()
+                  for name in ("ghz_86", "ghz_equal", "w_state", "b1_fixture")),
+                product_state(rng).data.ravel()]
+        x = _unit_rows(np.array(amps))
+        _, factors, _, degenerate = _hosvd_batch(x, tol)
+        eigs = _hermitian_eigs(list(_grams(x).reshape(-1, 2, 2)), tol)
+        unitaries = np.array([e.unitary for e in eigs]).reshape(factors.shape)
+        flags = np.array([e.degenerate for e in eigs]).reshape(degenerate.shape)
+        same = [np.array_equal(f, u) and np.array_equal(d, g)
+                for f, u, d, g in zip(factors, unitaries, degenerate, flags)]
+        assert same.count(False) == 0, f"{same.count(False)} of {len(same)} states differ"
+        assert degenerate[-5:-1].any(axis=1).tolist() == [False, True, False, True]
+
     def test_plane_identity_is_read_at_the_reported_triple(self, request, rng):
         states = [request.getfixturevalue(name) for name in self.FIXTURES]
         states += [haar_3q(rng) for _ in range(100)]
@@ -812,6 +833,18 @@ class TestInputValidation:
         for dims in ((2, 2), (2, 2, 2, 1), (8,)):
             with pytest.raises(ShapeError):
                 classify(ComplexTensor(np.full(dims, 1 / np.sqrt(8))))
+
+    @pytest.mark.parametrize("scale", [3.0, 1 + 1e-9, 1e-3, 0.0, np.nan])
+    def test_classify_needs_unit_norm(self, scale):
+        # a 2x2x2 tensor of another norm is not a state: at scale 3 the GHZ
+        # state below read fully_separable, with sigma 5.76
+        t = ComplexTensor(scale * normalize([0.8, 0, 0, 0, 0, 0, 0, 0.6]).data)
+        with pytest.raises(ValidationError, match="not normalized"):
+            classify(t)
+
+    def test_classify_accepts_unit_norm_tensors(self):
+        amps = normalize([0.8, 0, 0, 0, 0, 0, 0, 0.6]).data * (1 + 5e-11)
+        assert classify(ComplexTensor(amps)).special == "ghz"
 
 
 BAD_TOLERANCES = [-1.0, -1e-300, np.nan, np.inf, -np.inf]

@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 
 from hosvd3 import (
-    ComplexTensor,
     NumericalError,
     ValidationError,
     gram,
     hermitian_eig,
-    hosvd,
     make_tensor,
     unfold,
 )
-from hosvd3.smalllinalg import _MAX_SWEEPS, _VECTOR_MIN, _hermitian_eigs, _round_robin
+from hosvd3.smalllinalg import _MAX_SWEEPS, _hermitian_eigs, _round_robin
 from oracles import (
     eig2_closed_form,
     eigh_descending,
@@ -141,7 +139,7 @@ class TestHermitianEig:
             hermitian_eig(np.zeros((2, 3)))
 
 
-# both sides of the list/array crossover, odd n included
+# every size from 1 to 13, then larger even and odd ones
 DIFFERENTIAL_SIZES = [*range(1, 14), 16, 31, 32, 33, 64, 128]
 
 
@@ -182,9 +180,6 @@ class TestDifferential:
                 pivot = col[np.argmax(np.abs(col))]
                 assert abs(pivot.imag) <= 1e-15 and pivot.real > 0.0, label
 
-    def test_crossover_is_covered(self):
-        assert {_VECTOR_MIN - 1, _VECTOR_MIN} <= set(DIFFERENTIAL_SIZES)
-
     def test_exact_cases(self):
         # no rotation runs: the diagonal comes back sorted, the unitary a permutation
         np.testing.assert_array_equal(hermitian_eig(np.eye(5)).unitary, np.eye(5))
@@ -210,6 +205,7 @@ def stack_mates(rng, n):
 
 
 def assert_same_bits(got, want):
+    assert not got.eigenvalues.flags.writeable and not got.unitary.flags.writeable
     assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
     assert got.unitary.tobytes() == want.unitary.tobytes()
     assert got.degenerate == want.degenerate
@@ -220,7 +216,7 @@ class TestStack:
     """_hermitian_eigs solves equal-size matrices as one stack; each must
     come out with the bits it gets alone."""
 
-    @pytest.mark.parametrize("n", [12, 13, 16, 33, 64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 11, 12, 13, 16, 33, 64])
     def test_stacked_equals_single(self, rng, n):
         hs = stack_mates(rng, n)
         alone = [hermitian_eig(h) for h in hs]
@@ -230,21 +226,12 @@ class TestStack:
             assert_same_bits(got, want)
 
     def test_mixed_sizes(self, rng):
-        # two stacks and the list path in one call, in the caller's order
+        # four stacks in one call, interleaved, in the caller's order
         hs = [*stack_mates(rng, 13)[:2], random_hermitian(rng, 5),
-              *stack_mates(rng, 16)[:3], random_hermitian(rng, 11),
-              *stack_mates(rng, 12)[:2]]
+              *stack_mates(rng, 2)[:3], random_hermitian(rng, 11),
+              *stack_mates(rng, 12)[:2], random_hermitian(rng, 5), stack_mates(rng, 2)[3]]
         for got, h in zip(_hermitian_eigs(hs, 1e-10), hs, strict=True):
             assert_same_bits(got, hermitian_eig(h))
-
-    def test_hosvd_of_size_12_modes_never_uses_lists(self, rng, monkeypatch):
-        def no_lists(a):
-            raise AssertionError(f"a {a.shape[0]}x{a.shape[0]} matrix was swept on lists")
-
-        monkeypatch.setattr("hosvd3.smalllinalg._solve_lists", no_lists)
-        dims = (12, 12, 12)
-        r = hosvd(ComplexTensor(rng.standard_normal(dims) + 1j * rng.standard_normal(dims)))
-        assert [len(s) for s in r.spectra] == [12, 12, 12]
 
     def test_lowest_failing_matrix_is_raised(self, rng, monkeypatch):
         # one sweep: the diagonal matrix converges, the others do not
@@ -262,10 +249,10 @@ class TestStack:
 
 class TestCounts:
     """EigenDecomposition.sweeps (the last, rotation-free sweep included) and
-    .rotations, on the list path and the stack path; TestStack checks that a
-    matrix gets the same counts in a stack as alone."""
+    .rotations; TestStack checks that a matrix gets the same counts in a
+    stack as alone."""
 
-    @pytest.mark.parametrize("n", [3, _VECTOR_MIN])
+    @pytest.mark.parametrize("n", [1, 3, 12])
     def test_diagonal_takes_one_sweep_and_no_rotation(self, rng, n):
         e = hermitian_eig(np.diag(rng.standard_normal(n)))
         assert (e.sweeps, e.rotations) == (1, 0)
