@@ -16,10 +16,9 @@ class ValidationError(ValueError):
 class NumericalError(RuntimeError):
     """An iterative numerical procedure failed to converge.
 
-    Carries the tensor mode it occurred in when raised from a per-mode
-    computation (``mode is None`` otherwise).  From the eigensolver it is
-    the position, counted from 1, of the failing matrix among those solved
-    in one call (1 for :func:`~hosvd3.smalllinalg.hermitian_eig`).
+    Carries the tensor mode it occurred in (``mode is None`` otherwise):
+    from :func:`~hosvd3.hosvd.hosvd` the lowest mode whose Gram matrix did
+    not converge, and 1 from :func:`~hosvd3.smalllinalg.hermitian_eig`.
     """
 
     def __init__(self, message, mode=None):

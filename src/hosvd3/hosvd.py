@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .smalllinalg import _hermitian_eigs, _tolerance, gram, pow2_prescale
-from .tensor import ComplexTensor, _mode_rows, multilinear_transform, norm, unfold
+from .smalllinalg import _check_converged, _eigh_stack, _tolerance, pow2_prescale
+from .tensor import (ComplexTensor, _cyclic_axes, _row_axes, _stack_matrices, _stacked_transform,
+                     multilinear_transform, norm)
 
 
 @dataclass(frozen=True)
@@ -49,12 +50,6 @@ class HosvdResult:
     degenerate_modes: frozenset[int]
 
 
-def _mode_singular_values(core: ComplexTensor, mode: int) -> np.ndarray:
-    """Norms of the mode-n slices: entry i is the Frobenius norm of the core
-    with its n-th index fixed to i (n = mode counts from 1, i from 0)."""
-    return np.sqrt(np.sum(np.abs(_mode_rows(core.data, mode)) ** 2, axis=1))
-
-
 def verify_all_orthogonality(core: ComplexTensor) -> float:
     """Max over modes n and index pairs a != b of |<slice a, slice b>|, where
     slice i of mode n is the core with its n-th index fixed to i.
@@ -68,11 +63,45 @@ def verify_all_orthogonality(core: ComplexTensor) -> float:
     worst = 0.0
     for mode in range(1, core.order + 1):
         # own buffers: the BLAS dot's last bits depend on operand alignment
-        rows = [row.copy() for row in _mode_rows(core.data, mode)]
+        rows = [row.copy()
+                for row in _stack_matrices(core.data[None], _row_axes(core.order, mode))[0]]
         for a in range(len(rows)):
             for b in range(a + 1, len(rows)):
                 worst = max(worst, abs(np.vdot(rows[a], rows[b])))
     return float(worst)
+
+
+def _hosvd_stack(x: np.ndarray, tol: float):
+    """(core, factors, spectra, degenerate, sweeps): the HOSVD of each tensor
+    of a stack x (M, *dims) with parts at most 1 in magnitude, the core
+    C-ordered, factors and spectra per mode, flags and counts (M, N).  The
+    Grams of the modes of one size come from one product, made exactly
+    Hermitian and prescaled as by pow2_prescale, and go to one _eigh_stack
+    call; the spectra are the core's slice norms.  A tensor gets the same
+    bits alone as in any stack."""
+    m, dims, order = x.shape[0], x.shape[1:], x.ndim - 1
+    factors, adjoints = [None] * order, [None] * order
+    degenerate, sweeps = np.empty((m, order), dtype=bool), np.empty((m, order), dtype=np.intp)
+    for d in dict.fromkeys(dims):
+        modes = [n for n in range(order) if dims[n] == d]
+        unf = np.stack([_stack_matrices(x, _cyclic_axes(order, n + 1)) for n in modes], axis=1)
+        g = unf @ unf.conj().swapaxes(2, 3)
+        parts = ((g + g.conj().swapaxes(2, 3)) / 2.0).view(np.float64)
+        e = np.frexp(np.abs(parts).max(axis=(2, 3)))[1]
+        a = np.ldexp(parts, -e[..., None, None]).view(np.complex128)
+        _, v, flags, counts, _ = _eigh_stack(a.reshape(-1, d, d), tol)
+        v = v.reshape(m, len(modes), d, d)
+        v.setflags(write=False)
+        vh = v.conj().swapaxes(2, 3)
+        for j, n in enumerate(modes):
+            factors[n], adjoints[n] = v[:, j], vh[:, j]
+            degenerate[:, n], sweeps[:, n] = flags[j::len(modes)], counts[j::len(modes)]
+    # C order first: the sums of the slice norms follow the memory layout
+    core = np.ascontiguousarray(_stacked_transform(x, adjoints))
+    power = np.abs(core) ** 2
+    spectra = [np.sqrt(_stack_matrices(power, _row_axes(order, n)).sum(axis=2))
+               for n in range(1, order + 1)]
+    return core, factors, spectra, degenerate, sweeps
 
 
 def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:
@@ -80,11 +109,11 @@ def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:
 
     Per mode n, the factor U(n) collects the eigenvectors of
     gram(unfold(t, n)) ordered by descending eigenvalue; the core is then
-    t transformed by the conjugate transposes.  `tol` controls hermiticity
-    validation inside the eigensolver and the degeneracy flags.  The Gram
-    matrices of all modes are solved in one eigensolver call (equal sizes
-    as one stack); when sweeps do not converge, the
-    NumericalError names the lowest-numbered mode that failed.
+    t transformed by the conjugate transposes.  `tol` is the degeneracy
+    threshold.  This is :func:`_hosvd_stack`, which
+    :func:`~hosvd3.qubit3.classify` runs on its batch of states, on a stack
+    of one tensor; when sweeps do not converge, the NumericalError names
+    the lowest-numbered mode that failed.
 
     The work is done on t scaled by an exact power of two (see
     :func:`pow2_prescale`), and the core, spectra and all-orthogonality
@@ -99,20 +128,14 @@ def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:
     if total == 0.0:
         raise DomainError("HOSVD of the zero tensor is undefined")
 
-    grams = [gram(unfold(x, mode)) for mode in range(1, x.order + 1)]
+    core, factors, spectra, degenerate, sweeps = _hosvd_stack(x.data[None], tol)
     try:
-        eigs = _hermitian_eigs(grams, tol)
+        _check_converged(sweeps[0])
     except NumericalError as exc:
-        raise NumericalError(
-            f"eigensolver failed in mode {exc.mode}: {exc}", mode=exc.mode
-        ) from exc
-    factors = [eig.unitary for eig in eigs]
-    degenerate = {mode for mode, eig in enumerate(eigs, 1) if eig.degenerate}
-
-    core = multilinear_transform(x, [u.conj().T for u in factors])
-    spectra = tuple(
-        np.ldexp(_mode_singular_values(core, m), e) for m in range(1, x.order + 1)
-    )
+        raise NumericalError(f"eigensolver failed in mode {exc.mode}: {exc}",
+                             mode=exc.mode) from exc
+    factors = tuple(u[0] for u in factors)
+    core = ComplexTensor(core[0])
 
     recon = multilinear_transform(core, factors)
     rec_residual = float(np.linalg.norm((recon.data - x.data).ravel())) / total
@@ -120,9 +143,9 @@ def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:
     core = ComplexTensor(np.ldexp(core.data.view(np.float64), e).view(np.complex128))
 
     return HosvdResult(
-        factors=tuple(factors),
+        factors=factors,
         core=core,
-        spectra=spectra,
+        spectra=tuple(np.ldexp(s[0], e) for s in spectra),
         residuals=HosvdResiduals(rec_residual, ao_residual),
-        degenerate_modes=frozenset(degenerate),
+        degenerate_modes=frozenset((np.flatnonzero(degenerate[0]) + 1).tolist()),
     )

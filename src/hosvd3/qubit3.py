@@ -7,12 +7,11 @@ it goes wherever a tensor goes.  Qubits are labeled A, B, C and correspond
 to tensor modes 1, 2, 3.  The squared largest mode-n singular value
 sigma1(n)^2 is the top eigenvalue of that qubit's reduced density matrix;
 the triple of these lives in the polytope  1/2 <= s_i <= 1,
-s_i + s_j - s_k <= 1.  The three-qubit HOSVD has one route: in closed form
-(one Jacobi rotation per 2x2 Gram matrix) as array operations over a batch
-of states.  :func:`classify_batch` runs it on many states,
-:func:`classify` on a batch of one, where it also evaluates the core
-identities with one array kernel and reports them in its ``residuals``.
-The generic :func:`~hosvd3.hosvd.hosvd` is not used here.
+s_i + s_j - s_k <= 1.  The three-qubit HOSVD is hosvd's own stacked
+pipeline, run on a batch of states: :func:`classify_batch` runs it on many
+states, :func:`classify` on a batch of one, where it also evaluates the
+core identities with one array kernel and reports them in its
+``residuals``.  Each state gets the core and factors ``hosvd`` gives it.
 """
 
 from __future__ import annotations
@@ -23,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, ShapeError, ValidationError
-from .smalllinalg import _PIVOT_TOL, _ordered, _rotation, _tolerance, gram
-from .tensor import ComplexTensor, unfold
+from .hosvd import _hosvd_stack
+from .smalllinalg import _tolerance, gram
+from .tensor import ComplexTensor, _stacked_transform, unfold
 
 CUTS = ("A_BC", "B_CA", "C_AB")
 
@@ -63,9 +63,6 @@ _POWERS = 1 << np.arange(8)
 _UNFOLD = np.array([[[0, 1, 2, 3], [4, 5, 6, 7]],
                     [[0, 4, 1, 5], [2, 6, 3, 7]],
                     [[0, 2, 4, 6], [1, 3, 5, 7]]])
-# Per mode n, a batch's axes with mode n first after the batch axis, and back.
-_MODE_FIRST = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
-_MODE_BACK = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 2, 3, 1))
 
 
 def _first_pattern_table() -> np.ndarray:
@@ -196,60 +193,13 @@ def _batch(amplitudes) -> np.ndarray:
     raise ShapeError(f"need an (M, 8) or (M, 2, 2, 2) batch of states, got shape {a.shape}")
 
 
-def _transform(x: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    # x (M, 2, 2, 2) with mats[:, n - 1] (M, 3, 2, 2) applied in mode n, one
-    # mode at a time as multilinear_transform does
-    for first, back, m in zip(_MODE_FIRST, _MODE_BACK, mats.swapaxes(0, 1)):
-        x = (m @ x.transpose(first).reshape(-1, 2, 4)).reshape(-1, 2, 2, 2).transpose(back)
-    return x
-
-
-def _grams(x: np.ndarray) -> np.ndarray:
-    """The one-body Gram matrices of states x (M, 2, 2, 2), as (M, 3, 2, 2),
-    made exactly Hermitian, each scaled by the power of two that puts its
-    largest real or imaginary part in [0.5, 1), as pow2_prescale does."""
-    unf = x.reshape(-1, 8)[:, _UNFOLD]
-    g = unf @ unf.conj().swapaxes(2, 3)
-    parts = ((g + g.conj().swapaxes(2, 3)) / 2.0).view(np.float64)
-    e = np.frexp(np.abs(parts).max(axis=(2, 3)))[1]
-    return np.ldexp(parts, -e[..., None, None]).view(np.complex128)
-
-
 def _hosvd_batch(x: np.ndarray, tol: float):
-    """(core, factors, sigma, degenerate) of unit-norm states x, shape
-    (M, 2, 2, 2): the HOSVD cores (M, 2, 2, 2), the factors U(n) as
-    (M, 3, 2, 2), the sigma triples (M, 3) and the per-mode degeneracy
-    flags (M, 3).
-
-    A 2x2 Gram matrix takes exactly one Jacobi rotation.  Each prescaled
-    Gram (see :func:`_grams`) gets the eigensolver's pivot test, rotation
-    (``_rotation``) and epilogue (``_ordered``: gauge, stable descending
-    order and degeneracy rule) as array operations, so the factors and
-    flags are those hermitian_eig gives for the same prescaled Gram, bit
-    for bit.  The core and sigma are then formed as hosvd forms them, so
-    they agree with its to the last bit or so, which is what decides a
-    pure one-body matrix at tol = 0.
-    """
-    a = _grams(x)
-    app, aqq, apq = a[..., 0, 0].real, a[..., 1, 1].real, a[..., 0, 1]
-    mag = np.hypot(apq.real, apq.imag)
-    rotated = mag > _PIVOT_TOL
-    # t = 0, c = 1, s = 0 and a unit phase leave an unrotated matrix and
-    # V = I as they are
-    t, c, s, phase = _rotation(app, aqq, apq, np.where(rotated, mag, 1.0))
-    t, s = np.where(rotated, t, 0.0), np.where(rotated, s, 0.0)
-    c, phase = np.where(rotated, c, 1.0), np.where(rotated, phase, 1.0)
-    eigenvalues = np.stack([app - t * mag, aqq + t * mag], axis=-1).reshape(-1, 2)
-    v = np.stack([c, s, -(s * phase), c * phase], axis=-1).reshape(-1, 2, 2)
-    _, v, degenerate = _ordered(eigenvalues, v, tol)
-    v = v.reshape(-1, 3, 2, 2)
-
-    core = _transform(x, v.conj().swapaxes(2, 3))
-    # sigma1(n)^2: the squared norm of the core's first mode-n slice, as hosvd
-    power = np.abs(core) ** 2
-    norms = np.sqrt(np.stack([power.take(0, axis=n).reshape(-1, 4).sum(axis=1)
-                              for n in (1, 2, 3)], axis=1))
-    return core, v, norms**2, degenerate.reshape(-1, 3)
+    """(core, factors, sigma, degenerate) of unit-norm states x (M, 2, 2, 2):
+    the cores and factors U(n) (three (M, 2, 2)) hosvd gives each state, bit
+    for bit (see :func:`~hosvd3.hosvd._hosvd_stack`), sigma (M, 3) the
+    squares of the largest mode singular values, and the flags (M, 3)."""
+    core, factors, spectra, degenerate, _ = _hosvd_stack(x, tol)
+    return core, factors, np.square(np.stack([s[:, 0] for s in spectra], axis=1)), degenerate
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,8 +222,9 @@ def classify_batch(amplitudes, tol: float = 1e-10, sigma_tol: float = 1e-8) -> B
     `amplitudes` is (M, 8) or (M, 2, 2, 2); each row is normalized as
     :func:`normalize` does.  Row i of the result holds the separability,
     case, special tag, gauge warning, degenerate modes and sigma triple
-    that :func:`classify` gives state i: both run the same closed-form
-    HOSVD, one Jacobi rotation per 2x2 Gram matrix, and the same decisions.
+    that :func:`classify` gives state i: both run hosvd's stacked
+    pipeline, with at most one Jacobi rotation per 2x2 Gram matrix, and
+    the same decisions.
     The core identities and residuals of :class:`Classification` are not
     computed.  A row that is zero raises DomainError, a non-finite entry
     ValidationError.  Memory grows with M (a few KiB per state), so split
@@ -296,11 +247,10 @@ def _classify_rows(x: np.ndarray, tol: float, sigma_tol: float):
             core, factors)
 
 
-def _identities(x: np.ndarray, core: np.ndarray, sigma: np.ndarray, tol: float):
-    """(identities, norms): the identities of :class:`Classification`'s
-    residuals, per row of states x, their cores (both (M, 2, 2, 2)) and
-    sigma triples (M, 3), as a dict of (M,) arrays in report order, from
-    all-orthogonality on, and the squared norms of the cores, (M,).
+def _identities(x: np.ndarray, core: np.ndarray, sigma: np.ndarray, tol: float) -> dict:
+    """The identities of :class:`Classification`'s residuals, per row of
+    states x, their cores (both (M, 2, 2, 2)) and sigma triples (M, 3), as
+    a dict of (M,) arrays in report order, from all-orthogonality on.
 
     Rows where the guard of the t111/t222 formulas holds read NaN there.
     NumericalError is raised where the plane coefficients do not cancel or
@@ -350,7 +300,7 @@ def _identities(x: np.ndarray, core: np.ndarray, sigma: np.ndarray, tol: float):
     t222_formula = (np.conj(t112) * (q - r) + t221 * (power[:, 2] - power[:, 4])) / np.conj(denom)
     out["t111_formula"] = np.where(guarded, np.nan, np.abs(t111 - t111_formula))
     out["t222_formula"] = np.where(guarded, np.nan, np.abs(t222 - t222_formula))
-    return out, total
+    return out
 
 
 @dataclass(frozen=True)
@@ -420,8 +370,8 @@ def classify(
 ) -> Classification:
     """Classify a normalized three-qubit state.
 
-    Runs :func:`classify_batch`'s closed-form HOSVD and decisions on the
-    batch of one state, which decide, in order: separability (one-body
+    Runs :func:`classify_batch`'s HOSVD and decisions on the batch of one
+    state, which decide, in order: separability (one-body
     purity at `tol`), the sigma-equality case (pairwise comparisons at
     `sigma_tol`), and the special-state tag (core support patterns; only
     genuine states carry one).  With degenerate mode spectra the core is
@@ -439,8 +389,8 @@ def classify(
     x = s.data[None]
     row, core, factors = _classify_rows(x, tol, sigma_tol)
     # relative, since s has unit norm
-    residuals = {"reconstruction": float(np.linalg.norm(_transform(core, factors) - x))}
-    for name, value in _identities(x, core, row.sigma, tol)[0].items():
+    residuals = {"reconstruction": float(np.linalg.norm(_stacked_transform(core, factors) - x))}
+    for name, value in _identities(x, core, row.sigma, tol).items():
         if not math.isnan(value[0]):
             residuals[name] = float(value[0])
     return Classification(

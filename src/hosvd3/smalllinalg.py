@@ -9,10 +9,10 @@ together as a stack, stored side by side in one array, and the rotations
 of one step in every matrix of the stack are applied as one numpy update;
 a matrix solved alone is a stack of one.  Each entry gets the same
 elementwise operations in the same order whatever else is in the stack, so
-a matrix's bits do not depend on its stack mates.  The rotation
-(:func:`_rotation`) and the epilogue (:func:`_ordered`: gauge, order and
-degeneracy flag) are array functions over many matrices, which the
-three-qubit closed form shares.  No rotation goes through a matrix
+a matrix's bits do not depend on its stack mates.  Every solve goes
+through :func:`_eigh_stack`, which rotates a 2x2 matrix in closed form with
+the sweep's arithmetic and ends in one epilogue (:func:`_ordered`: gauge,
+order and degeneracy flag).  No rotation goes through a matrix
 product, so the eigensolver uses no BLAS and its output does not depend on
 the memory layout of its input.  The order, pivot test and gauge are
 fixed, so the same input gives the same output bits.  Gram products and
@@ -198,13 +198,13 @@ def _sweep_stack(w: np.ndarray, b: int, steps) -> np.ndarray:
     return unmasked * (n // 2) + masked.reshape(b, -1).sum(axis=1)
 
 
-def _solve_stack(blocks: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Sweeps a stack of equal-size matrices until a sweep rotates none of
-    # them, at most _MAX_SWEEPS times.  Returns the stack and, per matrix,
-    # its sweeps (as EigenDecomposition counts them; more than _MAX_SWEEPS
-    # when it did not converge) and rotations.
-    b, n = len(blocks), blocks[0].shape[0]
-    w = np.vstack((np.hstack(blocks), np.tile(np.eye(n, dtype=np.complex128), b)))
+def _solve_stack(a: np.ndarray):
+    # Sweeps a stack a (b, n, n) until a sweep rotates none of it, at most
+    # _MAX_SWEEPS times.  Returns the diagonals (b, n), the rotated
+    # identities (b, n, n) and per matrix the counts of EigenDecomposition.
+    b, n = a.shape[:2]
+    w = np.vstack((a.transpose(1, 0, 2).reshape(n, b * n),
+                   np.tile(np.eye(n, dtype=np.complex128), b)))
     steps = _stack_steps(n, b)
     sweeps = np.ones(b, dtype=np.intp)
     rotations = np.zeros(b, dtype=np.intp)
@@ -214,7 +214,9 @@ def _solve_stack(blocks: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             break
         sweeps += rotated > 0
         rotations += rotated
-    return w, sweeps, rotations
+    blocks = w.reshape(2 * n, b, n)
+    eigenvalues, v = blocks[:n].diagonal(axis1=0, axis2=2).real, blocks[n:].transpose(1, 0, 2)
+    return eigenvalues, v, sweeps, rotations
 
 
 def _prescaled(h, tol: float) -> tuple[np.ndarray, int]:
@@ -251,46 +253,43 @@ def _ordered(eigenvalues: np.ndarray, v: np.ndarray, tol: float):
     return eigenvalues, np.ascontiguousarray(columns.swapaxes(1, 2)), degenerate
 
 
-def _hermitian_eigs(hs, tol: float) -> list[EigenDecomposition]:
-    # hermitian_eig(h, tol) of each h in hs: the matrices of each size are
-    # swept as one stack.  The error raised is that of the lowest-numbered
-    # matrix that fails, as a loop over hs would raise it; a NumericalError
-    # carries that number, counted from 1, as its mode (hosvd passes its
-    # Grams in mode order).
-    prepared, invalid = [], None
-    for h in hs:
-        try:
-            prepared.append(_prescaled(h, tol))
-        except ValidationError as exc:
-            invalid = exc  # raised after the matrices before it are solved
-            break
-    solved = [None] * len(prepared)
-    sizes = {}
-    for k, (a, _) in enumerate(prepared):
-        sizes.setdefault(a.shape[0], []).append(k)
-    for n, ks in sizes.items():
-        w, sweeps, rotations = _solve_stack([prepared[k][0] for k in ks])
-        blocks = w.reshape(2 * n, len(ks), n)
-        eigenvalues, v, degenerate = _ordered(
-            blocks[:n].diagonal(axis1=0, axis2=2).real, blocks[n:].transpose(1, 0, 2), tol)
-        eigenvalues = np.ldexp(eigenvalues, [[prepared[k][1]] for k in ks])
-        # read-only, and so are the per-matrix views taken below
-        eigenvalues.setflags(write=False)
-        v.setflags(write=False)
-        for i, k in enumerate(ks):
-            if sweeps[i] <= _MAX_SWEEPS:
-                solved[k] = EigenDecomposition(
-                    eigenvalues=eigenvalues[i], unitary=v[i], degenerate=bool(degenerate[i]),
-                    sweeps=int(sweeps[i]), rotations=int(rotations[i]),
-                )
-    for k, result in enumerate(solved):
-        if result is None:
-            raise NumericalError(
-                f"Jacobi sweeps did not converge in {_MAX_SWEEPS} iterations", mode=k + 1
-            )
-    if invalid is not None:
-        raise invalid
-    return solved
+def _eigh_stack(a: np.ndarray, tol: float):
+    """:func:`_ordered` of the eigenpairs of a stack a (b, n, n) of exactly
+    Hermitian matrices prescaled as by :func:`pow2_prescale`, with the
+    counts of :class:`EigenDecomposition` (sweeps above _MAX_SWEEPS: not
+    converged).  A 2x2 matrix takes its one rotation in closed form, with
+    the sweep's pivot test and arithmetic, and so the sweeps' bits and counts.
+    """
+    n = a.shape[1]
+    if n == 2:
+        app, aqq, apq = a[:, 0, 0].real, a[:, 1, 1].real, a[:, 0, 1]
+        mag = np.hypot(apq.real, apq.imag)
+        rotated = mag > _PIVOT_TOL
+        t, c, s, phase = _rotation(app, aqq, apq, np.where(rotated, mag, 1.0))
+        eigenvalues = np.stack((np.where(rotated, app - t * mag, app),
+                                np.where(rotated, aqq + t * mag, aqq)), axis=1)
+        # V = I with its columns rotated as _sweep_stack rotates them, to the
+        # sign of every zero: the products there give (c, +0), (s, +0) and
+        # 0 - sp, since c > 0 and s != 0, and the last entry keeps them; an
+        # unrotated matrix gets c, s, phase = 1, 0, 1, which give I
+        c, s = np.where(rotated, c, 1.0), np.where(rotated, s, 0.0)
+        phase = np.where(rotated, phase, 1.0)
+        sp, cp = s * phase, c * phase
+        v = np.stack((c.astype(np.complex128), s.astype(np.complex128), 0.0 - sp,
+                      s * 0j + cp * (1 + 0j)), axis=1).reshape(-1, 2, 2)
+        sweeps, rotations = 1 + rotated, rotated.astype(np.intp)
+    else:
+        eigenvalues, v, sweeps, rotations = _solve_stack(a)
+    return (*_ordered(eigenvalues, v, tol), sweeps, rotations)
+
+
+def _check_converged(sweeps: np.ndarray) -> None:
+    # NumericalError naming the first entry of sweeps, counted from 1, that
+    # exceeds _MAX_SWEEPS
+    failed = np.flatnonzero(sweeps > _MAX_SWEEPS)
+    if failed.size:
+        raise NumericalError(f"Jacobi sweeps did not converge in {_MAX_SWEEPS} iterations",
+                             mode=int(failed[0]) + 1)
 
 
 def hermitian_eig(h, tol: float = 1e-10) -> EigenDecomposition:
@@ -312,10 +311,16 @@ def hermitian_eig(h, tol: float = 1e-10) -> EigenDecomposition:
     largest-magnitude entry (lowest row on ties) is made real and
     nonnegative, so identical input bits give identical output bits.
 
-    This is the solver of :func:`~hosvd3.hosvd.hosvd` on a stack of one:
-    ``hosvd`` solves all its Gram matrices in one call, and a matrix of any
-    size, swept together with the others of its size, comes out with the
-    same bits and counts as here.  A tol that is negative or
-    not finite raises ValidationError.
+    This is the solver of :func:`~hosvd3.hosvd.hosvd` on a stack of one: a
+    matrix gets the same bits and counts in its stacks as here.  A negative
+    or non-finite tol raises ValidationError, unconverged sweeps NumericalError.
     """
-    return _hermitian_eigs([h], _tolerance("tol", tol))[0]
+    tol = _tolerance("tol", tol)
+    a, e = _prescaled(h, tol)
+    eigenvalues, v, degenerate, sweeps, rotations = _eigh_stack(a[None], tol)
+    _check_converged(sweeps)
+    eigenvalues, v = np.ldexp(eigenvalues[0], e), v[0]
+    eigenvalues.setflags(write=False)
+    v.setflags(write=False)
+    return EigenDecomposition(eigenvalues=eigenvalues, unitary=v, degenerate=bool(degenerate[0]),
+                              sweeps=int(sweeps[0]), rotations=int(rotations[0]))

@@ -123,11 +123,10 @@ def _cyclic_axes(order: int, mode: int) -> list[int]:
     return [mode - 1] + list(range(mode, order)) + list(range(0, mode - 1))
 
 
-def _mode_rows(data: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-n matricization of an ndarray: row i is the slice data[..., i, ...]
-    at axis mode - 1, flattened in C order (unlike :func:`unfold`, not cyclic)."""
-    axes = (mode - 1, *range(mode - 1), *range(mode, data.ndim))
-    return data.transpose(axes).reshape(data.shape[mode - 1], -1)
+def _row_axes(order: int, mode: int) -> tuple[int, ...]:
+    # 0-based axis order (mode, 1, ..., mode-1, mode+1, ..., N) of the mode-n
+    # rows: row i is the slice at index i of mode n, flattened in C order
+    return (mode - 1, *range(mode - 1), *range(mode, order))
 
 
 def unfold(t: ComplexTensor, mode: int) -> np.ndarray:
@@ -170,10 +169,30 @@ def multilinear_transform(t: ComplexTensor, mats) -> ComplexTensor:
             raise ShapeError(f"matrix for mode {n} has shape {m.shape}, need ({d}, {d})")
     out = t.data
     for mode, m in enumerate(mats, start=1):
-        rows = _mode_rows(out, mode)
+        rows = _stack_matrices(out[None], _row_axes(out.ndim, mode))[0]
         out = np.dot(m, rows).reshape(-1, *out.shape[:mode - 1], *out.shape[mode:])
         out = out.transpose(*range(1, mode), 0, *range(mode, out.ndim))
     return ComplexTensor(out)
+
+
+def _stack_matrices(x: np.ndarray, axes) -> np.ndarray:
+    """The matrices (M, d, -1) of a stack x (M, *dims) with the tensor axes
+    in the 0-based order axes, the first, of size d, indexing the rows:
+    unfoldings for _cyclic_axes, mode rows for _row_axes."""
+    m, d = x.shape[0], x.shape[axes[0] + 1]
+    return x.transpose(0, *(a + 1 for a in axes)).reshape(m, d, math.prod(x.shape[1:]) // d)
+
+
+def _stacked_transform(x: np.ndarray, mats) -> np.ndarray:
+    """:func:`multilinear_transform` of each tensor of a stack x (M, *dims),
+    with mats[n-1] (M, d, d) applied in mode n, one mode at a time, by one
+    matrix product over the stack per mode."""
+    m, dims = x.shape[0], x.shape[1:]
+    for mode, mat in enumerate(mats, start=1):
+        rows = mat @ _stack_matrices(x, _row_axes(len(dims), mode))
+        x = rows.reshape(m, dims[mode - 1], *dims[:mode - 1], *dims[mode:]).transpose(
+            0, *range(2, mode + 1), 1, *range(mode + 1, len(dims) + 1))
+    return x
 
 
 def norm(t: ComplexTensor) -> float:

@@ -85,7 +85,7 @@ def test_criterion_3_derived_identities(thousand_decompositions):
         core = result.core
         sigma = tuple(float(spec[0]) ** 2 for spec in result.spectra)
         # the kernel of classify's residuals, on the generic route's core
-        found, _ = _identities(amps[None], core.data[None], np.array([sigma]), 1e-10)
+        found = _identities(amps[None], core.data[None], np.array([sigma]), 1e-10)
         worst_plane = max(worst_plane, float(found["plane_identity"][0]))
         worst_phase = max(worst_phase, float(found["phase_identity"][0]))
         # the two equivalent plane forms, evaluated independently here
@@ -220,7 +220,7 @@ def test_criterion_6_lu_covariance():
 
 def _polynomial_separability(state, tol=1e-10):
     x = state.data[None]
-    minors, _ = _identities(x, x, np.zeros((1, 3)), tol)
+    minors = _identities(x, x, np.zeros((1, 3)), tol)
     pure = [cut for cut in ("A_BC", "B_CA", "C_AB") if minors[f"minors_{cut}"][0] <= tol]
     if len(pure) >= 2:
         return "fully_separable"

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import pathlib
 
@@ -46,3 +47,31 @@ def test_every_public_name_is_documented():
     assert len(hosvd3.__all__) == 28
     for name in hosvd3.__all__:
         assert f"`{name}`" in text, name
+
+
+def test_no_dead_module_names():
+    # every module-level name defined in the package is used somewhere in
+    # it or exported: a helper kept alive only by tests is dead code
+    src = pathlib.Path(hosvd3.__file__).parent
+    defined, used = {}, set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            targets = []
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    targets += [n.id for n in ast.walk(target) if isinstance(n, ast.Name)]
+            for name in targets:
+                defined[name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    dead = {f"{module}:{name}" for name, module in defined.items()
+            if name not in used and name not in hosvd3.__all__ and name != "__all__"}
+    assert not dead, sorted(dead)

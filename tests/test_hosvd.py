@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hosvd3 import (
     ComplexTensor,
@@ -11,7 +13,8 @@ from hosvd3 import (
     norm,
     verify_all_orthogonality,
 )
-from hosvd3.hosvd import _mode_singular_values
+from hosvd3.hosvd import _hosvd_stack
+from hosvd3.smalllinalg import pow2_prescale
 from oracles import haar_state, haar_unitary, inner, rdm_eigenvalues, subtensor, validate_unitary
 
 
@@ -64,37 +67,45 @@ def test_factors_rebuild_input(rng):
     np.testing.assert_allclose(rebuilt.data, t.data, atol=1e-13)
 
 
+def stack_spectra(t):
+    """(core, spectra) of t from _hosvd_stack, t alone in the stack."""
+    core, _, spectra, _, _ = _hosvd_stack(t.data[None], 1e-10)
+    return core[0], [s[0] for s in spectra]
+
+
 class TestModeSingularValues:
+    """The spectra are the core's mode-n slice norms.  The first three
+    states are their own cores: their Grams are diagonal, so no rotation
+    runs."""
+
     def test_equal_ghz(self, ghz_equal):
-        core = ghz_equal
-        for mode in (1, 2, 3):
-            np.testing.assert_allclose(
-                _mode_singular_values(core, mode),
-                [1 / np.sqrt(2), 1 / np.sqrt(2)],
-                atol=1e-15,
-            )
+        core, spectra = stack_spectra(ghz_equal)
+        np.testing.assert_array_equal(core, ghz_equal.data)
+        for spec in spectra:
+            np.testing.assert_allclose(spec, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-15)
 
     def test_w_state(self, w_state):
-        core = w_state
-        for mode in (1, 2, 3):
-            np.testing.assert_allclose(
-                _mode_singular_values(core, mode),
-                [np.sqrt(2 / 3), np.sqrt(1 / 3)],
-                atol=1e-15,
-            )
+        core, spectra = stack_spectra(w_state)
+        np.testing.assert_array_equal(core, w_state.data)
+        for spec in spectra:
+            np.testing.assert_allclose(spec, [np.sqrt(2 / 3), np.sqrt(1 / 3)], atol=1e-15)
 
     def test_basis(self):
-        core = make_tensor([2, 2, 2], np.eye(8)[0])
-        for mode in (1, 2, 3):
-            np.testing.assert_array_equal(_mode_singular_values(core, mode), [1.0, 0.0])
+        t = make_tensor([2, 2, 2], np.eye(8)[0])
+        core, spectra = stack_spectra(t)
+        np.testing.assert_array_equal(core, t.data)
+        for spec in spectra:
+            np.testing.assert_array_equal(spec, [1.0, 0.0])
 
     def test_matches_subtensor_norms(self, rng):
         t = ComplexTensor(rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4)))
-        for mode in (1, 2, 3):
+        core, spectra = stack_spectra(ComplexTensor(pow2_prescale(t.data)[0]))
+        core = ComplexTensor(core)
+        for mode, spec in enumerate(spectra, start=1):
             expected = [
-                norm(subtensor(t, mode, i)) for i in range(1, t.dims[mode - 1] + 1)
+                norm(subtensor(core, mode, i)) for i in range(1, core.dims[mode - 1] + 1)
             ]
-            np.testing.assert_allclose(_mode_singular_values(t, mode), expected, rtol=1e-15)
+            np.testing.assert_allclose(spec, expected, rtol=1e-15)
 
 
 class TestAllOrthogonality:
@@ -166,22 +177,66 @@ class TestReconstruct:
         assert worst <= 1e-12
 
 
-def assert_lu_invariant(rng, dims, tensors, copies):
-    """hosvd of Gaussian tensors of shape dims and of copies of each under
-    Haar local unitaries: no degenerate mode, spectra within 1e-13 relative
-    and, since with no degenerate mode the factors are fixed up to a phase
+def assert_lu_copy(rng, t, r1):
+    """hosvd of a copy of t under Haar local unitaries against r1 = hosvd(t):
+    the same degenerate modes, spectra within 1e-13 of the largest and,
+    when no mode is degenerate, so that the factors are fixed up to a phase
     per column, |core| within 1e-13 of its largest entry."""
+    r2 = hosvd(multilinear_transform(t, [haar_unitary(rng, n) for n in t.dims]))
+    assert r2.degenerate_modes == r1.degenerate_modes
+    for a, b in zip(r1.spectra, r2.spectra, strict=True):
+        assert np.abs(a - b).max() <= 1e-13 * a.max()
+    if not r1.degenerate_modes:
+        size = np.abs(r1.core.data)
+        assert np.abs(np.abs(r2.core.data) - size).max() <= 1e-13 * size.max()
+
+
+def assert_lu_invariant(rng, dims, tensors, copies):
+    """assert_lu_copy on Gaussian tensors of shape dims, none of whose
+    modes is degenerate."""
     for _ in range(tensors):
         t = ComplexTensor(rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
         r1 = hosvd(t)
         assert not r1.degenerate_modes
-        size = np.abs(r1.core.data)
         for _ in range(copies):
-            r2 = hosvd(multilinear_transform(t, [haar_unitary(rng, n) for n in dims]))
-            assert r2.degenerate_modes == r1.degenerate_modes
-            for a, b in zip(r1.spectra, r2.spectra, strict=True):
-                assert np.abs(a - b).max() <= 1e-13 * a.max()
-            assert np.abs(np.abs(r2.core.data) - size).max() <= 1e-13 * size.max()
+            assert_lu_copy(rng, t, r1)
+
+
+# orders 1-4 with sizes 1-7: size-1 modes, closed-form 2x2 Grams and swept
+# ones, and modes larger than the rest of the tensor, whose Grams are rank
+# deficient and so degenerate
+DIMS = st.lists(st.integers(1, 7), min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), dims=DIMS)
+def test_lu_invariance_property(seed, dims):
+    rng = np.random.default_rng(seed)
+    t = ComplexTensor(rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
+    assert_lu_copy(rng, t, hosvd(t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), dims=DIMS, count=st.integers(2, 4))
+def test_stack_gives_each_tensor_its_bits(seed, dims, count):
+    # complex, real and sparse tensors in one stack: each gets the bits it
+    # gets alone, to the sign of every zero
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((count, *dims)) + 1j * rng.standard_normal((count, *dims))
+    x[1] = x[1].real
+    x[-1] *= rng.random(dims) < 0.5
+    x = np.array([pow2_prescale(t)[0] for t in x])
+    stacked = _hosvd_stack(x, 1e-10)
+    for i in range(count):
+        alone = _hosvd_stack(x[i:i + 1], 1e-10)
+        core, factors, spectra, degenerate, sweeps = (
+            [a[i:i + 1] for a in part] if isinstance(part, list) else part[i:i + 1]
+            for part in stacked)
+        assert core.tobytes() == alone[0].tobytes()
+        assert [f.tobytes() for f in factors] == [f.tobytes() for f in alone[1]]
+        assert [s.tobytes() for s in spectra] == [s.tobytes() for s in alone[2]]
+        assert degenerate.tobytes() == alone[3].tobytes()
+        assert sweeps.tobytes() == alone[4].tobytes()
 
 
 class TestInvariants:

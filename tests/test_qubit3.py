@@ -27,13 +27,11 @@ from hosvd3.qubit3 import (
     _SPECIAL_SUPPORT,
     _decide_case,
     _decide_special,
-    _grams,
     _hosvd_batch,
     _identities,
     _separability,
     _unit_rows,
 )
-from hosvd3.smalllinalg import _hermitian_eigs
 from conftest import amplitudes
 from oracles import haar_state, haar_unitary, one_body_rdm_by_summation
 
@@ -69,7 +67,7 @@ def identities(x, core, sigma=(0.0, 0.0, 0.0), tol=1e-10):
     that evaluates them: of the state x (the minors) and of its core (the
     rest), at the sigma triple, as floats.  At sigma 0 both plane forms
     read 0."""
-    out, _ = _identities(x.data[None], core.data[None], np.array([sigma], dtype=float), tol)
+    out = _identities(x.data[None], core.data[None], np.array([sigma], dtype=float), tol)
     return {name: float(value[0]) for name, value in out.items()}
 
 
@@ -664,23 +662,22 @@ TOLERANCES = [pytest.param(1e-10, 1e-8, id="defaults"), pytest.param(0.0, 1e-8, 
 
 
 def assert_matches_hosvd(amps, tol, sigma_tol):
-    """Check classify_batch of the (M, 8) amps against the generic route,
-    hosvd of each normalized state: sigma within 1e-14 of the top squared
-    spectra, the same degenerate modes, |core| within 1e-14 where no mode is
-    degenerate, and the same labels as the decision functions give on
-    hosvd's outputs.  classify of each state must be its row, bit for bit."""
+    """Check classify_batch of the (M, 8) amps against hosvd of each
+    normalized state: sigma equal to the squares of the top spectra, the
+    same degenerate modes, the same core, and the same labels as the
+    decision functions give on hosvd's outputs.  classify of each state
+    must be its row, bit for bit."""
     batch = classify_batch(amps, tol=tol, sigma_tol=sigma_tol)
     assert isinstance(batch, BatchClassification)
     states = [normalize(row) for row in amps]
     results = [hosvd(s, tol=tol) for s in states]
-    sigma = np.array([[float(spec[0]) ** 2 for spec in r.spectra] for r in results])
+    sigma = np.array([np.square([spec[0] for spec in r.spectra]) for r in results])
     core = np.array([r.core.data for r in results])
     degenerate = np.array([[n in r.degenerate_modes for n in (1, 2, 3)] for r in results])
-    np.testing.assert_allclose(batch.sigma, sigma, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(batch.sigma, sigma)
     np.testing.assert_array_equal(batch.degenerate_modes, degenerate)
-    clean = ~degenerate.any(axis=1)
     batch_core = _hosvd_batch(np.array([s.data for s in states]), tol)[0]
-    np.testing.assert_allclose(np.abs(batch_core[clean]), np.abs(core[clean]), rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(batch_core, core)
     separability = _separability(sigma, tol)
     case = _decide_case(sigma, sigma_tol)
     special, gauge_warning = _decide_special(core, separability, case,
@@ -715,23 +712,28 @@ class TestOneDecomposition:
                 assert batch.special.tolist()[:5] == ["ghz", "none", "s1", "b1", "none"]
 
     @pytest.mark.parametrize("tol", [1e-10, 0.0])
-    def test_factors_are_the_solvers(self, request, rng, tol):
-        # one rotation and one epilogue: the closed form's factors and flags
-        # are _hermitian_eigs of the same prescaled Grams, bit for bit.  The
-        # GHZ, W and B1 rows give unrotated and degenerate Grams.
+    def test_rows_are_hosvd_bit_for_bit(self, request, tol):
+        # one HOSVD route: each row of the batch is hosvd of that state, to
+        # the sign of every zero.  The fixtures and the real product row
+        # give unrotated, degenerate and real rotated Grams.
+        names = ("ghz_86", "ghz_equal", "w_state", "s1_fixture", "b1_fixture", "bisep_cab")
+        product = np.einsum("i,j,k->ijk", [0.6, 0.8], [0.8, -0.6], [1.0, 1.0]).ravel()
         amps = [*philox_haar(3000, 2026),
-                *(request.getfixturevalue(name).data.ravel()
-                  for name in ("ghz_86", "ghz_equal", "w_state", "b1_fixture")),
-                product_state(rng).data.ravel()]
+                *(request.getfixturevalue(name).data.ravel() for name in names), product]
         x = _unit_rows(np.array(amps))
-        _, factors, _, degenerate = _hosvd_batch(x, tol)
-        eigs = _hermitian_eigs(list(_grams(x).reshape(-1, 2, 2)), tol)
-        unitaries = np.array([e.unitary for e in eigs]).reshape(factors.shape)
-        flags = np.array([e.degenerate for e in eigs]).reshape(degenerate.shape)
-        same = [np.array_equal(f, u) and np.array_equal(d, g)
-                for f, u, d, g in zip(factors, unitaries, degenerate, flags)]
-        assert same.count(False) == 0, f"{same.count(False)} of {len(same)} states differ"
-        assert degenerate[-5:-1].any(axis=1).tolist() == [False, True, False, True]
+        core, factors, sigma, degenerate = _hosvd_batch(x, tol)
+        differ = 0
+        for i, state in enumerate(x):
+            r = hosvd(ComplexTensor(state), tol=tol)
+            same = (core[i].tobytes() == r.core.data.tobytes()
+                    and all(f[i].tobytes() == u.tobytes() for f, u in zip(factors, r.factors,
+                                                                       strict=True))
+                    and set(np.flatnonzero(degenerate[i]) + 1) == r.degenerate_modes
+                    and sigma[i].tobytes() == np.square([s[0] for s in r.spectra]).tobytes())
+            differ += not same
+        assert differ == 0, f"{differ} of {len(x)} states differ"
+        assert degenerate[-7:].any(axis=1).tolist() == [False, True, False, True, True, True,
+                                                        False]
 
     def test_plane_identity_is_read_at_the_reported_triple(self, request, rng):
         states = [request.getfixturevalue(name) for name in self.FIXTURES]

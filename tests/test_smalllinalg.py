@@ -9,7 +9,14 @@ from hosvd3 import (
     make_tensor,
     unfold,
 )
-from hosvd3.smalllinalg import _MAX_SWEEPS, _hermitian_eigs, _round_robin
+from hosvd3.smalllinalg import (
+    _MAX_SWEEPS,
+    _eigh_stack,
+    _ordered,
+    _prescaled,
+    _round_robin,
+    _solve_stack,
+)
 from oracles import (
     eig2_closed_form,
     eigh_descending,
@@ -204,47 +211,62 @@ def stack_mates(rng, n):
             np.ldexp(1.0, 600) * g, np.ldexp(1.0, -600) * repeated]
 
 
+def eigh_stacked(hs, tol=1e-10):
+    """(eigenvalues, unitary, degenerate, sweeps, rotations) of each h in hs,
+    from one _eigh_stack call on the prescaled matrices, scaled back."""
+    prepared = [_prescaled(h, tol) for h in hs]
+    solved = _eigh_stack(np.array([a for a, _ in prepared]), tol)
+    return [(np.ldexp(eigenvalues, e), v, bool(degenerate), int(sweeps), int(rotations))
+            for (_, e), eigenvalues, v, degenerate, sweeps, rotations in zip(prepared, *solved)]
+
+
 def assert_same_bits(got, want):
-    assert not got.eigenvalues.flags.writeable and not got.unitary.flags.writeable
-    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
-    assert got.unitary.tobytes() == want.unitary.tobytes()
-    assert got.degenerate == want.degenerate
-    assert (got.sweeps, got.rotations) == (want.sweeps, want.rotations)
+    eigenvalues, unitary, degenerate, sweeps, rotations = got
+    assert not want.eigenvalues.flags.writeable and not want.unitary.flags.writeable
+    assert eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    assert unitary.tobytes() == want.unitary.tobytes()
+    assert degenerate == want.degenerate
+    assert (sweeps, rotations) == (want.sweeps, want.rotations)
 
 
 class TestStack:
-    """_hermitian_eigs solves equal-size matrices as one stack; each must
-    come out with the bits it gets alone."""
+    """_eigh_stack solves equal-size matrices as one stack, 2x2 ones in
+    closed form; each must come out with the bits it gets alone."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 11, 12, 13, 16, 33, 64])
     def test_stacked_equals_single(self, rng, n):
         hs = stack_mates(rng, n)
         alone = [hermitian_eig(h) for h in hs]
-        for got, want in zip(_hermitian_eigs(hs, 1e-10), alone, strict=True):
+        for got, want in zip(eigh_stacked(hs), alone, strict=True):
             assert_same_bits(got, want)
-        for got, want in zip(_hermitian_eigs(hs[::-1], 1e-10), alone[::-1], strict=True):
+        for got, want in zip(eigh_stacked(hs[::-1]), alone[::-1], strict=True):
             assert_same_bits(got, want)
 
-    def test_mixed_sizes(self, rng):
-        # four stacks in one call, interleaved, in the caller's order
-        hs = [*stack_mates(rng, 13)[:2], random_hermitian(rng, 5),
-              *stack_mates(rng, 2)[:3], random_hermitian(rng, 11),
-              *stack_mates(rng, 12)[:2], random_hermitian(rng, 5), stack_mates(rng, 2)[3]]
-        for got, h in zip(_hermitian_eigs(hs, 1e-10), hs, strict=True):
-            assert_same_bits(got, hermitian_eig(h))
+    def test_closed_form_is_the_sweep(self, rng):
+        # a 2x2 matrix takes its one rotation in closed form, with the bits
+        # and counts the sweeps give it, to the sign of every zero: complex,
+        # real, diagonal, degenerate, tiny-pivot and -0.0-diagonal matrices
+        hs = [random_hermitian(rng, 2) for _ in range(300)]
+        hs += [h.real for h in hs] + [np.diag(rng.standard_normal(2)) for _ in range(50)]
+        hs += [np.eye(2) * rng.standard_normal() + np.diag([p], 1) + np.diag([p], -1)
+               for p in (0.0, 1e-16, 5e-16, 1e-15, 2e-15, 1e-8)]
+        hs += [np.diag([-0.0, -0.0]), np.array([[-0.0, 0.5j], [-0.5j, -0.0]])]
+        a = np.array([_prescaled(h, 1e-10)[0] for h in hs])
+        got = _eigh_stack(a, 1e-10)
+        eigenvalues, v, sweeps, rotations = _solve_stack(a)
+        want = (*_ordered(eigenvalues, v, 1e-10), sweeps, rotations)
+        for g, x in zip(got, want, strict=True):
+            assert g.dtype == x.dtype and g.tobytes() == x.tobytes()
 
-    def test_lowest_failing_matrix_is_raised(self, rng, monkeypatch):
-        # one sweep: the diagonal matrix converges, the others do not
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_unconverged_sweeps_raise(self, rng, monkeypatch, n):
+        # one sweep allowed: a matrix with a pivot needs a second, which
+        # rotates nothing, to converge; a diagonal one does not
         monkeypatch.setattr("hosvd3.smalllinalg._MAX_SWEEPS", 1)
-        diagonal, full = np.diag(rng.standard_normal(16)), random_hermitian(rng, 16)
-        for hs, mode in (([diagonal, random_hermitian(rng, 3), full], 2),
-                         ([diagonal, full, random_hermitian(rng, 3)], 2),
-                         ([full, np.zeros((2, 3))], 1)):
-            with pytest.raises(NumericalError, match="did not converge in 1 ") as exc:
-                _hermitian_eigs(hs, 1e-10)
-            assert exc.value.mode == mode
-        with pytest.raises(ValidationError, match="square"):
-            _hermitian_eigs([diagonal, np.zeros((2, 3)), full], 1e-10)
+        assert hermitian_eig(np.diag(rng.standard_normal(n))).sweeps == 1
+        with pytest.raises(NumericalError, match="did not converge in 1 ") as exc:
+            hermitian_eig(random_hermitian(rng, n))
+        assert exc.value.mode == 1
 
 
 class TestCounts:
