@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .smalllinalg import _check_converged, _eigh_stack, _tolerance, pow2_prescale
-from .tensor import (ComplexTensor, _cyclic_axes, _row_axes, _stack_matrices, _stacked_transform,
-                     multilinear_transform, norm)
+from .smalllinalg import (_check_converged, _eigh_stack, _gram_stack, _pow2_blocks, _tolerance,
+                          pow2_prescale)
+from .tensor import (ComplexTensor, _row_axes, _stack_matrices, _stacked_transform, _unfoldings,
+                     multilinear_transform)
 
 
 @dataclass(frozen=True)
@@ -75,20 +76,15 @@ def _hosvd_stack(x: np.ndarray, tol: float):
     """(core, factors, spectra, degenerate, sweeps): the HOSVD of each tensor
     of a stack x (M, *dims) with parts at most 1 in magnitude, the core
     C-ordered, factors and spectra per mode, flags and counts (M, N).  The
-    Grams of the modes of one size come from one product, made exactly
-    Hermitian and prescaled as by pow2_prescale, and go to one _eigh_stack
-    call; the spectra are the core's slice norms.  A tensor gets the same
-    bits alone as in any stack."""
+    Grams of one size are one _gram_stack, prescaled per matrix by
+    _pow2_blocks and solved by one _eigh_stack call; the spectra are the
+    core's slice norms.  A tensor gets the same bits alone as in any stack."""
     m, dims, order = x.shape[0], x.shape[1:], x.ndim - 1
     factors, adjoints = [None] * order, [None] * order
     degenerate, sweeps = np.empty((m, order), dtype=bool), np.empty((m, order), dtype=np.intp)
     for d in dict.fromkeys(dims):
         modes = [n for n in range(order) if dims[n] == d]
-        unf = np.stack([_stack_matrices(x, _cyclic_axes(order, n + 1)) for n in modes], axis=1)
-        g = unf @ unf.conj().swapaxes(2, 3)
-        parts = ((g + g.conj().swapaxes(2, 3)) / 2.0).view(np.float64)
-        e = np.frexp(np.abs(parts).max(axis=(2, 3)))[1]
-        a = np.ldexp(parts, -e[..., None, None]).view(np.complex128)
+        a, _, _ = _pow2_blocks(_gram_stack(_unfoldings(x, [n + 1 for n in modes])), (2, 3))
         _, v, flags, counts, _ = _eigh_stack(a.reshape(-1, d, d), tol)
         v = v.reshape(m, len(modes), d, d)
         v.setflags(write=False)
@@ -123,12 +119,11 @@ def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:
     """
     _tolerance("tol", tol)
     data, e = pow2_prescale(t.data)
-    x = ComplexTensor(data)
-    total = norm(x)
+    total = float(np.linalg.norm(data.ravel()))
     if total == 0.0:
         raise DomainError("HOSVD of the zero tensor is undefined")
 
-    core, factors, spectra, degenerate, sweeps = _hosvd_stack(x.data[None], tol)
+    core, factors, spectra, degenerate, sweeps = _hosvd_stack(data[None], tol)
     try:
         _check_converged(sweeps[0])
     except NumericalError as exc:
@@ -138,7 +133,7 @@ def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:
     core = ComplexTensor(core[0])
 
     recon = multilinear_transform(core, factors)
-    rec_residual = float(np.linalg.norm((recon.data - x.data).ravel())) / total
+    rec_residual = float(np.linalg.norm((recon.data - data).ravel())) / total
     ao_residual = float(np.ldexp(verify_all_orthogonality(core), 2 * e))
     core = ComplexTensor(np.ldexp(core.data.view(np.float64), e).view(np.complex128))
 

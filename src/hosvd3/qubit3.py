@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ShapeError, ValidationError
 from .hosvd import _hosvd_stack
-from .smalllinalg import _tolerance, gram
-from .tensor import ComplexTensor, _stacked_transform, unfold
+from .smalllinalg import _pow2_blocks, _tolerance, gram
+from .tensor import ComplexTensor, _stacked_transform, _unfoldings, unfold
 
 CUTS = ("A_BC", "B_CA", "C_AB")
 
@@ -57,12 +57,6 @@ _CASE_BITS = np.array([0, 1, 2, 0, 0, 4, 0, 0, 0])
 _TAG = np.array([tag for tag, _, _ in _SPECIAL_SUPPORT] + ["none"])
 _TAG_CASE = np.array([case for _, _, case in _SPECIAL_SUPPORT] + [""])
 _POWERS = 1 << np.arange(8)
-# The flat positions of the mode-1, 2, 3 unfoldings of a 2x2x2 tensor, with
-# the cyclic column order of tensor.unfold: x.reshape(-1, 8)[:, _UNFOLD]
-# holds the unfoldings of each tensor of a batch x, as (M, 3, 2, 4).
-_UNFOLD = np.array([[[0, 1, 2, 3], [4, 5, 6, 7]],
-                    [[0, 4, 1, 5], [2, 6, 3, 7]],
-                    [[0, 2, 4, 6], [1, 3, 5, 7]]])
 
 
 def _first_pattern_table() -> np.ndarray:
@@ -90,11 +84,13 @@ class ThreeQubitState(ComplexTensor):
             raise ValidationError("entries must be finite")
         object.__setattr__(self, "data", arr.reshape(2, 2, 2))
         super().__post_init__()
-        _check_unit_norm(self.data)
+        _check_state(self)
 
 
-def _check_unit_norm(data: np.ndarray) -> None:
-    total = np.linalg.norm(data.ravel())
+def _check_state(s: ComplexTensor) -> None:
+    if s.dims != (2, 2, 2):
+        raise ShapeError(f"need a 2x2x2 state, got dims {s.dims}")
+    total = np.linalg.norm(s.data.ravel())
     if not abs(total - 1.0) <= 1e-10:
         raise ValidationError(f"state is not normalized (norm {total!r}); use normalize()")
 
@@ -119,28 +115,27 @@ def _unit_rows(amps: np.ndarray) -> np.ndarray:
     vector, taken row by row, so a row gets the same bits alone or in any
     batch.  Non-finite entries raise ValidationError, a zero row DomainError.
     """
-    parts = np.ascontiguousarray(amps).view(np.float64)
-    largest = np.abs(parts).max(axis=1, initial=0.0)
-    if not np.all(largest < math.inf):
-        raise ValidationError("entries must be finite")
-    if not np.all(largest > 0.0):
+    z, _, largest = _pow2_blocks(amps[:, None], 2)
+    if not largest.all():
         raise DomainError("cannot normalize the zero vector")
-    parts = np.ldexp(parts, -np.frexp(largest)[1][:, None])[:, None]
-    re, im = parts[..., 0::2], parts[..., 1::2]
-    norms = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))
-    return (parts.view(np.complex128) / norms).reshape(-1, 2, 2, 2)
+    norms = np.sqrt(z.real @ z.real.swapaxes(1, 2) + z.imag @ z.imag.swapaxes(1, 2))
+    return (z / norms).reshape(-1, 2, 2, 2)
 
 
 def one_body_rdms(s: ThreeQubitState) -> tuple[np.ndarray, ...]:
     """rho^A, rho^B, rho^C, in that order: the Gram matrices of the three
-    unfoldings, as read-only 2x2 arrays."""
+    unfoldings, as read-only 2x2 arrays.  The state is checked as
+    :func:`classify` checks it."""
+    _check_state(s)
     return _read_only(gram(unfold(s, mode)) for mode in (1, 2, 3))
 
 
 def two_body_rdms(s: ThreeQubitState) -> tuple[np.ndarray, ...]:
     """rho^{AB}, rho^{CA}, rho^{BC}, in that order, as read-only 4x4 arrays;
     each is gram(unfolding.T), i.e. unfolding.T @ conj(unfolding), of the
-    unfolding of the remaining qubit."""
+    unfolding of the remaining qubit.  The state is checked as
+    :func:`classify` checks it."""
+    _check_state(s)
     return _read_only(gram(unfold(s, mode).T) for mode in (3, 2, 1))
 
 
@@ -261,10 +256,10 @@ def _identities(x: np.ndarray, core: np.ndarray, sigma: np.ndarray, tol: float) 
     t111, t112, t121, t122, t211, t212, t221, t222 = core.reshape(-1, 8).T
     power = np.abs(core.reshape(-1, 8)) ** 2
     total = power.sum(axis=1)
-    # the three unfoldings of the states and of their cores: (M, 2, 3, 2, 4)
-    unf = np.stack([x.reshape(-1, 8), core.reshape(-1, 8)], axis=1)[:, :, _UNFOLD]
+    # the three unfoldings of the states and of their cores: (2, M, 3, 2, 4)
+    unf = _unfoldings(np.concatenate([x, core]), (1, 2, 3)).reshape(2, -1, 3, 2, 4)
     out = {"all_orthogonality":
-           np.abs((unf[:, 1, :, 0].conj() * unf[:, 1, :, 1]).sum(axis=2)).max(axis=1)}
+           np.abs((unf[1, :, :, 0].conj() * unf[1, :, :, 1]).sum(axis=2)).max(axis=1)}
 
     # the plane a s1 + b s2 + c s3 = 0, and its companion form in t221,
     # t122 and t212
@@ -289,8 +284,8 @@ def _identities(x: np.ndarray, core: np.ndarray, sigma: np.ndarray, tol: float) 
     cross = unf[..., 0, :, None] * unf[..., 1, None, :]
     minors = np.abs(cross - cross.swapaxes(-1, -2))
     for n, cut in enumerate(CUTS):
-        out[f"core_bisep_{cut}"] = minors[:, 1, n, 1, 2]
-        out[f"minors_{cut}"] = minors[:, 0, n].max(axis=(1, 2))
+        out[f"core_bisep_{cut}"] = minors[1, :, n, 1, 2]
+        out[f"minors_{cut}"] = minors[0, :, n].max(axis=(1, 2))
     # t111 and t222 eliminated from all-orthogonality, where the shared
     # denominator is not within tol * norm^2 of zero
     denom = t212 * np.conj(t211) - t122 * np.conj(t121)
@@ -383,9 +378,7 @@ def classify(
     2x2x2 raises ShapeError, one whose norm is not 1 within 1e-10
     ValidationError, as :class:`ThreeQubitState` does.
     """
-    if s.dims != (2, 2, 2):
-        raise ShapeError(f"classify needs a 2x2x2 state, got dims {s.dims}")
-    _check_unit_norm(s.data)
+    _check_state(s)
     x = s.data[None]
     row, core, factors = _classify_rows(x, tol, sigma_tol)
     # relative, since s has unit norm

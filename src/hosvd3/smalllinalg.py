@@ -19,6 +19,11 @@ fixed, so the same input gives the same output bits.  Gram products and
 the multilinear transforms do use numpy's matrix product (BLAS), so full
 outputs are reproducible on one machine and numpy build, and other BLAS
 builds may differ in the last bits.
+
+The Gram (:func:`_gram_stack`) and the power-of-two prescale
+(:func:`_pow2_blocks`) are each written once, for stacks: :func:`gram` and
+:func:`pow2_prescale` run them on one matrix or array, the HOSVD on its
+stacked Grams, and ``normalize`` on its rows.
 """
 
 from __future__ import annotations
@@ -57,13 +62,21 @@ class EigenDecomposition:
 
 
 def gram(m) -> np.ndarray:
-    """Gram matrix M @ M^dagger of a complex r x c matrix: r x r, Hermitian, PSD."""
+    """Gram matrix M @ M^dagger of a complex r x c matrix: r x r, Hermitian,
+    PSD.  This is the stacked Gram of :func:`~hosvd3.hosvd.hosvd` on one
+    matrix.  Non-finite entries raise ValidationError."""
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2:
         raise ValidationError("gram expects a matrix")
-    g = m @ m.conj().T
-    # symmetrize away the last-bit asymmetry of the matmul
-    return (g + g.conj().T) / 2.0
+    if not np.isfinite(m).all():
+        raise ValidationError("entries must be finite")
+    return _gram_stack(m)
+
+
+def _gram_stack(m: np.ndarray) -> np.ndarray:
+    """M @ M^dagger of each matrix of a stack m (..., r, c), made exactly Hermitian."""
+    g = m @ m.conj().swapaxes(-1, -2)
+    return (g + g.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _tolerance(name: str, value: float) -> float:
@@ -81,12 +94,21 @@ def pow2_prescale(x) -> tuple[np.ndarray, int]:
     their bits; a Gram matrix of the result cannot overflow, and its largest
     entries are far from underflow.  Non-finite entries raise
     ValidationError."""
+    scaled, e, _ = _pow2_blocks(x, None)
+    return scaled, e.item()
+
+
+def _pow2_blocks(x, axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x * 2^-e, e, largest) for a complex array x, per block of its real
+    view over the axes `axis` (None: all of it; the last axis always in):
+    largest is the block's largest |part| and e its frexp exponent, both
+    kept as size-1 axes.  Non-finite entries raise ValidationError."""
     parts = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
-    largest = float(np.abs(parts).max(initial=0.0))
-    if not largest < math.inf:
+    largest = np.abs(parts).max(axis=axis, initial=0.0, keepdims=True)
+    if not math.isfinite(largest.max(initial=0.0)):
         raise ValidationError("entries must be finite")
-    e = math.frexp(largest)[1]
-    return np.ldexp(parts, -e).view(np.complex128), e
+    e = np.frexp(largest)[1]
+    return np.ldexp(parts, -e).view(np.complex128), e, largest
 
 
 @cache

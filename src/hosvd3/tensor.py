@@ -14,6 +14,11 @@ the column obtained by ranking the remaining indices in the cyclic order
     col = (i_{n+1}-1) I_{n+2}...I_N I_1...I_{n-1} + ... + (i_N-1) I_1...I_{n-1}
           + (i_1-1) I_2...I_{n-1} + ... + i_{n-1}
 
+Each layout step is written once, for a stack (M, *dims) of tensors:
+_stack_matrices (unfoldings and mode rows) and _stacked_transform (a size-1
+mode scaled elementwise); :func:`unfold` and :func:`multilinear_transform`
+run them on a stack of one tensor.
+
 All operations are pure: inputs are never mutated and results never alias
 caller storage.  An unfolding may share the read-only storage of its tensor.
 """
@@ -131,9 +136,10 @@ def _row_axes(order: int, mode: int) -> tuple[int, ...]:
 
 def unfold(t: ComplexTensor, mode: int) -> np.ndarray:
     """Mode-n unfolding with the cyclic column ordering (see module docstring):
-    a read-only complex ndarray of shape (dims[mode - 1], size / dims[mode - 1])."""
+    a read-only complex ndarray of shape (dims[mode - 1], size / dims[mode - 1]).
+    This is the stacks' unfolding kernel on a stack of one tensor."""
     mode = _mode(mode, t.order)
-    m = t.data.transpose(_cyclic_axes(t.order, mode)).reshape(t.dims[mode - 1], -1)
+    m = _stack_matrices(t.data[None], _cyclic_axes(t.order, mode))[0]
     m.setflags(write=False)
     return m
 
@@ -159,7 +165,9 @@ def multilinear_transform(t: ComplexTensor, mats) -> ComplexTensor:
         result_{j1...jN} = sum_{i1...iN} M1[j1,i1] ... MN[jN,iN] t_{i1...iN}
 
     Equivalently, unfold(result, n) = Mn @ unfold(t, n) @ kron(M_{n+1}, ...,
-    M_{n-1}).T with the cyclic factor ordering.
+    M_{n-1}).T with the cyclic factor ordering.  This is the stacked
+    transform :func:`_stacked_transform` on a stack of one tensor, so a
+    size-1 mode is scaled elementwise.
     """
     mats = [np.asarray(m, dtype=np.complex128) for m in mats]
     if len(mats) != t.order:
@@ -167,12 +175,7 @@ def multilinear_transform(t: ComplexTensor, mats) -> ComplexTensor:
     for n, (m, d) in enumerate(zip(mats, t.dims), start=1):
         if m.shape != (d, d):
             raise ShapeError(f"matrix for mode {n} has shape {m.shape}, need ({d}, {d})")
-    out = t.data
-    for mode, m in enumerate(mats, start=1):
-        rows = _stack_matrices(out[None], _row_axes(out.ndim, mode))[0]
-        out = np.dot(m, rows).reshape(-1, *out.shape[:mode - 1], *out.shape[mode:])
-        out = out.transpose(*range(1, mode), 0, *range(mode, out.ndim))
-    return ComplexTensor(out)
+    return ComplexTensor(_stacked_transform(t.data[None], [m[None] for m in mats])[0])
 
 
 def _stack_matrices(x: np.ndarray, axes) -> np.ndarray:
@@ -183,13 +186,20 @@ def _stack_matrices(x: np.ndarray, axes) -> np.ndarray:
     return x.transpose(0, *(a + 1 for a in axes)).reshape(m, d, math.prod(x.shape[1:]) // d)
 
 
+def _unfoldings(x: np.ndarray, modes) -> np.ndarray:
+    """The unfoldings (M, len(modes), d, -1) of a stack x in 1-based modes of one size d."""
+    return np.stack([_stack_matrices(x, _cyclic_axes(x.ndim - 1, n)) for n in modes], axis=1)
+
+
 def _stacked_transform(x: np.ndarray, mats) -> np.ndarray:
     """:func:`multilinear_transform` of each tensor of a stack x (M, *dims),
     with mats[n-1] (M, d, d) applied in mode n, one mode at a time, by one
-    matrix product over the stack per mode."""
+    matrix product over the stack per mode.  A size-1 mode is scaled
+    elementwise instead: one complex product per entry, with no BLAS call."""
     m, dims = x.shape[0], x.shape[1:]
     for mode, mat in enumerate(mats, start=1):
-        rows = mat @ _stack_matrices(x, _row_axes(len(dims), mode))
+        rows = _stack_matrices(x, _row_axes(len(dims), mode))
+        rows = mat * rows if dims[mode - 1] == 1 else mat @ rows
         x = rows.reshape(m, dims[mode - 1], *dims[:mode - 1], *dims[mode:]).transpose(
             0, *range(2, mode + 1), 1, *range(mode + 1, len(dims) + 1))
     return x

@@ -75,3 +75,23 @@ def test_no_dead_module_names():
     dead = {f"{module}:{name}" for name, module in defined.items()
             if name not in used and name not in hosvd3.__all__ and name != "__all__"}
     assert not dead, sorted(dead)
+
+
+def test_one_home_per_layout_rule():
+    # the power-of-two prescale rule (frexp) is written in smalllinalg.py
+    # only, and no module transforms with np.dot: every n-mode product is
+    # tensor's stacked kernel
+    src = pathlib.Path(hosvd3.__file__).parent
+    frexp, dot = [], []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name == "frexp":
+                frexp.append(path.name)
+            if (name == "dot" and isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                dot.append(path.name)
+    assert set(frexp) == {"smalllinalg.py"}, frexp
+    assert not dot, dot

@@ -221,6 +221,22 @@ class TestTwoBodyRdms:
                 assert np.trace(r2).real == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("rdms", [one_body_rdms, two_body_rdms])
+class TestRdmInput:
+    # checked as classify checks its state
+    def test_matrix_rejected(self, rdms):
+        with pytest.raises(ShapeError):
+            rdms(ComplexTensor(np.eye(2) / np.sqrt(2)))
+
+    def test_qutrits_rejected(self, rdms):
+        with pytest.raises(ShapeError):
+            rdms(ComplexTensor(np.ones((3, 3, 3)) / np.sqrt(27)))
+
+    def test_unnormalized_rejected(self, rdms):
+        with pytest.raises(ValidationError, match="not normalized"):
+            rdms(ComplexTensor(np.ones((2, 2, 2))))
+
+
 class TestSeparability:
     def test_basis_state(self):
         assert classify(normalize(amplitudes(a111=1))).separability == "fully_separable"

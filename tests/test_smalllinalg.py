@@ -50,6 +50,11 @@ class TestGram:
         np.testing.assert_allclose(g, one_body_rdm_by_summation(w, 0), atol=1e-15)
         np.testing.assert_allclose(g, np.diag([2 / 3, 1 / 3]), atol=1e-15)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValidationError, match="entries must be finite"):
+            gram([[bad, 1.0]])
+
     def test_psd_and_trace(self, rng):
         for _ in range(50):
             r, c = rng.integers(1, 6, size=2)

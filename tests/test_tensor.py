@@ -13,6 +13,7 @@ from hosvd3 import (
     refold,
     unfold,
 )
+from hosvd3.tensor import _stacked_transform
 from oracles import (
     haar_state,
     haar_unitary,
@@ -261,7 +262,8 @@ class TestMultilinearTransform:
 
     @pytest.mark.parametrize(
         "dims",
-        [(2, 2, 2), (3, 4, 5), (3, 4, 5, 6), (16, 16, 16), (32, 32), (7,), (4, 1, 3)],
+        [(2, 2, 2), (3, 4, 5), (3, 4, 5, 6), (16, 16, 16), (32, 32), (7,), (4, 1, 3), (2, 1),
+         (1, 5, 1)],
     )
     def test_bit_for_bit_tensordot_definition(self, rng, dims):
         t = random_tensor(rng, dims)
@@ -272,6 +274,35 @@ class TestMultilinearTransform:
         out = multilinear_transform(t, mats).data
         expected = transform_by_tensordot(mats, t.data)
         assert np.array_equal(out.view(np.float64), expected.view(np.float64))
+
+    @pytest.mark.parametrize("dims, scale", [((1, 1), 1), ((1, 20), 1), ((4, 1, 6), 1),
+                                             ((2, 5, 1), 0)])
+    def test_size_one_modes_scale_elementwise(self, rng, dims, scale):
+        # a 1x1 factor multiplies each entry, with no BLAS call: tensordot's
+        # np.dot takes BLAS dot for one entry and BLAS axpy for more, which
+        # can round otherwise (fused multiply-add from 16 entries on, and no
+        # work at all for a zero factor, which keeps +0.0)
+        t = random_tensor(rng, dims)
+        mats = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in dims]
+        mats[dims.index(1)] *= scale
+        expected = t.data
+        for axis, m in enumerate(mats):
+            expected = (m[0, 0] * expected if m.shape == (1, 1) else
+                        np.moveaxis(np.tensordot(m, expected, axes=([1], [axis])), 0, axis))
+        # bytes, so the sign of every zero counts
+        assert multilinear_transform(t, mats).data.tobytes() == np.ascontiguousarray(
+            expected).tobytes()
+
+    @pytest.mark.parametrize("dims", [(4, 1, 3), (1, 5, 1), (2, 1), (1, 20), (1, 1), (3, 4, 2)])
+    def test_stacked_equals_single(self, rng, dims):
+        # each tensor of a stack gets the bits multilinear_transform gives it
+        x = rng.standard_normal((5, *dims)) + 1j * rng.standard_normal((5, *dims))
+        mats = [rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+                for d in dims]
+        out = _stacked_transform(x, mats)
+        for k in range(5):
+            alone = multilinear_transform(ComplexTensor(x[k]), [m[k] for m in mats]).data
+            assert np.ascontiguousarray(out[k]).tobytes() == alone.tobytes()
 
     def test_unfolded_form(self, rng):
         # unfold(result, n) == M_n @ unfold(t, n) @ kron(cyclic others).T
