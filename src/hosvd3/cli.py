@@ -174,10 +174,11 @@ def _emit(chunks: Iterator[str], output) -> None:
     leaves the rows already written, and the exit code reports the failure.
 
     A file output is replaced atomically: the text goes to a temporary file
-    beside the real path of output (a symlink keeps its link), which gets
-    the mode open(output, "w") leaves (that of the file it replaces, or
-    0o666 & ~umask for a new one) and then takes output's place.  On any
-    failure the temporary file is removed and output is left as it was.
+    beside output, or beside the file it points to when output is a symlink
+    (the link stays), which gets the mode open(output, "w") leaves (that of
+    the file it replaces, or 0o666 & ~umask for a new one) and then takes
+    that file's place.  On any failure the temporary file is removed and
+    output is left as it was.
     An output that exists and is not a regular file, such as /dev/null, is
     written in place, chunk by chunk, like stdout.
 
@@ -189,9 +190,13 @@ def _emit(chunks: Iterator[str], output) -> None:
     if output is None:
         sys.stdout.writelines(chunks)
         return
-    target = os.path.realpath(output)
+    target = output
     try:
-        mode = os.stat(target).st_mode
+        mode = os.lstat(target).st_mode
+        if stat.S_ISLNK(mode):
+            # realpath takes an lstat per path component: only links need it
+            target = os.path.realpath(output)
+            mode = os.stat(target).st_mode
     except FileNotFoundError:
         umask = os.umask(0o022)  # the umask can be read only by setting it
         os.umask(umask)

@@ -84,7 +84,7 @@ def _hosvd_stack(x: np.ndarray, tol: float):
     degenerate, sweeps = np.empty((m, order), dtype=bool), np.empty((m, order), dtype=np.intp)
     for d in dict.fromkeys(dims):
         modes = [n for n in range(order) if dims[n] == d]
-        a, _, _ = _pow2_blocks(_gram_stack(_unfoldings(x, [n + 1 for n in modes])), (2, 3))
+        a, _, _ = _pow2_blocks(_gram_stack(_unfoldings(x, tuple(n + 1 for n in modes))), (2, 3))
         _, v, flags, counts, _ = _eigh_stack(a.reshape(-1, d, d), tol)
         v = v.reshape(m, len(modes), d, d)
         v.setflags(write=False)

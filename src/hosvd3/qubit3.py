@@ -57,6 +57,16 @@ _CASE_BITS = np.array([0, 1, 2, 0, 0, 4, 0, 0, 0])
 _TAG = np.array([tag for tag, _, _ in _SPECIAL_SUPPORT] + ["none"])
 _TAG_CASE = np.array([case for _, _, case in _SPECIAL_SUPPORT] + [""])
 _POWERS = 1 << np.arange(8)
+# Index tables of _identities, on the flat (M, 8) core (index 4(i1-1) +
+# 2(i2-1) + (i3-1) for t_{i1 i2 i3}) and on the (M, 3) sigma.  The plane
+# coefficients a, b, c are |t|^2 at row 0 of _PLANE minus |t|^2 at row 1,
+# and the companion form weighs s1 - s2, s2 - s3, s3 - s1 (_GAPS) by |t|^2
+# at row 2.  p, q, r are t112 t221, t121 t212, t122 t211 (_PHASE), and
+# _CYCLE gives their differences r - q, p - r, q - p.
+_PLANE = np.array([[1, 4, 2], [2, 1, 4], [6, 3, 5]])
+_GAPS = np.array([[0, 1, 2], [1, 2, 0]])
+_PHASE = np.array([[1, 2, 3], [6, 5, 4]])
+_CYCLE = np.array([[2, 0, 1], [1, 2, 0]])
 
 
 def _first_pattern_table() -> np.ndarray:
@@ -253,8 +263,9 @@ def _identities(x: np.ndarray, core: np.ndarray, sigma: np.ndarray, tol: float) 
     The values are evaluated as they stand, so rows should be of moderate
     scale, as unit-norm states are.
     """
-    t111, t112, t121, t122, t211, t212, t221, t222 = core.reshape(-1, 8).T
-    power = np.abs(core.reshape(-1, 8)) ** 2
+    flat = core.reshape(-1, 8)
+    t111, t112, t121, t122, t211, t212, t221, t222 = flat.T
+    power = np.abs(flat) ** 2
     total = power.sum(axis=1)
     # the three unfoldings of the states and of their cores: (2, M, 3, 2, 4)
     unf = _unfoldings(np.concatenate([x, core]), (1, 2, 3)).reshape(2, -1, 3, 2, 4)
@@ -263,20 +274,26 @@ def _identities(x: np.ndarray, core: np.ndarray, sigma: np.ndarray, tol: float) 
 
     # the plane a s1 + b s2 + c s3 = 0, and its companion form in t221,
     # t122 and t212
-    a, b, c = power[:, 1] - power[:, 2], power[:, 4] - power[:, 1], power[:, 2] - power[:, 4]
-    s1, s2, s3 = sigma.T
-    form_a = a * s1 + b * s2 + c * s3
-    form_b = power[:, 6] * (s1 - s2) + power[:, 3] * (s2 - s3) + power[:, 5] * (s3 - s1)
+    weights, gaps = power[:, _PLANE], sigma[:, _GAPS]
+    plane = weights[:, 0] - weights[:, 1]
+    a, b, c = plane.T
+    terms_a = plane * sigma
+    terms_b = weights[:, 2] * (gaps[:, 0] - gaps[:, 1])
+    form_a = terms_a[:, 0] + terms_a[:, 1] + terms_a[:, 2]
+    form_b = terms_b[:, 0] + terms_b[:, 1] + terms_b[:, 2]
     if np.any(np.abs(a + b + c) > 1e-12 * total):
         raise NumericalError(f"plane coefficients do not cancel: {(a + b + c).max()!r}")
     if np.any(np.abs(form_a - form_b) > 1e-12 * total * np.abs(sigma).max(axis=1)):
         i = np.argmax(np.abs(form_a - form_b))
         raise NumericalError(f"equivalent plane forms disagree: {form_a[i]!r} vs {form_b[i]!r}")
     # the cyclic quartic phase identity
-    p, q, r = t112 * t221, t121 * t212, t122 * t211
+    factors = flat[:, _PHASE]
+    pqr = factors[:, 0] * factors[:, 1]
+    _, q, r = pqr.T
+    cycle = pqr[:, _CYCLE]
+    terms = pqr.conj() * (cycle[:, 0] - cycle[:, 1])
     out.update({"plane_identity": np.abs(form_a),
-                "phase_identity": np.abs(np.conj(p) * (r - q) + np.conj(q) * (p - r)
-                                         + np.conj(r) * (q - p)),
+                "phase_identity": np.abs(terms[:, 0] + terms[:, 1] + terms[:, 2]),
                 "plane_a": a, "plane_b": b, "plane_c": c, "plane_coefficient_sum": a + b + c})
     # every |2x2 minor| of each unfolding, [..., a, b] for columns a and b:
     # the state's six per cut, and the core's one condition per cut, its

@@ -15,9 +15,12 @@ the column obtained by ranking the remaining indices in the cyclic order
           + (i_1-1) I_2...I_{n-1} + ... + i_{n-1}
 
 Each layout step is written once, for a stack (M, *dims) of tensors:
-_stack_matrices (unfoldings and mode rows) and _stacked_transform (a size-1
-mode scaled elementwise); :func:`unfold` and :func:`multilinear_transform`
-run them on a stack of one tensor.
+_stack_matrices (unfoldings and mode rows), _unfoldings (several modes of
+one size at once) and _stacked_transform (a size-1 mode scaled
+elementwise); :func:`unfold` and :func:`multilinear_transform` run them on
+a stack of one tensor.  Each step reads its transposes, shapes and counts
+from a plan worked out once per tensor shape and cached, so a call on a
+shape already seen does no layout arithmetic of its own.
 
 All operations are pure: inputs are never mutated and results never alias
 caller storage.  An unfolding may share the read-only storage of its tensor.
@@ -29,6 +32,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -123,9 +127,9 @@ def _mode(mode, order: int) -> int:
     return checked
 
 
-def _cyclic_axes(order: int, mode: int) -> list[int]:
+def _cyclic_axes(order: int, mode: int) -> tuple[int, ...]:
     # 0-based axis order (mode, mode+1, ..., N, 1, ..., mode-1)
-    return [mode - 1] + list(range(mode, order)) + list(range(0, mode - 1))
+    return (mode - 1, *range(mode, order), *range(mode - 1))
 
 
 def _row_axes(order: int, mode: int) -> tuple[int, ...]:
@@ -178,17 +182,24 @@ def multilinear_transform(t: ComplexTensor, mats) -> ComplexTensor:
     return ComplexTensor(_stacked_transform(t.data[None], [m[None] for m in mats])[0])
 
 
-def _stack_matrices(x: np.ndarray, axes) -> np.ndarray:
+def _stack_matrices(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """The matrices (M, d, -1) of a stack x (M, *dims) with the tensor axes
     in the 0-based order axes, the first, of size d, indexing the rows:
     unfoldings for _cyclic_axes, mode rows for _row_axes."""
-    m, d = x.shape[0], x.shape[axes[0] + 1]
-    return x.transpose(0, *(a + 1 for a in axes)).reshape(m, d, math.prod(x.shape[1:]) // d)
+    transpose, d, cols = _matrix_plan(x.shape[1:], axes)
+    return x.transpose(transpose).reshape(x.shape[0], d, cols)
 
 
-def _unfoldings(x: np.ndarray, modes) -> np.ndarray:
-    """The unfoldings (M, len(modes), d, -1) of a stack x in 1-based modes of one size d."""
-    return np.stack([_stack_matrices(x, _cyclic_axes(x.ndim - 1, n)) for n in modes], axis=1)
+def _unfoldings(x: np.ndarray, modes: tuple[int, ...]) -> np.ndarray:
+    """The unfoldings (M, len(modes), d, -1) of a stack x in 1-based modes of
+    one size d, each copied once into its place in the result."""
+    size, d, steps = _unfolding_plan(x.shape[1:], modes)
+    m = x.shape[0]
+    out = np.empty((m, len(steps), size), dtype=x.dtype)
+    for j, (transpose, shape) in enumerate(steps):
+        # splitting the contiguous last axis is a view, so this writes into out
+        out[:, j].reshape(m, *shape)[...] = x.transpose(transpose)
+    return out.reshape(m, len(steps), d, size // d)
 
 
 def _stacked_transform(x: np.ndarray, mats) -> np.ndarray:
@@ -196,13 +207,46 @@ def _stacked_transform(x: np.ndarray, mats) -> np.ndarray:
     with mats[n-1] (M, d, d) applied in mode n, one mode at a time, by one
     matrix product over the stack per mode.  A size-1 mode is scaled
     elementwise instead: one complex product per entry, with no BLAS call."""
-    m, dims = x.shape[0], x.shape[1:]
-    for mode, mat in enumerate(mats, start=1):
-        rows = _stack_matrices(x, _row_axes(len(dims), mode))
-        rows = mat * rows if dims[mode - 1] == 1 else mat @ rows
-        x = rows.reshape(m, dims[mode - 1], *dims[:mode - 1], *dims[mode:]).transpose(
-            0, *range(2, mode + 1), 1, *range(mode + 1, len(dims) + 1))
+    m = x.shape[0]
+    for mat, (transpose, d, cols, shape, back) in zip(mats, _transform_plan(x.shape[1:])):
+        rows = x.transpose(transpose).reshape(m, d, cols)
+        rows = mat * rows if d == 1 else mat @ rows
+        x = rows.reshape(m, *shape).transpose(back)
     return x
+
+
+# The layout plans: each transpose, shape and count a layout step needs,
+# worked out once per tensor shape.  A plan is a few small tuples; the bound
+# only keeps a process that meets many shapes from keeping all of them.
+_PLANS = 64
+
+
+@lru_cache(maxsize=_PLANS)
+def _matrix_plan(dims: tuple[int, ...], axes: tuple[int, ...]):
+    # (transpose, rows, columns) of _stack_matrices on a stack (M, *dims)
+    d = dims[axes[0]]
+    return (0, *(a + 1 for a in axes)), d, math.prod(dims) // d
+
+
+@lru_cache(maxsize=_PLANS)
+def _unfolding_plan(dims: tuple[int, ...], modes: tuple[int, ...]):
+    # (size, rows, steps) of _unfoldings on a stack (M, *dims): per mode,
+    # the transpose into the cyclic axis order and the shape it gives a tensor
+    steps = tuple(((0, *(a + 1 for a in axes)), tuple(dims[a] for a in axes))
+                  for axes in (_cyclic_axes(len(dims), n) for n in modes))
+    return math.prod(dims), dims[modes[0] - 1], steps
+
+
+@lru_cache(maxsize=_PLANS)
+def _transform_plan(dims: tuple[int, ...]):
+    # per mode n of _stacked_transform on a stack (M, *dims): the transpose,
+    # rows and columns of its mode rows, then the shape (d, *other dims) of
+    # their product and the transpose that puts its first axis back at n
+    order = len(dims)
+    return tuple((*_matrix_plan(dims, _row_axes(order, n)),
+                  (dims[n - 1], *dims[:n - 1], *dims[n:]),
+                  (0, *range(2, n + 1), 1, *range(n + 1, order + 1)))
+                 for n in range(1, order + 1))
 
 
 def norm(t: ComplexTensor) -> float:

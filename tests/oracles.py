@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from hosvd3 import ComplexTensor, ShapeError, ValidationError
+from hosvd3 import ComplexTensor, NumericalError, ShapeError, ValidationError
 
 
 def transform_by_summation(mats, data):
@@ -132,3 +132,51 @@ def haar_unitary(rng, n=2):
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def identities_by_formula(x, core, sigma, tol):
+    """The core identities of classify's residuals, per row of states x,
+    their cores (both (M, 2, 2, 2)) and sigma triples (M, 3), each value
+    written out term by term, in the order of operations the kernel
+    ``qubit3._identities`` must keep: the reference its index tables are
+    checked against, bit for bit.  Rows where the guard of the t111/t222
+    formulas holds read NaN there; NumericalError is raised where the plane
+    coefficients do not cancel or the two plane forms disagree."""
+    flat = core.reshape(-1, 8)
+    t111, t112, t121, t122, t211, t212, t221, t222 = flat.T
+    power = np.abs(flat) ** 2
+    total = power.sum(axis=1)
+    # unfoldings (2, M, 3, 2, 4) of the states and the cores, by the cyclic
+    # axis orders (n, n+1, ..., n-1) of the three modes
+    both = np.concatenate([x, core])
+    unf = np.stack([both.transpose(0, *(1 + (n + k) % 3 for k in range(3))).reshape(-1, 2, 4)
+                    for n in range(3)], axis=1).reshape(2, -1, 3, 2, 4)
+    out = {"all_orthogonality":
+           np.abs((unf[1, :, :, 0].conj() * unf[1, :, :, 1]).sum(axis=2)).max(axis=1)}
+    a, b, c = power[:, 1] - power[:, 2], power[:, 4] - power[:, 1], power[:, 2] - power[:, 4]
+    s1, s2, s3 = sigma.T
+    form_a = a * s1 + b * s2 + c * s3
+    form_b = power[:, 6] * (s1 - s2) + power[:, 3] * (s2 - s3) + power[:, 5] * (s3 - s1)
+    if np.any(np.abs(a + b + c) > 1e-12 * total):
+        raise NumericalError(f"plane coefficients do not cancel: {(a + b + c).max()!r}")
+    if np.any(np.abs(form_a - form_b) > 1e-12 * total * np.abs(sigma).max(axis=1)):
+        i = np.argmax(np.abs(form_a - form_b))
+        raise NumericalError(f"equivalent plane forms disagree: {form_a[i]!r} vs {form_b[i]!r}")
+    p, q, r = t112 * t221, t121 * t212, t122 * t211
+    out.update({"plane_identity": np.abs(form_a),
+                "phase_identity": np.abs(np.conj(p) * (r - q) + np.conj(q) * (p - r)
+                                         + np.conj(r) * (q - p)),
+                "plane_a": a, "plane_b": b, "plane_c": c, "plane_coefficient_sum": a + b + c})
+    cross = unf[..., 0, :, None] * unf[..., 1, None, :]
+    minors = np.abs(cross - cross.swapaxes(-1, -2))
+    for n, cut in enumerate(("A_BC", "B_CA", "C_AB")):
+        out[f"core_bisep_{cut}"] = minors[1, :, n, 1, 2]
+        out[f"minors_{cut}"] = minors[0, :, n].max(axis=(1, 2))
+    denom = t212 * np.conj(t211) - t122 * np.conj(t121)
+    guarded = np.abs(denom) <= tol * total
+    denom = np.where(guarded, 1.0, denom)
+    t111_formula = -(np.conj(t221) * (q - r) + t112 * (power[:, 5] - power[:, 3])) / denom
+    t222_formula = (np.conj(t112) * (q - r) + t221 * (power[:, 2] - power[:, 4])) / np.conj(denom)
+    out["t111_formula"] = np.where(guarded, np.nan, np.abs(t111 - t111_formula))
+    out["t222_formula"] = np.where(guarded, np.nan, np.abs(t222 - t222_formula))
+    return out

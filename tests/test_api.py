@@ -80,9 +80,12 @@ def test_no_dead_module_names():
 def test_one_home_per_layout_rule():
     # the power-of-two prescale rule (frexp) is written in smalllinalg.py
     # only, and no module transforms with np.dot: every n-mode product is
-    # tensor's stacked kernel
+    # tensor's stacked kernel.  The cyclic column order and the per-shape
+    # layout plans are read in tensor.py only.
     src = pathlib.Path(hosvd3.__file__).parent
     frexp, dot = [], []
+    layout = {name: set() for name in ("_cyclic_axes", "_PLANS", "_matrix_plan",
+                                       "_unfolding_plan", "_transform_plan")}
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             name = (node.attr if isinstance(node, ast.Attribute)
@@ -90,8 +93,11 @@ def test_one_home_per_layout_rule():
                     else node.name if isinstance(node, ast.alias) else None)
             if name == "frexp":
                 frexp.append(path.name)
+            if name in layout:
+                layout[name].add(path.name)
             if (name == "dot" and isinstance(node, ast.Attribute)
                     and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
                 dot.append(path.name)
     assert set(frexp) == {"smalllinalg.py"}, frexp
     assert not dot, dot
+    assert all(homes == {"tensor.py"} for homes in layout.values()), layout

@@ -662,3 +662,34 @@ class TestAtomicOutput:
         assert json.loads(real.read_text())["command"] == "decompose"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ghz.json", "link.json", "real"]
         assert [p.name for p in (tmp_path / "real").iterdir()] == ["report.json"]
+
+    @pytest.mark.parametrize("links, output, existing", [
+        pytest.param({"link.json": "/real/report.json"}, "link.json", False, id="dangling"),
+        pytest.param({"a.json": "/b.json", "b.json": "/real/report.json"}, "a.json", True,
+                     id="chain"),
+        pytest.param({"link.json": "real/report.json"}, "link.json", True, id="relative"),
+        pytest.param({"dir": "/real"}, "dir/report.json", True, id="parent"),
+    ])
+    def test_symlinked_output_lands_at_its_target(self, tmp_path, ghz_file, links, output,
+                                                  existing):
+        # a target with a leading / is under tmp_path, any other relative to its link
+        (tmp_path / "real").mkdir()
+        report = tmp_path / "real" / "report.json"
+        if existing:
+            report.write_text("previous report")
+        for name, target in links.items():
+            (tmp_path / name).symlink_to(tmp_path / target[1:] if target[0] == "/" else target)
+        before = {name: os.readlink(tmp_path / name) for name in links}
+        assert run(["decompose", ghz_file, "--output", str(tmp_path / output)]) == EXIT_OK
+        assert {name: os.readlink(tmp_path / name) for name in links} == before
+        assert json.loads(report.read_text())["command"] == "decompose"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["ghz.json", "real", *links])
+        assert [p.name for p in (tmp_path / "real").iterdir()] == ["report.json"]
+
+    def test_symlink_to_a_device_is_written_in_place(self, tmp_path, ghz_file):
+        link = tmp_path / "null.json"
+        link.symlink_to(os.devnull)
+        assert run(["decompose", ghz_file, "--output", str(link)]) == EXIT_OK
+        assert os.readlink(link) == os.devnull
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ghz.json", "null.json"]

@@ -25,6 +25,7 @@ from hosvd3 import (
 from hosvd3.qubit3 import (
     CUTS,
     _SPECIAL_SUPPORT,
+    _classify_rows,
     _decide_case,
     _decide_special,
     _hosvd_batch,
@@ -33,7 +34,8 @@ from hosvd3.qubit3 import (
     _unit_rows,
 )
 from conftest import amplitudes
-from oracles import haar_state, haar_unitary, one_body_rdm_by_summation
+from oracles import (haar_state, haar_unitary, identities_by_formula,
+                     one_body_rdm_by_summation)
 
 
 def haar_3q(rng):
@@ -403,6 +405,31 @@ class TestGuardedCheck:
             assert r["t111_formula"] <= 1e-9
             assert r["t222_formula"] <= 1e-9
         assert checked > 250  # generic states pass the guard
+
+
+
+class TestIdentityKernel:
+    """_identities reads its plane coefficients, plane forms and phase
+    identity through index tables, and must give every value the bytes of
+    the term-by-term formulas (oracles.identities_by_formula)."""
+
+    @pytest.mark.parametrize("tol", [1e-10, 0.0])
+    def test_matches_the_formulas_bit_for_bit(self, rng, tol):
+        # Haar, real-valued, random sparse supports and the special patterns
+        sparse = [on_pattern(rng, rng.choice(8, rng.integers(1, 8), replace=False), 1)
+                  for _ in range(500)]
+        special = [on_pattern(rng, pattern, 20) for _, pattern, _ in _SPECIAL_SUPPORT]
+        x = _unit_rows(np.concatenate([philox_haar(1000, 2027), rng.standard_normal((500, 8)),
+                                       *sparse, *special]))
+        batch, core, _ = _classify_rows(x, tol, 1e-8)
+        # the whole batch at once, and each state alone, as classify runs it
+        pieces = [slice(None), *(slice(i, i + 1) for i in range(len(x)))]
+        for rows in pieces:
+            got = _identities(x[rows], core[rows], batch.sigma[rows], tol)
+            expected = identities_by_formula(x[rows], core[rows], batch.sigma[rows], tol)
+            assert list(got) == list(expected)
+            for name, value in expected.items():
+                assert got[name].tobytes() == value.tobytes(), (rows, name)
 
 
 class TestClassify:

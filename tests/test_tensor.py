@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from hosvd3 import (
     refold,
     unfold,
 )
-from hosvd3.tensor import _stacked_transform
+from hosvd3.tensor import _stacked_transform, _unfoldings
 from oracles import (
     haar_state,
     haar_unitary,
@@ -200,9 +202,21 @@ class TestNorm:
             norm(make_tensor([2], [1.0, bad]))
 
 
+def plan_shapes():
+    # orders 1-5, with size-1 modes, in a fixed order
+    rng = np.random.default_rng(2031)
+    shapes = [(1,), (1, 1), (2, 1, 3), (1, 1, 1, 1, 1), (3, 1, 2, 1, 2)]
+    for order in range(1, 6):
+        shapes += [tuple(rng.integers(1, 5, size=order).tolist()) for _ in range(16)]
+    return shapes
+
+
 class TestRefold:
     def test_round_trip_bit_identical(self, rng):
-        for dims in [(2, 2, 2), (3, 2, 4), (2,), (2, 5), (7,), (4, 1, 3), (2, 3, 2, 2)]:
+        # plan_shapes twice: the second pass meets the layout plans cached
+        shapes = plan_shapes()
+        for dims in [(2, 2, 2), (3, 2, 4), (2,), (2, 5), (7,), (4, 1, 3), (2, 3, 2, 2),
+                     *shapes, *shapes[::-1]]:
             t = random_tensor(rng, dims)
             for mode in range(1, len(dims) + 1):
                 m = unfold(t, mode)
@@ -235,6 +249,28 @@ class TestRefold:
     def test_float_dim_rejected(self):
         with pytest.raises(ShapeError, match="integers"):
             refold(np.zeros((2, 2)), 1, [2.9, 2])
+
+
+class TestLayoutPlans:
+    """The layout steps of a stack run from plans cached per shape, and must
+    give each tensor the bytes of its own unfolding, whichever shapes the
+    caches met before."""
+
+    def test_unfoldings_are_each_tensors_unfolding(self, rng):
+        shapes = plan_shapes()
+        # the second pass finds every plan cached, or evicted by later shapes
+        for dims in shapes + shapes[::-1]:
+            for m in (0, 1, 3):
+                x = rng.standard_normal((m, *dims)) + 1j * rng.standard_normal((m, *dims))
+                tensors = [ComplexTensor(x[k]) for k in range(m)]
+                for d in set(dims):
+                    modes = tuple(n for n in range(1, len(dims) + 1) if dims[n - 1] == d)
+                    for order in (modes, modes[::-1]):
+                        u = _unfoldings(x, order)
+                        assert u.shape == (m, len(order), d, math.prod(dims) // d)
+                        for k, t in enumerate(tensors):
+                            for j, n in enumerate(order):
+                                assert u[k, j].tobytes() == unfold(t, n).tobytes()
 
 
 class TestMultilinearTransform:
@@ -273,7 +309,8 @@ class TestMultilinearTransform:
         ]
         out = multilinear_transform(t, mats).data
         expected = transform_by_tensordot(mats, t.data)
-        assert np.array_equal(out.view(np.float64), expected.view(np.float64))
+        # bytes, so the sign of every zero counts
+        assert out.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("dims, scale", [((1, 1), 1), ((1, 20), 1), ((4, 1, 6), 1),
                                              ((2, 5, 1), 0)])
