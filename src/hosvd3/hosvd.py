@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
-from .smalllinalg import (_check_converged, _eigh_stack, _gram_stack, _pow2_blocks, _tolerance,
-                          pow2_prescale)
-from .tensor import (ComplexTensor, _row_axes, _stack_matrices, _stacked_transform, _unfoldings,
-                     multilinear_transform)
+from .errors import DomainError, NumericalError, ValidationError
+from .smalllinalg import (_check_converged, _eigh_stack, _gram_stack, _norms, _pow2_blocks,
+                          _tolerance, pow2_prescale)
+from .tensor import ComplexTensor, _row_axes, _stack_matrices, _stacked_transform, _unfoldings
 
 
 @dataclass(frozen=True)
@@ -52,24 +51,33 @@ class HosvdResult:
 
 
 def verify_all_orthogonality(core: ComplexTensor) -> float:
-    """Max over modes n and index pairs a != b of |<slice a, slice b>|, where
-    slice i of mode n is the core with its n-th index fixed to i.
+    """The largest off-diagonal modulus of the core's mode Grams: over modes
+    n and index pairs a != b, the largest |<slice a, slice b>|, slice i of
+    mode n being the core with its n-th index fixed to i.
 
-    For a 2x2x2 core this evaluates exactly the three off-diagonal sums
+    For a 2x2x2 core this evaluates the three off-diagonal sums
     conj(t_1jk) t_2jk of the one-body density matrices.  A vector (order 1)
-    is not checked: its residual is 0.0.
+    is not checked: its residual is 0.0.  A core with a non-finite entry
+    raises ValidationError.  This is the kernel that :func:`hosvd` and
+    :func:`~hosvd3.qubit3.classify` read, on a stack of one core.
     """
-    if core.order == 1:
-        return 0.0
-    worst = 0.0
-    for mode in range(1, core.order + 1):
-        # own buffers: the BLAS dot's last bits depend on operand alignment
-        rows = [row.copy()
-                for row in _stack_matrices(core.data[None], _row_axes(core.order, mode))[0]]
-        for a in range(len(rows)):
-            for b in range(a + 1, len(rows)):
-                worst = max(worst, abs(np.vdot(rows[a], rows[b])))
-    return float(worst)
+    if not np.isfinite(core.data).all():
+        raise ValidationError("entries must be finite")
+    return float(_all_orthogonality(core.data[None])[0])
+
+
+def _all_orthogonality(core: np.ndarray) -> np.ndarray:
+    """verify_all_orthogonality (M,) of each core of a stack (M, *dims): per
+    mode size d >= 2, the largest off-diagonal modulus of the _gram_stack of
+    the _unfoldings in those modes; 0.0 without such modes, and for vectors."""
+    dims = core.shape[1:]
+    worst = np.zeros(core.shape[0])
+    for d in dict.fromkeys(d for d in dims if d > 1 and len(dims) > 1):
+        g = _gram_stack(_unfoldings(core, tuple(n + 1 for n, k in enumerate(dims) if k == d)))
+        g = g.reshape(*g.shape[:2], d * d)
+        g[..., ::d + 1] = 0.0  # the diagonal, below every off-diagonal modulus
+        worst = np.maximum(worst, np.abs(g).max(axis=(1, 2)))
+    return worst
 
 
 def _hosvd_stack(x: np.ndarray, tol: float):
@@ -118,28 +126,23 @@ def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:
     or not finite raises ValidationError.
     """
     _tolerance("tol", tol)
-    data, e = pow2_prescale(t.data)
-    total = float(np.linalg.norm(data.ravel()))
+    x, e = pow2_prescale(t.data[None])
+    total = float(_norms(x)[0])
     if total == 0.0:
         raise DomainError("HOSVD of the zero tensor is undefined")
 
-    core, factors, spectra, degenerate, sweeps = _hosvd_stack(data[None], tol)
+    core, factors, spectra, degenerate, sweeps = _hosvd_stack(x, tol)
     try:
         _check_converged(sweeps[0])
     except NumericalError as exc:
         raise NumericalError(f"eigensolver failed in mode {exc.mode}: {exc}",
                              mode=exc.mode) from exc
-    factors = tuple(u[0] for u in factors)
-    core = ComplexTensor(core[0])
-
-    recon = multilinear_transform(core, factors)
-    rec_residual = float(np.linalg.norm((recon.data - data).ravel())) / total
-    ao_residual = float(np.ldexp(verify_all_orthogonality(core), 2 * e))
-    core = ComplexTensor(np.ldexp(core.data.view(np.float64), e).view(np.complex128))
+    rec_residual = float(_norms(_stacked_transform(core, factors) - x)[0]) / total
+    ao_residual = float(np.ldexp(_all_orthogonality(core)[0], 2 * e))
 
     return HosvdResult(
-        factors=factors,
-        core=core,
+        factors=tuple(u[0] for u in factors),
+        core=ComplexTensor(np.ldexp(core[0].view(np.float64), e).view(np.complex128)),
         spectra=tuple(np.ldexp(s[0], e) for s in spectra),
         residuals=HosvdResiduals(rec_residual, ao_residual),
         degenerate_modes=frozenset((np.flatnonzero(degenerate[0]) + 1).tolist()),

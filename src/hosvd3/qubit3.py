@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, ShapeError, ValidationError
-from .hosvd import _hosvd_stack
-from .smalllinalg import _pow2_blocks, _tolerance, gram
+from .hosvd import _all_orthogonality, _hosvd_stack
+from .smalllinalg import _norms, _pow2_blocks, _tolerance, gram
 from .tensor import ComplexTensor, _stacked_transform, _unfoldings, unfold
 
 CUTS = ("A_BC", "B_CA", "C_AB")
@@ -100,7 +100,7 @@ class ThreeQubitState(ComplexTensor):
 def _check_state(s: ComplexTensor) -> None:
     if s.dims != (2, 2, 2):
         raise ShapeError(f"need a 2x2x2 state, got dims {s.dims}")
-    total = np.linalg.norm(s.data.ravel())
+    total = _norms(s.data[None])[0]
     if not abs(total - 1.0) <= 1e-10:
         raise ValidationError(f"state is not normalized (norm {total!r}); use normalize()")
 
@@ -121,15 +121,14 @@ def _unit_rows(amps: np.ndarray) -> np.ndarray:
 
     Each row is first scaled by an exact power of two (see
     :func:`pow2_prescale`), so its norm neither overflows nor underflows.
-    The norm is made of the two dot products np.linalg.norm takes of one
-    vector, taken row by row, so a row gets the same bits alone or in any
-    batch.  Non-finite entries raise ValidationError, a zero row DomainError.
+    The norms are one _norms over the batch, so a row gets the same bits
+    alone or in any batch.  Non-finite entries raise ValidationError, a
+    zero row DomainError.
     """
     z, _, largest = _pow2_blocks(amps[:, None], 2)
     if not largest.all():
         raise DomainError("cannot normalize the zero vector")
-    norms = np.sqrt(z.real @ z.real.swapaxes(1, 2) + z.imag @ z.imag.swapaxes(1, 2))
-    return (z / norms).reshape(-1, 2, 2, 2)
+    return (z / _norms(z)[:, None, None]).reshape(-1, 2, 2, 2)
 
 
 def one_body_rdms(s: ThreeQubitState) -> tuple[np.ndarray, ...]:
@@ -198,15 +197,6 @@ def _batch(amplitudes) -> np.ndarray:
     raise ShapeError(f"need an (M, 8) or (M, 2, 2, 2) batch of states, got shape {a.shape}")
 
 
-def _hosvd_batch(x: np.ndarray, tol: float):
-    """(core, factors, sigma, degenerate) of unit-norm states x (M, 2, 2, 2):
-    the cores and factors U(n) (three (M, 2, 2)) hosvd gives each state, bit
-    for bit (see :func:`~hosvd3.hosvd._hosvd_stack`), sigma (M, 3) the
-    squares of the largest mode singular values, and the flags (M, 3)."""
-    core, factors, spectra, degenerate, _ = _hosvd_stack(x, tol)
-    return core, factors, np.square(np.stack([s[:, 0] for s in spectra], axis=1)), degenerate
-
-
 @dataclass(frozen=True, eq=False)
 class BatchClassification:
     """The records of :func:`classify_batch`, one row per state: labels as
@@ -239,11 +229,12 @@ def classify_batch(amplitudes, tol: float = 1e-10, sigma_tol: float = 1e-8) -> B
 
 
 def _classify_rows(x: np.ndarray, tol: float, sigma_tol: float):
-    # classify_batch of unit-norm states x (M, 2, 2, 2), with their HOSVD
-    # cores and factors
+    # classify_batch of unit-norm states x (M, 2, 2, 2), with the cores and
+    # factors U(n) (three (M, 2, 2)) hosvd gives each state, bit for bit
     _tolerance("tol", tol)
     _tolerance("sigma_tol", sigma_tol)
-    core, factors, sigma, degenerate = _hosvd_batch(x, tol)
+    core, factors, spectra, degenerate, _ = _hosvd_stack(x, tol)
+    sigma = np.square(np.stack([s[:, 0] for s in spectra], axis=1))
     separability = _separability(sigma, tol)
     case = _decide_case(sigma, sigma_tol)
     special, gauge_warning = _decide_special(core, separability, case,
@@ -255,7 +246,7 @@ def _classify_rows(x: np.ndarray, tol: float, sigma_tol: float):
 def _identities(x: np.ndarray, core: np.ndarray, sigma: np.ndarray, tol: float) -> dict:
     """The identities of :class:`Classification`'s residuals, per row of
     states x, their cores (both (M, 2, 2, 2)) and sigma triples (M, 3), as
-    a dict of (M,) arrays in report order, from all-orthogonality on.
+    a dict of (M,) arrays in report order, from the plane identity on.
 
     Rows where the guard of the t111/t222 formulas holds read NaN there.
     NumericalError is raised where the plane coefficients do not cancel or
@@ -267,11 +258,6 @@ def _identities(x: np.ndarray, core: np.ndarray, sigma: np.ndarray, tol: float) 
     t111, t112, t121, t122, t211, t212, t221, t222 = flat.T
     power = np.abs(flat) ** 2
     total = power.sum(axis=1)
-    # the three unfoldings of the states and of their cores: (2, M, 3, 2, 4)
-    unf = _unfoldings(np.concatenate([x, core]), (1, 2, 3)).reshape(2, -1, 3, 2, 4)
-    out = {"all_orthogonality":
-           np.abs((unf[1, :, :, 0].conj() * unf[1, :, :, 1]).sum(axis=2)).max(axis=1)}
-
     # the plane a s1 + b s2 + c s3 = 0, and its companion form in t221,
     # t122 and t212
     weights, gaps = power[:, _PLANE], sigma[:, _GAPS]
@@ -292,12 +278,13 @@ def _identities(x: np.ndarray, core: np.ndarray, sigma: np.ndarray, tol: float) 
     _, q, r = pqr.T
     cycle = pqr[:, _CYCLE]
     terms = pqr.conj() * (cycle[:, 0] - cycle[:, 1])
-    out.update({"plane_identity": np.abs(form_a),
-                "phase_identity": np.abs(terms[:, 0] + terms[:, 1] + terms[:, 2]),
-                "plane_a": a, "plane_b": b, "plane_c": c, "plane_coefficient_sum": a + b + c})
+    out = {"plane_identity": np.abs(form_a),
+           "phase_identity": np.abs(terms[:, 0] + terms[:, 1] + terms[:, 2]),
+           "plane_a": a, "plane_b": b, "plane_c": c, "plane_coefficient_sum": a + b + c}
     # every |2x2 minor| of each unfolding, [..., a, b] for columns a and b:
     # the state's six per cut, and the core's one condition per cut, its
     # minor of columns (1, 2) and (2, 1)
+    unf = _unfoldings(np.concatenate([x, core]), (1, 2, 3)).reshape(2, -1, 3, 2, 4)
     cross = unf[..., 0, :, None] * unf[..., 1, None, :]
     minors = np.abs(cross - cross.swapaxes(-1, -2))
     for n, cut in enumerate(CUTS):
@@ -399,7 +386,8 @@ def classify(
     x = s.data[None]
     row, core, factors = _classify_rows(x, tol, sigma_tol)
     # relative, since s has unit norm
-    residuals = {"reconstruction": float(np.linalg.norm(_stacked_transform(core, factors) - x))}
+    residuals = {"reconstruction": float(_norms(_stacked_transform(core, factors) - x)[0]),
+                 "all_orthogonality": float(_all_orthogonality(core)[0])}
     for name, value in _identities(x, core, row.sigma, tol).items():
         if not math.isnan(value[0]):
             residuals[name] = float(value[0])

@@ -20,10 +20,10 @@ the multilinear transforms do use numpy's matrix product (BLAS), so full
 outputs are reproducible on one machine and numpy build, and other BLAS
 builds may differ in the last bits.
 
-The Gram (:func:`_gram_stack`) and the power-of-two prescale
-(:func:`_pow2_blocks`) are each written once, for stacks: :func:`gram` and
-:func:`pow2_prescale` run them on one matrix or array, the HOSVD on its
-stacked Grams, and ``normalize`` on its rows.
+The Gram (:func:`_gram_stack`), the Frobenius norm (:func:`_norms`) and
+the power-of-two prescale (:func:`_pow2_blocks`) are each written once,
+for stacks: :func:`gram` and :func:`pow2_prescale` run them on one matrix
+or array, the HOSVD on its stacked Grams, and ``normalize`` on its rows.
 """
 
 from __future__ import annotations
@@ -77,6 +77,15 @@ def _gram_stack(m: np.ndarray) -> np.ndarray:
     """M @ M^dagger of each matrix of a stack m (..., r, c), made exactly Hermitian."""
     g = m @ m.conj().swapaxes(-1, -2)
     return (g + g.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _norms(z: np.ndarray) -> np.ndarray:
+    """The Frobenius norm (M,) of each complex array of a stack z (M, ...):
+    sqrt(re . re + im . im) by matrix products, with the bits of numpy's norm
+    of the flat array, alone or in any stack."""
+    flat = z.reshape(z.shape[0], 1, math.prod(z.shape[1:]))
+    re, im = flat.real, flat.imag
+    return np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0]
 
 
 def _tolerance(name: str, value: float) -> float:

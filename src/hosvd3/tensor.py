@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ShapeError
-from .smalllinalg import pow2_prescale
+from .smalllinalg import _norms, pow2_prescale
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,4 +257,4 @@ def norm(t: ComplexTensor) -> float:
     ValidationError."""
     data, e = pow2_prescale(t.data)
     with np.errstate(over="ignore"):
-        return float(np.ldexp(np.linalg.norm(data.ravel()), e))
+        return float(np.ldexp(_norms(data[None])[0], e))

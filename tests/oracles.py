@@ -66,6 +66,24 @@ def subtensor(t, mode, index):
     return ComplexTensor(np.take(t.data, index - 1, axis=mode - 1))
 
 
+def all_orthogonality_by_grams(t):
+    """The largest off-diagonal modulus of the mode Grams of a tensor of
+    order >= 2: per mode n, the unfolding A built by its own transposes
+    into the cyclic axis order (n, n+1, ..., n-1), G = A A^dagger, made
+    Hermitian as (G + G^dagger) / 2, and the largest |G[a, b]|, a != b.
+    The operations of the kernel ``hosvd._all_orthogonality``, one mode at
+    a time, and so its bits."""
+    data, order = t.data, t.order
+    worst = 0.0
+    for n in range(order):
+        a = data.transpose([(n + k) % order for k in range(order)]).reshape(data.shape[n], -1)
+        g = a @ a.conj().T
+        g = (g + g.conj().T) / 2.0
+        off = np.abs(g[~np.eye(len(g), dtype=bool)])
+        worst = max(worst, off.max(initial=0.0))
+    return float(worst)
+
+
 def one_body_rdm_by_summation(amps, qubit):
     """rho for one qubit of a 3-qubit state by direct amplitude sums.
 
@@ -146,13 +164,6 @@ def identities_by_formula(x, core, sigma, tol):
     t111, t112, t121, t122, t211, t212, t221, t222 = flat.T
     power = np.abs(flat) ** 2
     total = power.sum(axis=1)
-    # unfoldings (2, M, 3, 2, 4) of the states and the cores, by the cyclic
-    # axis orders (n, n+1, ..., n-1) of the three modes
-    both = np.concatenate([x, core])
-    unf = np.stack([both.transpose(0, *(1 + (n + k) % 3 for k in range(3))).reshape(-1, 2, 4)
-                    for n in range(3)], axis=1).reshape(2, -1, 3, 2, 4)
-    out = {"all_orthogonality":
-           np.abs((unf[1, :, :, 0].conj() * unf[1, :, :, 1]).sum(axis=2)).max(axis=1)}
     a, b, c = power[:, 1] - power[:, 2], power[:, 4] - power[:, 1], power[:, 2] - power[:, 4]
     s1, s2, s3 = sigma.T
     form_a = a * s1 + b * s2 + c * s3
@@ -163,10 +174,15 @@ def identities_by_formula(x, core, sigma, tol):
         i = np.argmax(np.abs(form_a - form_b))
         raise NumericalError(f"equivalent plane forms disagree: {form_a[i]!r} vs {form_b[i]!r}")
     p, q, r = t112 * t221, t121 * t212, t122 * t211
-    out.update({"plane_identity": np.abs(form_a),
-                "phase_identity": np.abs(np.conj(p) * (r - q) + np.conj(q) * (p - r)
-                                         + np.conj(r) * (q - p)),
-                "plane_a": a, "plane_b": b, "plane_c": c, "plane_coefficient_sum": a + b + c})
+    out = {"plane_identity": np.abs(form_a),
+           "phase_identity": np.abs(np.conj(p) * (r - q) + np.conj(q) * (p - r)
+                                    + np.conj(r) * (q - p)),
+           "plane_a": a, "plane_b": b, "plane_c": c, "plane_coefficient_sum": a + b + c}
+    # unfoldings (2, M, 3, 2, 4) of the states and the cores, by the cyclic
+    # axis orders (n, n+1, ..., n-1) of the three modes
+    both = np.concatenate([x, core])
+    unf = np.stack([both.transpose(0, *(1 + (n + k) % 3 for k in range(3))).reshape(-1, 2, 4)
+                    for n in range(3)], axis=1).reshape(2, -1, 3, 2, 4)
     cross = unf[..., 0, :, None] * unf[..., 1, None, :]
     minors = np.abs(cross - cross.swapaxes(-1, -2))
     for n, cut in enumerate(("A_BC", "B_CA", "C_AB")):

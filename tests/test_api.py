@@ -80,10 +80,11 @@ def test_no_dead_module_names():
 def test_one_home_per_layout_rule():
     # the power-of-two prescale rule (frexp) is written in smalllinalg.py
     # only, and no module transforms with np.dot: every n-mode product is
-    # tensor's stacked kernel.  The cyclic column order and the per-shape
-    # layout plans are read in tensor.py only.
+    # tensor's stacked kernel.  No module takes np.vdot or np.linalg.norm:
+    # every inner product and norm is a stacked kernel too.  The cyclic
+    # column order and the per-shape layout plans are read in tensor.py only.
     src = pathlib.Path(hosvd3.__file__).parent
-    frexp, dot = [], []
+    frexp, dot, vdot, linalg_norm = [], [], [], []
     layout = {name: set() for name in ("_cyclic_axes", "_PLANS", "_matrix_plan",
                                        "_unfolding_plan", "_transform_plan")}
     for path in sorted(src.glob("*.py")):
@@ -98,6 +99,13 @@ def test_one_home_per_layout_rule():
             if (name == "dot" and isinstance(node, ast.Attribute)
                     and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
                 dot.append(path.name)
+            if name == "vdot":
+                vdot.append(path.name)
+            if (name == "norm" and isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+                linalg_norm.append(path.name)
     assert set(frexp) == {"smalllinalg.py"}, frexp
     assert not dot, dot
+    assert not vdot, vdot
+    assert not linalg_norm, linalg_norm
     assert all(homes == {"tensor.py"} for homes in layout.values()), layout

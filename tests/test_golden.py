@@ -6,12 +6,15 @@ the change in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
 
-which prints, per golden, whether its bytes are new, changed or unchanged.
+which prints, per golden, whether its bytes are new, changed or unchanged,
+and under each changed golden what moved: for JSON, every path whose value
+moved, as old -> new; for CSV, the first line that differs.
 """
 
 import json
 import pathlib
 import sys
+from itertools import zip_longest
 
 import numpy as np
 
@@ -97,6 +100,47 @@ def cases(workdir):
     return out
 
 
+class _Absent:
+    def __repr__(self):
+        return "<absent>"
+
+
+ABSENT = _Absent()  # the side of a key, item or line that only the other side has
+
+
+def moved_values(old, new, path="$"):
+    """(path, old, new) for every value that differs between two JSON
+    documents, in document order."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in dict.fromkeys([*old, *new]):
+            yield from moved_values(old.get(key, ABSENT), new.get(key, ABSENT), f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list):
+        for i, (a, b) in enumerate(zip_longest(old, new, fillvalue=ABSENT)):
+            yield from moved_values(a, b, f"{path}[{i}]")
+    elif type(old) is not type(new) or old != new:
+        yield path, old, new
+
+
+def describe_change(name, before, after):
+    """Lines naming what moved in a golden between its two byte strings:
+    every moved JSON value, or the first CSV line that differs."""
+    if name.endswith(".json"):
+        return [f"  {path}: {old!r} -> {new!r}"
+                for path, old, new in moved_values(json.loads(before), json.loads(after))]
+    lines = zip_longest(before.decode().splitlines(), after.decode().splitlines(),
+                        fillvalue=ABSENT)
+    return [f"  line {i}: {a} -> {b}" for i, (a, b) in enumerate(lines, start=1) if a != b][:1]
+
+
+def test_describe_change():
+    before = b'{"a": 1.0, "b": [1, 2], "c": {"d": "x"}}'
+    after = b'{"a": 1.5, "b": [1, 2, 3], "c": {"d": "x", "e": true}}'
+    assert describe_change("g.json", before, after) == [
+        "  $.a: 1.0 -> 1.5", "  $.b[2]: <absent> -> 3", "  $.c.e: <absent> -> True"]
+    assert describe_change("g.json", b'{"a": 1}', b'{"a": 1.0}') == ["  $.a: 1 -> 1.0"]
+    assert describe_change("g.csv", b"h\n1\n2\n", b"h\n1\n3\n4\n") == ["  line 3: 2 -> 3"]
+
+
 def test_states_match_fixtures(request):
     for name, kwargs in FIXTURES:
         want = request.getfixturevalue(name).data
@@ -120,6 +164,8 @@ if __name__ == "__main__":
             before = path.read_bytes() if path.exists() else None
             if run([*argv, "--output", str(path)]) != EXIT_OK:
                 sys.exit(f"{golden}: hosvd3 {' '.join(argv)} failed")
-            status = ("new" if before is None
-                      else "unchanged" if path.read_bytes() == before else "changed")
+            after = path.read_bytes()
+            status = ("new" if before is None else "unchanged" if after == before else "changed")
             print(f"{status:9} {path}")
+            if status == "changed":
+                print(*describe_change(golden, before, after), sep="\n")

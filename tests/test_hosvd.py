@@ -15,7 +15,8 @@ from hosvd3 import (
 )
 from hosvd3.hosvd import _hosvd_stack
 from hosvd3.smalllinalg import pow2_prescale
-from oracles import haar_state, haar_unitary, inner, rdm_eigenvalues, subtensor, validate_unitary
+from oracles import (all_orthogonality_by_grams, haar_state, haar_unitary, inner, rdm_eigenvalues,
+                     subtensor, validate_unitary)
 
 
 def haar_tensor(rng):
@@ -137,17 +138,38 @@ class TestAllOrthogonality:
         "dims", [(2, 2, 2), (3, 4, 5), (3, 4, 5, 6), (8, 8, 8), (16, 16, 16), (32, 32)]
     )
     def test_equals_subtensor_definition_bit_for_bit(self, rng, dims):
+        # the bits of the mode Grams, one unfolding at a time
         data = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
         core = hosvd(ComplexTensor(data)).core
-        want = max(
-            abs(inner(subtensor(core, n, a), subtensor(core, n, b)))
-            for n in range(1, core.order + 1)
-            for a in range(1, core.dims[n - 1] + 1)
-            for b in range(a + 1, core.dims[n - 1] + 1)
-        )
         got = verify_all_orthogonality(core)
         assert type(got) is float
-        assert got == want
+        assert got == all_orthogonality_by_grams(core)
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 4, 5), (3, 4, 5, 6), (8, 8, 8), (32, 32)])
+    def test_within_rounding_of_the_subtensor_inner_products(self, rng, dims):
+        # on a tensor and on its core: each Gram entry is the inner product
+        # of two slices summed in another order, so the two differ by at
+        # most a few roundings of the sum of |products|, which the
+        # Cauchy-Schwarz bound puts below the largest squared slice norm
+        x = ComplexTensor(rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
+        for t in (x, hosvd(x).core):
+            want = max(
+                abs(inner(subtensor(t, n, a), subtensor(t, n, b)))
+                for n in range(1, t.order + 1)
+                for a in range(1, t.dims[n - 1] + 1)
+                for b in range(a + 1, t.dims[n - 1] + 1)
+            )
+            bound = 4 * t.data.size * np.finfo(float).eps * max(
+                np.sum(np.abs(np.take(t.data, i, axis=n)) ** 2)
+                for n in range(t.order) for i in range(t.dims[n]))
+            assert abs(verify_all_orthogonality(t) - want) <= bound
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_core_raises(self, bad):
+        # a NaN once read as 0.0, perfectly all-orthogonal
+        t = make_tensor([2, 2, 2], [bad, 1, 0, 0, 0, 0, 0, 1])
+        with pytest.raises(ValidationError, match="finite"):
+            verify_all_orthogonality(t)
 
     def test_vector_is_zero(self):
         assert verify_all_orthogonality(make_tensor([3], [3, 0, 4])) == 0.0

@@ -21,6 +21,7 @@ from hosvd3 import (
     one_body_rdms,
     polytope_membership,
     two_body_rdms,
+    verify_all_orthogonality,
 )
 from hosvd3.qubit3 import (
     CUTS,
@@ -28,7 +29,6 @@ from hosvd3.qubit3 import (
     _classify_rows,
     _decide_case,
     _decide_special,
-    _hosvd_batch,
     _identities,
     _separability,
     _unit_rows,
@@ -478,6 +478,18 @@ class TestClassify:
         assert c.residuals["all_orthogonality"] <= 1e-12
         assert abs(c.residuals["plane_coefficient_sum"]) <= 1e-12
 
+    def test_all_orthogonality_is_the_kernel_on_its_core(self, request, rng):
+        # one route: the residual is verify_all_orthogonality of the core
+        # that _classify_rows gives the state, to the byte
+        states = [request.getfixturevalue(name)
+                  for name in ("ghz_86", "w_state", "s1_fixture", "b1_fixture", "bisep_cab")]
+        states += [haar_3q(rng) for _ in range(100)]
+        for s in states:
+            got = classify(s).residuals["all_orthogonality"]
+            core = _classify_rows(s.data[None], 1e-10, 1e-8)[1][0]
+            want = verify_all_orthogonality(ComplexTensor(core))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
     def test_special_case_consistency(self, rng):
         # invariant scoped to non-degenerate classifications
         for _ in range(50):
@@ -719,7 +731,7 @@ def assert_matches_hosvd(amps, tol, sigma_tol):
     degenerate = np.array([[n in r.degenerate_modes for n in (1, 2, 3)] for r in results])
     np.testing.assert_array_equal(batch.sigma, sigma)
     np.testing.assert_array_equal(batch.degenerate_modes, degenerate)
-    batch_core = _hosvd_batch(np.array([s.data for s in states]), tol)[0]
+    batch_core = _classify_rows(np.array([s.data for s in states]), tol, sigma_tol)[1]
     np.testing.assert_array_equal(batch_core, core)
     separability = _separability(sigma, tol)
     case = _decide_case(sigma, sigma_tol)
@@ -764,7 +776,8 @@ class TestOneDecomposition:
         amps = [*philox_haar(3000, 2026),
                 *(request.getfixturevalue(name).data.ravel() for name in names), product]
         x = _unit_rows(np.array(amps))
-        core, factors, sigma, degenerate = _hosvd_batch(x, tol)
+        batch, core, factors = _classify_rows(x, tol, 1e-8)
+        sigma, degenerate = batch.sigma, batch.degenerate_modes
         differ = 0
         for i, state in enumerate(x):
             r = hosvd(ComplexTensor(state), tol=tol)

@@ -12,6 +12,7 @@ from hosvd3 import (
 from hosvd3.smalllinalg import (
     _MAX_SWEEPS,
     _eigh_stack,
+    _norms,
     _ordered,
     _prescaled,
     _round_robin,
@@ -341,6 +342,24 @@ class TestScaleAndLayout:
         for r in results[1:]:
             assert r.eigenvalues.tobytes() == results[0].eigenvalues.tobytes()
             assert r.unitary.tobytes() == results[0].unitary.tobytes()
+
+
+
+class TestNorms:
+    SHAPES = ([(n,) for n in (1, 2, 7, 8, 33, 64, 1000)]
+              + [(a, b) for a in (1, 3, 16, 64) for b in (2, 5, 64)]
+              + [(2, 2, 2), (3, 4, 5), (13, 13, 3), (16, 16, 16), (3, 4, 5, 6), (64, 64, 64)])
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_bits_of_numpy_norm_alone_and_in_a_stack(self, rng, shape):
+        z = rng.standard_normal((2, *shape)) + 1j * rng.standard_normal((2, *shape))
+        z[1] *= 1e-6
+        want = [np.linalg.norm(a.ravel()) for a in z]
+        for got in (_norms(z), [_norms(z[i:i + 1])[0] for i in range(2)]):
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_empty_stack(self):
+        assert _norms(np.zeros((0, 2, 2, 2), dtype=complex)).shape == (0,)
 
 
 class TestValidateUnitary:
