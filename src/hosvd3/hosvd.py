@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, NumericalError, ValidationError
 from .smalllinalg import (_check_converged, _eigh_stack, _gram_stack, _norms, _pow2_blocks,
                           _tolerance, pow2_prescale)
-from .tensor import ComplexTensor, _row_axes, _stack_matrices, _stacked_transform, _unfoldings
+from .tensor import ComplexTensor, _mode_rows, _stacked_transform, _unfoldings
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,7 @@ def _hosvd_stack(x: np.ndarray, tol: float):
     # C order first: the sums of the slice norms follow the memory layout
     core = np.ascontiguousarray(_stacked_transform(x, adjoints))
     power = np.abs(core) ** 2
-    spectra = [np.sqrt(_stack_matrices(power, _row_axes(order, n)).sum(axis=2))
-               for n in range(1, order + 1)]
+    spectra = [np.sqrt(_mode_rows(power, n).sum(axis=2)) for n in range(1, order + 1)]
     return core, factors, spectra, degenerate, sweeps
 
 

@@ -15,10 +15,11 @@ the sweep's arithmetic and ends in one epilogue (:func:`_ordered`: gauge,
 order and degeneracy flag).  No rotation goes through a matrix
 product, so the eigensolver uses no BLAS and its output does not depend on
 the memory layout of its input.  The order, pivot test and gauge are
-fixed, so the same input gives the same output bits.  Gram products and
-the multilinear transforms do use numpy's matrix product (BLAS), so full
-outputs are reproducible on one machine and numpy build, and other BLAS
-builds may differ in the last bits.
+fixed, so the same input gives the same output bits.  Gram products, the
+multilinear transforms and the Frobenius norm (:func:`_norms`, which
+``norm``, ``normalize``, ``hosvd`` and ``classify`` read) do use numpy's
+matrix product (BLAS), so full outputs are reproducible on one machine and
+numpy build, and other BLAS builds may differ in the last bits.
 
 The Gram (:func:`_gram_stack`), the Frobenius norm (:func:`_norms`) and
 the power-of-two prescale (:func:`_pow2_blocks`) are each written once,
@@ -99,10 +100,13 @@ def _tolerance(name: str, value: float) -> float:
 def pow2_prescale(x) -> tuple[np.ndarray, int]:
     """(x * 2^-e, e) for a complex array x, with e chosen so that the largest
     real or imaginary part of the result lies in [0.5, 1) (e = 0 when x is
-    zero).  The scaling is exact for normal numbers, so ordinary inputs keep
-    their bits; a Gram matrix of the result cannot overflow, and its largest
-    entries are far from underflow.  Non-finite entries raise
-    ValidationError."""
+    zero).  A part p with |p| >= 2^(e - 1022), which holds for zeros and for
+    every part at least 2^-1021 times the largest, scales to a normal number
+    and so exactly: ldexp gives it back.  A smaller part scales into the
+    subnormal range, where it can lose low bits (2^-500 (1 + 2^-52) next to
+    2^600) or become 0 (2^-1000 next to 2^1000).  A Gram matrix of the
+    result cannot overflow, and its largest entries are far from underflow.
+    Non-finite entries raise ValidationError."""
     scaled, e, _ = _pow2_blocks(x, None)
     return scaled, e.item()
 

@@ -15,15 +15,15 @@ the column obtained by ranking the remaining indices in the cyclic order
           + (i_1-1) I_2...I_{n-1} + ... + i_{n-1}
 
 Each layout step is written once, for a stack (M, *dims) of tensors:
-_stack_matrices (unfoldings and mode rows), _unfoldings (several modes of
-one size at once) and _stacked_transform (a size-1 mode scaled
+_unfoldings (several modes of one size at once), _mode_rows (row i = the
+mode-n slice i, flattened) and _stacked_transform (a size-1 mode scaled
 elementwise); :func:`unfold` and :func:`multilinear_transform` run them on
-a stack of one tensor.  Each step reads its transposes, shapes and counts
-from a plan worked out once per tensor shape and cached, so a call on a
-shape already seen does no layout arithmetic of its own.
+a stack of one tensor.  Their transposes depend on the tensor order alone
+and come from one table cached per order, _axis_table; their shapes and
+counts come from numpy's own shapes.
 
 All operations are pure: inputs are never mutated and results never alias
-caller storage.  An unfolding may share the read-only storage of its tensor.
+caller storage.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -142,8 +142,7 @@ def unfold(t: ComplexTensor, mode: int) -> np.ndarray:
     """Mode-n unfolding with the cyclic column ordering (see module docstring):
     a read-only complex ndarray of shape (dims[mode - 1], size / dims[mode - 1]).
     This is the stacks' unfolding kernel on a stack of one tensor."""
-    mode = _mode(mode, t.order)
-    m = _stack_matrices(t.data[None], _cyclic_axes(t.order, mode))[0]
+    m = _unfoldings(t.data[None], (_mode(mode, t.order),))[0, 0]
     m.setflags(write=False)
     return m
 
@@ -182,24 +181,25 @@ def multilinear_transform(t: ComplexTensor, mats) -> ComplexTensor:
     return ComplexTensor(_stacked_transform(t.data[None], [m[None] for m in mats])[0])
 
 
-def _stack_matrices(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """The matrices (M, d, -1) of a stack x (M, *dims) with the tensor axes
-    in the 0-based order axes, the first, of size d, indexing the rows:
-    unfoldings for _cyclic_axes, mode rows for _row_axes."""
-    transpose, d, cols = _matrix_plan(x.shape[1:], axes)
-    return x.transpose(transpose).reshape(x.shape[0], d, cols)
-
-
 def _unfoldings(x: np.ndarray, modes: tuple[int, ...]) -> np.ndarray:
-    """The unfoldings (M, len(modes), d, -1) of a stack x in 1-based modes of
-    one size d, each copied once into its place in the result."""
-    size, d, steps = _unfolding_plan(x.shape[1:], modes)
-    m = x.shape[0]
-    out = np.empty((m, len(steps), size), dtype=x.dtype)
-    for j, (transpose, shape) in enumerate(steps):
+    """The unfoldings (M, len(modes), d, size / d) of a stack x (M, *dims) in
+    1-based modes of one size d, each copied once into its place in the
+    result."""
+    m, d, size = x.shape[0], x.shape[modes[0]], math.prod(x.shape[1:])
+    table = _axis_table(x.ndim - 1)
+    out = np.empty((m, len(modes), size), dtype=x.dtype)
+    for j, n in enumerate(modes):
+        cyclic = x.transpose(table[n - 1][0])
         # splitting the contiguous last axis is a view, so this writes into out
-        out[:, j].reshape(m, *shape)[...] = x.transpose(transpose)
-    return out.reshape(m, len(steps), d, size // d)
+        out[:, j].reshape(cyclic.shape)[...] = cyclic
+    return out.reshape(m, len(modes), d, size // d)
+
+
+def _mode_rows(x: np.ndarray, mode: int) -> np.ndarray:
+    """The mode-n rows (M, d, size / d) of a stack x (M, *dims): row i of a
+    tensor is its slice at index i of mode n, flattened in C order."""
+    rows = x.transpose(_axis_table(x.ndim - 1)[mode - 1][1])
+    return rows.reshape(rows.shape[:2] + (math.prod(rows.shape[2:]),))
 
 
 def _stacked_transform(x: np.ndarray, mats) -> np.ndarray:
@@ -207,44 +207,23 @@ def _stacked_transform(x: np.ndarray, mats) -> np.ndarray:
     with mats[n-1] (M, d, d) applied in mode n, one mode at a time, by one
     matrix product over the stack per mode.  A size-1 mode is scaled
     elementwise instead: one complex product per entry, with no BLAS call."""
-    m = x.shape[0]
-    for mat, (transpose, d, cols, shape, back) in zip(mats, _transform_plan(x.shape[1:])):
-        rows = x.transpose(transpose).reshape(m, d, cols)
-        rows = mat * rows if d == 1 else mat @ rows
-        x = rows.reshape(m, *shape).transpose(back)
+    for mat, (_, to_rows, back) in zip(mats, _axis_table(x.ndim - 1)):
+        rows = x.transpose(to_rows)
+        product = rows.reshape(rows.shape[:2] + (math.prod(rows.shape[2:]),))
+        product = mat * product if rows.shape[1] == 1 else mat @ product
+        x = product.reshape(rows.shape).transpose(back)
     return x
 
 
-# The layout plans: each transpose, shape and count a layout step needs,
-# worked out once per tensor shape.  A plan is a few small tuples; the bound
-# only keeps a process that meets many shapes from keeping all of them.
-_PLANS = 64
-
-
-@lru_cache(maxsize=_PLANS)
-def _matrix_plan(dims: tuple[int, ...], axes: tuple[int, ...]):
-    # (transpose, rows, columns) of _stack_matrices on a stack (M, *dims)
-    d = dims[axes[0]]
-    return (0, *(a + 1 for a in axes)), d, math.prod(dims) // d
-
-
-@lru_cache(maxsize=_PLANS)
-def _unfolding_plan(dims: tuple[int, ...], modes: tuple[int, ...]):
-    # (size, rows, steps) of _unfoldings on a stack (M, *dims): per mode,
-    # the transpose into the cyclic axis order and the shape it gives a tensor
-    steps = tuple(((0, *(a + 1 for a in axes)), tuple(dims[a] for a in axes))
-                  for axes in (_cyclic_axes(len(dims), n) for n in modes))
-    return math.prod(dims), dims[modes[0] - 1], steps
-
-
-@lru_cache(maxsize=_PLANS)
-def _transform_plan(dims: tuple[int, ...]):
-    # per mode n of _stacked_transform on a stack (M, *dims): the transpose,
-    # rows and columns of its mode rows, then the shape (d, *other dims) of
-    # their product and the transpose that puts its first axis back at n
-    order = len(dims)
-    return tuple((*_matrix_plan(dims, _row_axes(order, n)),
-                  (dims[n - 1], *dims[:n - 1], *dims[n:]),
+@cache
+def _axis_table(order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per mode n of a stack (M, *dims) of order-`order` tensors, three
+    transposes: into the cyclic order, into the mode-row order, and back
+    from a product of the mode rows, whose first tensor axis is mode n.
+    They depend on the order alone, and numpy's limit of 64 dimensions
+    bounds the cache."""
+    return tuple(((0, *(a + 1 for a in _cyclic_axes(order, n))),
+                  (0, *(a + 1 for a in _row_axes(order, n))),
                   (0, *range(2, n + 1), 1, *range(n + 1, order + 1)))
                  for n in range(1, order + 1))
 

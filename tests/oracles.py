@@ -139,6 +139,18 @@ def unfold_column_index(dims, idx, mode):
     return col + 1
 
 
+def unfolding_by_formula(data, mode):
+    """The mode-n unfolding of an array, each element placed by loops at row
+    i_n and at the column of the cyclic defining formula
+    (:func:`unfold_column_index`), with no transpose."""
+    dims = data.shape
+    out = np.empty((dims[mode - 1], data.size // dims[mode - 1]), dtype=data.dtype)
+    for idx in itertools.product(*(range(1, d + 1) for d in dims)):
+        out[idx[mode - 1] - 1, unfold_column_index(dims, idx, mode) - 1] = data[
+            tuple(i - 1 for i in idx)]
+    return out
+
+
 def haar_state(rng, size=8):
     """Normalized vector of iid standard complex Gaussians."""
     z = rng.standard_normal(size) + 1j * rng.standard_normal(size)

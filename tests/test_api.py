@@ -81,12 +81,12 @@ def test_one_home_per_layout_rule():
     # the power-of-two prescale rule (frexp) is written in smalllinalg.py
     # only, and no module transforms with np.dot: every n-mode product is
     # tensor's stacked kernel.  No module takes np.vdot or np.linalg.norm:
-    # every inner product and norm is a stacked kernel too.  The cyclic
-    # column order and the per-shape layout plans are read in tensor.py only.
+    # every inner product and norm is a stacked kernel too.  The axis orders
+    # (cyclic and mode-row) and the table cached per tensor order that holds
+    # their transposes are read in tensor.py only.
     src = pathlib.Path(hosvd3.__file__).parent
     frexp, dot, vdot, linalg_norm = [], [], [], []
-    layout = {name: set() for name in ("_cyclic_axes", "_PLANS", "_matrix_plan",
-                                       "_unfolding_plan", "_transform_plan")}
+    layout = {name: set() for name in ("_cyclic_axes", "_row_axes", "_axis_table")}
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             name = (node.attr if isinstance(node, ast.Attribute)

@@ -17,6 +17,7 @@ from hosvd3.smalllinalg import (
     _prescaled,
     _round_robin,
     _solve_stack,
+    pow2_prescale,
 )
 from oracles import (
     eig2_closed_form,
@@ -329,6 +330,20 @@ class TestScaleAndLayout:
             h[1, 1] = bad
             with pytest.raises(ValidationError, match="must be finite"):
                 hermitian_eig(h)
+
+    def test_prescale_is_exact_down_to_the_normal_range(self):
+        # beside a largest part of 2^600 (e = 601), a part is scaled exactly
+        # down to 2^(601 - 1022); half of that scales to a subnormal that
+        # loses its last bit, and 2^-1000 beside 2^1000 becomes 0
+        edge = np.ldexp(1.0 + 2.0**-52, 601 - 1022)
+        for small, kept in ((edge, True), (edge / 2, False),
+                            (np.ldexp(1.0 + 2.0**-52, -500), False)):
+            x = np.array([np.ldexp(1.0, 600), small])
+            scaled, e = pow2_prescale(x)
+            assert e == 601
+            assert (np.ldexp(scaled.real, e) == x).all() == kept, small
+        scaled, _ = pow2_prescale(np.array([np.ldexp(1.0, 1000), np.ldexp(1.0, -1000)]))
+        assert scaled[0] == 0.5 and scaled[1] == 0.0
 
     @pytest.mark.parametrize("n", [2, 8, 32])
     def test_layout_independent_bits(self, rng, n):

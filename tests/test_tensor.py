@@ -15,7 +15,7 @@ from hosvd3 import (
     refold,
     unfold,
 )
-from hosvd3.tensor import _stacked_transform, _unfoldings
+from hosvd3.tensor import _mode_rows, _stacked_transform, _unfoldings
 from oracles import (
     haar_state,
     haar_unitary,
@@ -24,6 +24,7 @@ from oracles import (
     transform_by_summation,
     transform_by_tensordot,
     unfold_column_index,
+    unfolding_by_formula,
 )
 
 
@@ -202,7 +203,7 @@ class TestNorm:
             norm(make_tensor([2], [1.0, bad]))
 
 
-def plan_shapes():
+def layout_shapes():
     # orders 1-5, with size-1 modes, in a fixed order
     rng = np.random.default_rng(2031)
     shapes = [(1,), (1, 1), (2, 1, 3), (1, 1, 1, 1, 1), (3, 1, 2, 1, 2)]
@@ -213,8 +214,8 @@ def plan_shapes():
 
 class TestRefold:
     def test_round_trip_bit_identical(self, rng):
-        # plan_shapes twice: the second pass meets the layout plans cached
-        shapes = plan_shapes()
+        # layout_shapes twice: the second pass meets the axis table cached
+        shapes = layout_shapes()
         for dims in [(2, 2, 2), (3, 2, 4), (2,), (2, 5), (7,), (4, 1, 3), (2, 3, 2, 2),
                      *shapes, *shapes[::-1]]:
             t = random_tensor(rng, dims)
@@ -252,25 +253,42 @@ class TestRefold:
 
 
 class TestLayoutPlans:
-    """The layout steps of a stack run from plans cached per shape, and must
-    give each tensor the bytes of its own unfolding, whichever shapes the
-    caches met before."""
+    """The layout steps of a stack read their transposes from one table
+    cached per tensor order, and must give each tensor of the stack the
+    unfolding of the module docstring's column formula, built by loops in
+    oracles.unfolding_by_formula, and unfold must give it alone."""
 
     def test_unfoldings_are_each_tensors_unfolding(self, rng):
-        shapes = plan_shapes()
-        # the second pass finds every plan cached, or evicted by later shapes
-        for dims in shapes + shapes[::-1]:
+        for dims in layout_shapes():
             for m in (0, 1, 3):
                 x = rng.standard_normal((m, *dims)) + 1j * rng.standard_normal((m, *dims))
-                tensors = [ComplexTensor(x[k]) for k in range(m)]
+                expected = [[unfolding_by_formula(x[k], n) for n in range(1, len(dims) + 1)]
+                            for k in range(m)]
                 for d in set(dims):
                     modes = tuple(n for n in range(1, len(dims) + 1) if dims[n - 1] == d)
                     for order in (modes, modes[::-1]):
                         u = _unfoldings(x, order)
                         assert u.shape == (m, len(order), d, math.prod(dims) // d)
-                        for k, t in enumerate(tensors):
+                        for k in range(m):
                             for j, n in enumerate(order):
-                                assert u[k, j].tobytes() == unfold(t, n).tobytes()
+                                assert u[k, j].tobytes() == expected[k][n - 1].tobytes()
+                for k in range(m):
+                    t = ComplexTensor(x[k])
+                    for n in range(1, len(dims) + 1):
+                        assert unfold(t, n).tobytes() == expected[k][n - 1].tobytes()
+
+    def test_mode_rows_are_each_tensors_slices(self, rng):
+        # row i of mode n is the slice at index i of mode n, flattened
+        for dims in layout_shapes():
+            for m in (0, 1, 3):
+                x = rng.standard_normal((m, *dims)) + 1j * rng.standard_normal((m, *dims))
+                for n in range(1, len(dims) + 1):
+                    rows = _mode_rows(x, n)
+                    assert rows.shape == (m, dims[n - 1], math.prod(dims) // dims[n - 1])
+                    for k in range(m):
+                        for i in range(dims[n - 1]):
+                            assert rows[k, i].tobytes() == np.take(
+                                x[k], i, axis=n - 1).tobytes()
 
 
 class TestMultilinearTransform:
