@@ -14,11 +14,12 @@ class ValidationError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """An iterative numerical procedure failed to converge.
+    """A numerical procedure failed: LAPACK's eigensolver did not converge,
+    or identity forms disagree beyond rounding.
 
     Carries the tensor mode it occurred in (``mode is None`` otherwise):
-    from :func:`~hosvd3.hosvd.hosvd` the lowest mode whose Gram matrix did
-    not converge, and 1 from :func:`~hosvd3.smalllinalg.hermitian_eig`.
+    from :func:`~hosvd3.hosvd.hosvd` the lowest mode whose Gram matrix the
+    eigensolver fails on, and 1 from :func:`~hosvd3.smalllinalg.hermitian_eig`.
     """
 
     def __init__(self, message, mode=None):

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
-from .smalllinalg import (_check_converged, _eigh_stack, _gram_stack, _norms, _pow2_blocks,
-                          _tolerance, pow2_prescale)
+from .smalllinalg import _eigh_stack, _gram_stack, _norms, _pow2_blocks, _tolerance, pow2_prescale
 from .tensor import ComplexTensor, _mode_rows, _stacked_transform, _unfoldings
 
 
@@ -80,31 +79,39 @@ def _all_orthogonality(core: np.ndarray) -> np.ndarray:
     return worst
 
 
+def _mode_grams(x: np.ndarray, modes: tuple[int, ...]) -> np.ndarray:
+    """The Grams of the unfoldings of a stack x (M, *dims) in the given
+    1-based modes, all of one size d, each prescaled by _pow2_blocks: one
+    stack (M * len(modes), d, d), tensor by tensor, mode by mode."""
+    d = x.shape[modes[0]]
+    a, _, _ = _pow2_blocks(_gram_stack(_unfoldings(x, modes)), (2, 3))
+    return a.reshape(-1, d, d)
+
+
 def _hosvd_stack(x: np.ndarray, tol: float):
-    """(core, factors, spectra, degenerate, sweeps): the HOSVD of each tensor
-    of a stack x (M, *dims) with parts at most 1 in magnitude, the core
-    C-ordered, factors and spectra per mode, flags and counts (M, N).  The
-    Grams of one size are one _gram_stack, prescaled per matrix by
-    _pow2_blocks and solved by one _eigh_stack call; the spectra are the
-    core's slice norms.  A tensor gets the same bits alone as in any stack."""
+    """(core, factors, spectra, degenerate): the HOSVD of each tensor of a
+    stack x (M, *dims) with parts at most 1 in magnitude, the core
+    C-ordered, factors and spectra per mode, flags (M, N).  The Grams of
+    one size are one _mode_grams stack, solved by one _eigh_stack call,
+    whose LinAlgError is left to the caller; the spectra are the core's
+    slice norms.  A tensor gets the same bits alone as in any stack."""
     m, dims, order = x.shape[0], x.shape[1:], x.ndim - 1
     factors, adjoints = [None] * order, [None] * order
-    degenerate, sweeps = np.empty((m, order), dtype=bool), np.empty((m, order), dtype=np.intp)
+    degenerate = np.empty((m, order), dtype=bool)
     for d in dict.fromkeys(dims):
         modes = [n for n in range(order) if dims[n] == d]
-        a, _, _ = _pow2_blocks(_gram_stack(_unfoldings(x, tuple(n + 1 for n in modes))), (2, 3))
-        _, v, flags, counts, _ = _eigh_stack(a.reshape(-1, d, d), tol)
+        _, v, flags = _eigh_stack(_mode_grams(x, tuple(n + 1 for n in modes)), tol)
         v = v.reshape(m, len(modes), d, d)
         v.setflags(write=False)
         vh = v.conj().swapaxes(2, 3)
         for j, n in enumerate(modes):
             factors[n], adjoints[n] = v[:, j], vh[:, j]
-            degenerate[:, n], sweeps[:, n] = flags[j::len(modes)], counts[j::len(modes)]
+            degenerate[:, n] = flags[j::len(modes)]
     # C order first: the sums of the slice norms follow the memory layout
     core = np.ascontiguousarray(_stacked_transform(x, adjoints))
     power = np.abs(core) ** 2
     spectra = [np.sqrt(_mode_rows(power, n).sum(axis=2)) for n in range(1, order + 1)]
-    return core, factors, spectra, degenerate, sweeps
+    return core, factors, spectra, degenerate
 
 
 def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:
@@ -115,8 +122,11 @@ def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:
     t transformed by the conjugate transposes.  `tol` is the degeneracy
     threshold.  This is :func:`_hosvd_stack`, which
     :func:`~hosvd3.qubit3.classify` runs on its batch of states, on a stack
-    of one tensor; when sweeps do not converge, the NumericalError names
-    the lowest-numbered mode that failed.
+    of one tensor.  Each mode's Gram goes through the solver of
+    :func:`~hosvd3.smalllinalg.hermitian_eig`: one closed-form rotation at
+    size 2, LAPACK ``eigh`` at other sizes.  When LAPACK does not converge,
+    the modes are solved again one at a time, and the NumericalError names
+    the lowest-numbered mode that fails.
 
     The work is done on t scaled by an exact power of two (see
     :func:`pow2_prescale`), and the core, spectra and all-orthogonality
@@ -130,12 +140,16 @@ def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:
     if total == 0.0:
         raise DomainError("HOSVD of the zero tensor is undefined")
 
-    core, factors, spectra, degenerate, sweeps = _hosvd_stack(x, tol)
     try:
-        _check_converged(sweeps[0])
-    except NumericalError as exc:
-        raise NumericalError(f"eigensolver failed in mode {exc.mode}: {exc}",
-                             mode=exc.mode) from exc
+        core, factors, spectra, degenerate = _hosvd_stack(x, tol)
+    except np.linalg.LinAlgError as stacked:
+        # on failure only: each mode solved alone, to name the lowest that fails
+        for n in range(1, x.ndim):
+            try:
+                _eigh_stack(_mode_grams(x, (n,)), tol)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"eigensolver failed in mode {n}: {exc}", mode=n) from exc
+        raise NumericalError(f"eigensolver failed: {stacked}") from stacked
     rec_residual = float(_norms(_stacked_transform(core, factors) - x)[0]) / total
     ao_residual = float(np.ldexp(_all_orthogonality(core)[0], 2 * e))
 

@@ -108,8 +108,9 @@ def _check_state(s: ComplexTensor) -> None:
 def normalize(amplitudes) -> ThreeQubitState:
     """Scale 8 amplitudes to unit norm, preserving relative phases, as
     :func:`classify_batch` normalizes each of its rows (see
-    :func:`_unit_rows`): no overflow or underflow, and ordinary inputs keep
-    their bits."""
+    :func:`_unit_rows`): no overflow or underflow, and inputs that differ by
+    an exact factor 2^k give the same bits.  Other factors can move the
+    last bits; so can normalizing a unit-norm state again."""
     amps = np.asarray(amplitudes, dtype=np.complex128)
     if amps.size != 8:
         raise ShapeError(f"need 8 amplitudes, got {amps.size}")
@@ -233,7 +234,7 @@ def _classify_rows(x: np.ndarray, tol: float, sigma_tol: float):
     # factors U(n) (three (M, 2, 2)) hosvd gives each state, bit for bit
     _tolerance("tol", tol)
     _tolerance("sigma_tol", sigma_tol)
-    core, factors, spectra, degenerate, _ = _hosvd_stack(x, tol)
+    core, factors, spectra, degenerate = _hosvd_stack(x, tol)
     sigma = np.square(np.stack([s[:, 0] for s in spectra], axis=1))
     separability = _separability(sigma, tol)
     case = _decide_case(sigma, sigma_tol)

@@ -1,25 +1,18 @@
 """Self-contained dense complex linear algebra for small matrices.
 
-Hermitian eigenproblems are solved by complex Jacobi rotations, which are
-unconditionally stable, in the round-robin (parallel) order of Brent and
-Luk: each sweep is a fixed sequence of steps of disjoint index pairs, and
-every pair is rotated at most once per sweep.  A rotation is elementwise
-work on two rows and two columns.  The matrices of one size are swept
-together as a stack, stored side by side in one array, and the rotations
-of one step in every matrix of the stack are applied as one numpy update;
-a matrix solved alone is a stack of one.  Each entry gets the same
-elementwise operations in the same order whatever else is in the stack, so
-a matrix's bits do not depend on its stack mates.  Every solve goes
-through :func:`_eigh_stack`, which rotates a 2x2 matrix in closed form with
-the sweep's arithmetic and ends in one epilogue (:func:`_ordered`: gauge,
-order and degeneracy flag).  No rotation goes through a matrix
-product, so the eigensolver uses no BLAS and its output does not depend on
-the memory layout of its input.  The order, pivot test and gauge are
-fixed, so the same input gives the same output bits.  Gram products, the
-multilinear transforms and the Frobenius norm (:func:`_norms`, which
-``norm``, ``normalize``, ``hosvd`` and ``classify`` read) do use numpy's
-matrix product (BLAS), so full outputs are reproducible on one machine and
-numpy build, and other BLAS builds may differ in the last bits.
+Every Hermitian eigenproblem goes through :func:`_eigh_stack`, on a stack
+of equal-size matrices; a matrix solved alone is a stack of one.  A 2x2
+matrix takes at most one complex Jacobi rotation, in closed form and
+elementwise, with no BLAS or LAPACK call.  Every other size is one call of
+numpy's LAPACK ``eigh`` on the stack, which solves each matrix on its own
+copy, so a matrix's bits do not depend on its stack mates or on the memory
+layout of its input.  Both paths end in one epilogue (:func:`_ordered`:
+gauge, order and degeneracy flag), so the same input gives the same output
+bits.  Gram products, the multilinear transforms, the Frobenius norm
+(:func:`_norms`, which ``norm``, ``normalize``, ``hosvd`` and ``classify``
+read) and the solves from size 3 up use numpy's BLAS and LAPACK, so full
+outputs are reproducible on one machine and numpy build, and other builds
+may differ in the last bits.
 
 The Gram (:func:`_gram_stack`), the Frobenius norm (:func:`_norms`) and
 the power-of-two prescale (:func:`_pow2_blocks`) are each written once,
@@ -31,15 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 
-_MAX_SWEEPS = 60
-# pivots at or below this are not rotated, in a matrix prescaled so that its
-# largest part lies in [0.5, 1); a sweep that rotates nothing ends the solve
+# a 2x2 pivot at or below this, in a matrix prescaled so that its largest
+# part lies in [0.5, 1), is not rotated
 _PIVOT_TOL = 1e-15
 
 
@@ -51,15 +42,11 @@ class EigenDecomposition:
     tol * sum(|eigenvalues|) (tol * ||X||^2 for a Gram matrix of X), with the
     tolerance passed to :func:`hermitian_eig`; the eigenvectors are still
     orthonormal but individual columns are then gauge-dependent.
-    ``sweeps`` counts the Jacobi sweeps, the last one, which rotates
-    nothing, included; ``rotations`` counts the pivots rotated in them.
     """
 
     eigenvalues: np.ndarray
     unitary: np.ndarray
     degenerate: bool
-    sweeps: int
-    rotations: int
 
 
 def gram(m) -> np.ndarray:
@@ -124,30 +111,6 @@ def _pow2_blocks(x, axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.ldexp(parts, -e).view(np.complex128), e, largest
 
 
-@cache
-def _round_robin(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """One sweep of the round-robin tournament on n indices.
-
-    Each step is a pair (ps, qs) of index tuples with ps[k] < qs[k]; the
-    pairs of a step are disjoint, and over the steps every pair p < q
-    appears exactly once.  For odd n the tournament has a dummy index n,
-    so each step leaves out the one index paired with it.
-    """
-    m = n + n % 2
-    ring = list(range(1, m))
-    steps = []
-    for _ in range(m - 1):
-        seats = [0, *ring]
-        pairs = sorted(
-            (min(a, b), max(a, b))
-            for a, b in zip(seats[: m // 2], seats[: m // 2 - 1 : -1])
-            if max(a, b) < n
-        )
-        steps.append((tuple(p for p, _ in pairs), tuple(q for _, q in pairs)))
-        ring = ring[-1:] + ring[:-1]
-    return tuple(steps)
-
-
 def _rotation(app, aqq, apq, mag):
     """(t, c, s, phase) of the Jacobi rotations that zero the pivots apq of
     the 2x2 Hermitian blocks [[app, apq], [conj(apq), aqq]], as arrays: app
@@ -160,98 +123,6 @@ def _rotation(app, aqq, apq, mag):
     c = 1.0 / np.hypot(1.0, t)
     # divided part by part
     return t, c, t * c, apq.real / mag - 1j * (apq.imag / mag)
-
-
-@cache
-def _stack_steps(n: int, b: int) -> tuple[np.ndarray, ...]:
-    """_round_robin(n) as index tables into a stack of b n x n matrices.
-
-    The stack is a C-contiguous (2n, b*n) array w whose block k, columns
-    k*n to (k+1)*n, holds [A_k; V_k].  Each step is one (8, b*(n//2)) int
-    array with a column per pair of each matrix, block by block.  Its rows
-    are pq, pp, qq, qp (flat indices of the pivot entries of A_k in w), p,
-    q (columns of w), and p, q once more as rows of w[:n] viewed as n*b rows
-    of length n, where row p*b + k is row p of A_k.
-    """
-    width = b * n
-    k = np.repeat(np.arange(b), n // 2)
-    steps = []
-    for ps, qs in _round_robin(n):
-        p, q = np.tile(np.array((ps, qs), dtype=np.intp), b)
-        col_p, col_q = k * n + p, k * n + q
-        step = np.stack((
-            p * width + col_q, p * width + col_p, q * width + col_q, q * width + col_p,
-            col_p, col_q, p * b + k, q * b + k,
-        ))
-        step.setflags(write=False)
-        steps.append(step)
-    return tuple(steps)
-
-
-def _sweep_stack(w: np.ndarray, b: int, steps) -> np.ndarray:
-    # One sweep over a stack of b matrices (see _stack_steps), each step's
-    # disjoint rotations applied to every matrix at once.  The column
-    # rotation acts on [A_k; V_k], the row rotation on A_k only.  Pivots at
-    # or below _PIVOT_TOL are dropped before any division.  Every entry gets
-    # the same elementwise operations in the same order whatever else is in
-    # the stack, so a matrix's bits do not depend on its stack mates.  A
-    # sweep that rotates nothing in a matrix leaves all its pivots at or
-    # below _PIVOT_TOL, so later sweeps do not change it either.  Returns,
-    # per matrix, the number of pairs this sweep rotated: an unmasked step
-    # rotates n // 2 in each, counted without numpy work.
-    n = w.shape[0] // 2
-    flat = w.reshape(-1)
-    rows = w[:n].reshape(n * b, n)
-    masked = np.zeros(b * (n // 2), dtype=np.intp)
-    unmasked = 0
-    for step in steps:
-        apq = flat[step[0]]
-        mag = np.hypot(apq.real, apq.imag)
-        big = mag > _PIVOT_TOL
-        if big.all():
-            unmasked += 1
-        else:
-            if not big.any():
-                continue
-            masked += big
-            step, apq, mag = step[:, big], apq[big], mag[big]
-        pq, pp, qq, qp, ps, qs, rp, rq = step
-        app, aqq = flat[pp].real, flat[qq].real
-        t, c, s, phase = _rotation(app, aqq, apq, mag)
-        sp, cp = s * phase, c * phase
-        wp, wq = w[:, ps], w[:, qs]
-        w[:, ps] = c * wp - sp * wq
-        w[:, qs] = s * wp + cp * wq
-        c, s = c[:, None], s[:, None]
-        sp, cp = sp.conj()[:, None], cp.conj()[:, None]
-        ap, aq = rows[rp], rows[rq]
-        rows[rp] = c * ap - sp * aq
-        rows[rq] = s * ap + cp * aq
-        flat[pp] = app - t * mag
-        flat[qq] = aqq + t * mag
-        flat[pq] = flat[qp] = 0.0
-    return unmasked * (n // 2) + masked.reshape(b, -1).sum(axis=1)
-
-
-def _solve_stack(a: np.ndarray):
-    # Sweeps a stack a (b, n, n) until a sweep rotates none of it, at most
-    # _MAX_SWEEPS times.  Returns the diagonals (b, n), the rotated
-    # identities (b, n, n) and per matrix the counts of EigenDecomposition.
-    b, n = a.shape[:2]
-    w = np.vstack((a.transpose(1, 0, 2).reshape(n, b * n),
-                   np.tile(np.eye(n, dtype=np.complex128), b)))
-    steps = _stack_steps(n, b)
-    sweeps = np.ones(b, dtype=np.intp)
-    rotations = np.zeros(b, dtype=np.intp)
-    for _ in range(_MAX_SWEEPS):
-        rotated = _sweep_stack(w, b, steps)
-        if not rotated.any():
-            break
-        sweeps += rotated > 0
-        rotations += rotated
-    blocks = w.reshape(2 * n, b, n)
-    eigenvalues, v = blocks[:n].diagonal(axis1=0, axis2=2).real, blocks[n:].transpose(1, 0, 2)
-    return eigenvalues, v, sweeps, rotations
 
 
 def _prescaled(h, tol: float) -> tuple[np.ndarray, int]:
@@ -290,10 +161,10 @@ def _ordered(eigenvalues: np.ndarray, v: np.ndarray, tol: float):
 
 def _eigh_stack(a: np.ndarray, tol: float):
     """:func:`_ordered` of the eigenpairs of a stack a (b, n, n) of exactly
-    Hermitian matrices prescaled as by :func:`pow2_prescale`, with the
-    counts of :class:`EigenDecomposition` (sweeps above _MAX_SWEEPS: not
-    converged).  A 2x2 matrix takes its one rotation in closed form, with
-    the sweep's pivot test and arithmetic, and so the sweeps' bits and counts.
+    Hermitian matrices prescaled as by :func:`pow2_prescale`.  A 2x2 matrix
+    takes one Jacobi rotation in closed form, where its pivot is above
+    _PIVOT_TOL; every other size is one LAPACK eigh call on the stack, whose
+    LinAlgError (no convergence) is left to the caller.
     """
     n = a.shape[1]
     if n == 2:
@@ -303,32 +174,23 @@ def _eigh_stack(a: np.ndarray, tol: float):
         t, c, s, phase = _rotation(app, aqq, apq, np.where(rotated, mag, 1.0))
         eigenvalues = np.stack((np.where(rotated, app - t * mag, app),
                                 np.where(rotated, aqq + t * mag, aqq)), axis=1)
-        # V = I with its columns rotated as _sweep_stack rotates them, to the
-        # sign of every zero: the products there give (c, +0), (s, +0) and
-        # 0 - sp, since c > 0 and s != 0, and the last entry keeps them; an
+        # V = I with its columns p, q replaced by c p - s phase q and
+        # s p + c phase q, as a Jacobi sweep rotates them, to the sign of
+        # every zero: the products there give (c, +0), (s, +0) and 0 - sp,
+        # since c > 0 and s != 0, and the last entry keeps them; an
         # unrotated matrix gets c, s, phase = 1, 0, 1, which give I
         c, s = np.where(rotated, c, 1.0), np.where(rotated, s, 0.0)
         phase = np.where(rotated, phase, 1.0)
         sp, cp = s * phase, c * phase
         v = np.stack((c.astype(np.complex128), s.astype(np.complex128), 0.0 - sp,
                       s * 0j + cp * (1 + 0j)), axis=1).reshape(-1, 2, 2)
-        sweeps, rotations = 1 + rotated, rotated.astype(np.intp)
     else:
-        eigenvalues, v, sweeps, rotations = _solve_stack(a)
-    return (*_ordered(eigenvalues, v, tol), sweeps, rotations)
-
-
-def _check_converged(sweeps: np.ndarray) -> None:
-    # NumericalError naming the first entry of sweeps, counted from 1, that
-    # exceeds _MAX_SWEEPS
-    failed = np.flatnonzero(sweeps > _MAX_SWEEPS)
-    if failed.size:
-        raise NumericalError(f"Jacobi sweeps did not converge in {_MAX_SWEEPS} iterations",
-                             mode=int(failed[0]) + 1)
+        eigenvalues, v = np.linalg.eigh(a)
+    return _ordered(eigenvalues, v, tol)
 
 
 def hermitian_eig(h, tol: float = 1e-10) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix by round-robin Jacobi sweeps.
+    """Eigendecomposition of a Hermitian matrix.
 
     Parameters
     ----------
@@ -339,23 +201,26 @@ def hermitian_eig(h, tol: float = 1e-10) -> EigenDecomposition:
         relative to sum(|eigenvalues|).
 
     The matrix is first scaled by an exact power of two (see
-    :func:`pow2_prescale`), which makes the pivot threshold relative and
-    the result independent of scale: the eigenvalues of 2^k h are exactly
-    2^k times those of h, with the same eigenvectors.  Eigenvalues
-    are returned descending.  Each eigenvector column is gauge fixed: its
-    largest-magnitude entry (lowest row on ties) is made real and
-    nonnegative, so identical input bits give identical output bits.
+    :func:`pow2_prescale`), which makes the result independent of scale:
+    the eigenvalues of 2^k h are exactly 2^k times those of h, with the
+    same eigenvectors.  A 2x2 matrix takes at most one Jacobi rotation, in
+    closed form; other sizes are solved by numpy's LAPACK ``eigh``.
+    Eigenvalues are returned descending.  Each eigenvector column is gauge
+    fixed: its largest-magnitude entry (lowest row on ties) is made real
+    and nonnegative, so identical input bits give identical output bits.
 
     This is the solver of :func:`~hosvd3.hosvd.hosvd` on a stack of one: a
-    matrix gets the same bits and counts in its stacks as here.  A negative
-    or non-finite tol raises ValidationError, unconverged sweeps NumericalError.
+    matrix gets the same bits in its stacks as here.  A negative or
+    non-finite tol raises ValidationError, and a LAPACK failure to converge
+    NumericalError with mode 1.
     """
     tol = _tolerance("tol", tol)
     a, e = _prescaled(h, tol)
-    eigenvalues, v, degenerate, sweeps, rotations = _eigh_stack(a[None], tol)
-    _check_converged(sweeps)
+    try:
+        eigenvalues, v, degenerate = _eigh_stack(a[None], tol)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed: {exc}", mode=1) from exc
     eigenvalues, v = np.ldexp(eigenvalues[0], e), v[0]
     eigenvalues.setflags(write=False)
     v.setflags(write=False)
-    return EigenDecomposition(eigenvalues=eigenvalues, unitary=v, degenerate=bool(degenerate[0]),
-                              sweeps=int(sweeps[0]), rotations=int(rotations[0]))
+    return EigenDecomposition(eigenvalues=eigenvalues, unitary=v, degenerate=bool(degenerate[0]))

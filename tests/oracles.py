@@ -120,6 +120,36 @@ def eig2_closed_form(h):
     return np.array([tr / 2.0 + disc, tr / 2.0 - disc])
 
 
+def jacobi_sweep_2x2(a):
+    """(eigenvalues (b, 2), eigenvector columns (b, 2, 2)) of a stack a of
+    exactly Hermitian 2x2 matrices, prescaled so that their largest part
+    lies in [0.5, 1), by one sweep of complex Jacobi rotations written as a
+    stacked sweep writes them, with no closed-form shortcut: a pivot above
+    1e-15 is rotated, the columns p, q of V = I are replaced by
+    c p - s phase q and s p + c phase q, and the diagonal gets
+    app - t |apq| and aqq + t |apq|; a smaller pivot is not rotated.  A
+    second sweep would find both pivots zero, so one is the whole solve."""
+    a = np.asarray(a, dtype=np.complex128)
+    app, aqq, apq = a[:, 0, 0].real, a[:, 1, 1].real, a[:, 0, 1]
+    eigenvalues = np.stack((app, aqq), axis=1)
+    v = np.tile(np.eye(2, dtype=np.complex128), (len(a), 1, 1))
+    mag = np.hypot(apq.real, apq.imag)
+    big = mag > 1e-15
+    app, aqq, apq, mag = app[big], aqq[big], apq[big], mag[big]
+    d, m2 = aqq - app, 2.0 * mag
+    t = np.copysign(m2 / (np.abs(d) + np.hypot(d, m2)), d)
+    c = 1.0 / np.hypot(1.0, t)
+    s = t * c
+    phase = apq.real / mag - 1j * (apq.imag / mag)
+    sp, cp = (s * phase)[:, None], (c * phase)[:, None]
+    c, s = c[:, None], s[:, None]
+    wp, wq = v[big, :, 0], v[big, :, 1]
+    v[big, :, 0] = c * wp - sp * wq
+    v[big, :, 1] = s * wp + cp * wq
+    eigenvalues[big] = np.stack((app - t * mag, aqq + t * mag), axis=1)
+    return eigenvalues, v
+
+
 def eigh_descending(h):
     """Eigenvalues, descending, of a Hermitian matrix by numpy's LAPACK eigh."""
     return np.linalg.eigvalsh(h)[::-1]

@@ -83,9 +83,11 @@ def test_one_home_per_layout_rule():
     # tensor's stacked kernel.  No module takes np.vdot or np.linalg.norm:
     # every inner product and norm is a stacked kernel too.  The axis orders
     # (cyclic and mode-row) and the table cached per tensor order that holds
-    # their transposes are read in tensor.py only.
+    # their transposes are read in tensor.py only.  numpy's LAPACK solvers
+    # are called in smalllinalg.py only, where every eigenproblem goes
+    # through one entry, _eigh_stack.
     src = pathlib.Path(hosvd3.__file__).parent
-    frexp, dot, vdot, linalg_norm = [], [], [], []
+    frexp, dot, vdot, linalg_norm, solvers = [], [], [], [], []
     layout = {name: set() for name in ("_cyclic_axes", "_row_axes", "_axis_table")}
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -104,8 +106,11 @@ def test_one_home_per_layout_rule():
             if (name == "norm" and isinstance(node, ast.Attribute)
                     and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
                 linalg_norm.append(path.name)
+            if name in ("eigh", "eigvalsh", "eig", "svd", "qr"):
+                solvers.append(path.name)
     assert set(frexp) == {"smalllinalg.py"}, frexp
     assert not dot, dot
     assert not vdot, vdot
     assert not linalg_norm, linalg_norm
+    assert set(solvers) == {"smalllinalg.py"}, solvers
     assert all(homes == {"tensor.py"} for homes in layout.values()), layout

@@ -45,6 +45,10 @@ def child_peak_kib(argv):
     return int(done.stdout)
 
 
+def is_diagonal(m):
+    return np.abs(m - np.diag(np.diag(m))).max() <= 1e-15
+
+
 def write_state(path, amps, dims=(2, 2, 2), label=""):
     doc = {
         "dims": list(dims),
@@ -146,22 +150,60 @@ class TestStateFileErrors:
         assert err.startswith("error: ") and message in err
 
 
+def unconverged_eigh(monkeypatch, fails=lambda m: True):
+    """Make LAPACK's eigh raise LinAlgError on a stack holding a matrix for
+    which `fails` is true; returns the list of the stack shapes it is given."""
+    real, calls = np.linalg.eigh, []
+
+    def eigh(a):
+        calls.append(a.shape)
+        if any(fails(m) for m in a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return calls
+
+
 class TestNumericalFailure:
-    # classify solves its 2x2 Gram matrices in closed form, with no sweeps
     @pytest.mark.parametrize("command", ["decompose"])
-    def test_unconverged_eigensolver_exits_3(self, ghz_file, monkeypatch, capsys, command):
-        monkeypatch.setattr("hosvd3.smalllinalg._MAX_SWEEPS", 0)
-        assert run([command, ghz_file]) == EXIT_NUMERICAL
+    def test_unconverged_eigensolver_exits_3(self, tmp_path, monkeypatch, capsys, command):
+        rng = np.random.Generator(np.random.Philox(22))
+        x = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
+        state = write_state(tmp_path / "x.json", x, dims=x.shape)
+        calls = unconverged_eigh(monkeypatch)
+        assert run([command, state]) == EXIT_NUMERICAL
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("numerical error (mode 1): ")
+        assert captured.err == ("numerical error (mode 1): eigensolver failed in mode 1: "
+                                "Eigenvalues did not converge\n")
+        assert calls == [(1, 3, 3), (1, 3, 3)]  # the stack of mode 1, then mode 1 alone
 
-    @pytest.mark.parametrize("sweeps, mode", [(1, 2), (2, 2), (3, 2), (5, 3)])
-    def test_lowest_failing_mode_is_reported(self, tmp_path, monkeypatch, capsys,
-                                             sweeps, mode):
+    @pytest.mark.parametrize("argv", [["classify"], ["decompose"], ["sample", "--count", "50"]],
+                             ids=lambda argv: argv[0])
+    def test_two_by_two_never_reaches_eigh(self, ghz_file, monkeypatch, capsys, argv):
+        # classify, sample and a 2x2x2 decompose solve their 2x2 Grams in closed form
+        if argv[0] != "sample":
+            argv = [*argv, ghz_file]
+        assert run(argv) == EXIT_OK
+        want = capsys.readouterr()
+        calls = unconverged_eigh(monkeypatch)
+        assert run(argv) == EXIT_OK
+        assert capsys.readouterr() == want
+        assert calls == []
+
+    @pytest.mark.parametrize("fails, mode", [
+        pytest.param(lambda m: len(m) == 16, 1, id="16x16-mode1"),
+        pytest.param(lambda m: len(m) == 16 and not is_diagonal(m), 3, id="16x16-off-diagonal-mode3"),
+        pytest.param(lambda m: len(m) == 3, 2, id="3x3-mode2"),
+        pytest.param(lambda m: not is_diagonal(m), 2, id="off-diagonal-mode2"),
+    ])
+    def test_lowest_failing_mode_is_reported(self, tmp_path, monkeypatch, capsys, fails, mode):
         # X[i,a,k] = A[i,a] H[i,k] with the rows of H orthonormal: the mode-1
-        # Gram is diagonal and converges in one sweep, modes 1 and 3 are
-        # solved as one 16x16 stack, and mode 2 (3x3) as a stack of one
+        # Gram is diagonal, modes 1 and 3 are solved as one 16x16 stack,
+        # before mode 2 (3x3) as a stack of one.  After a failure each mode
+        # is solved alone, so mode 3 failing in the stack with mode 1 names
+        # 3, and modes 2 and 3 failing name 2.
         h = np.array([[1.0]])
         for _ in range(4):
             h = np.block([[h, h], [h, -h]])
@@ -169,7 +211,7 @@ class TestNumericalFailure:
         a = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
         x = a[:, :, None] * h[:, None, :] / 4
         state = write_state(tmp_path / "x.json", x, dims=x.shape)
-        monkeypatch.setattr("hosvd3.smalllinalg._MAX_SWEEPS", sweeps)
+        unconverged_eigh(monkeypatch, fails)
         assert run(["decompose", state]) == EXIT_NUMERICAL
         captured = capsys.readouterr()
         assert captured.out == ""

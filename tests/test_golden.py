@@ -36,10 +36,9 @@ FIXTURES = (
 )
 TOL = ["--tol", "1e-10"]
 # Seeded complex Gaussian tensors beyond 2x2x2, as (name, dims, Philox seed),
-# so the n > 2 bits of decompose are pinned too, and so are orders 1 and 4,
-# a mode of size 1, and the stack sweeps: even n, odd n (the round robin's
-# dummy index), and stacks of two equal sizes of 12 and up, each next to a
-# smaller mode.
+# so the n > 2 bits of decompose (LAPACK eigh) are pinned too, and so are
+# orders 1 and 4, a mode of size 1, even and odd sizes, and stacks of two
+# equal sizes of 12 and up, each next to a smaller mode.
 GAUSSIAN = (
     ("gaussian_3x4x5", (3, 4, 5), 11),
     ("gaussian_8x8", (8, 8), 12),

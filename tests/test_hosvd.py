@@ -70,7 +70,7 @@ def test_factors_rebuild_input(rng):
 
 def stack_spectra(t):
     """(core, spectra) of t from _hosvd_stack, t alone in the stack."""
-    core, _, spectra, _, _ = _hosvd_stack(t.data[None], 1e-10)
+    core, _, spectra, _ = _hosvd_stack(t.data[None], 1e-10)
     return core[0], [s[0] for s in spectra]
 
 
@@ -251,14 +251,13 @@ def test_stack_gives_each_tensor_its_bits(seed, dims, count):
     stacked = _hosvd_stack(x, 1e-10)
     for i in range(count):
         alone = _hosvd_stack(x[i:i + 1], 1e-10)
-        core, factors, spectra, degenerate, sweeps = (
+        core, factors, spectra, degenerate = (
             [a[i:i + 1] for a in part] if isinstance(part, list) else part[i:i + 1]
             for part in stacked)
         assert core.tobytes() == alone[0].tobytes()
         assert [f.tobytes() for f in factors] == [f.tobytes() for f in alone[1]]
         assert [s.tobytes() for s in spectra] == [s.tobytes() for s in alone[2]]
         assert degenerate.tobytes() == alone[3].tobytes()
-        assert sweeps.tobytes() == alone[4].tobytes()
 
 
 class TestInvariants:

@@ -119,6 +119,15 @@ class TestNormalize:
         with pytest.raises(ValidationError):
             normalize(amps)
 
+    @pytest.mark.parametrize("k", [-500, -1, 1, 3, 500, 1000])
+    def test_power_of_two_factor_keeps_the_bits(self, rng, k):
+        # the bits do not survive every rescaling: normalizing a unit-norm
+        # state again moves some of them, but an exact factor 2^k moves none
+        for _ in range(200):
+            z = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+            want = normalize(z).data.tobytes()
+            assert normalize(np.ldexp(1.0, k) * z).data.tobytes() == want
+
     @pytest.mark.parametrize("scale", [1e200, 1e-170, 1e-310, 2.0**1000])
     def test_extreme_scales_same_as_unit_scale(self, scale):
         unit = normalize(np.ones(8))

@@ -10,19 +10,17 @@ from hosvd3 import (
     unfold,
 )
 from hosvd3.smalllinalg import (
-    _MAX_SWEEPS,
     _eigh_stack,
     _norms,
     _ordered,
     _prescaled,
-    _round_robin,
-    _solve_stack,
     pow2_prescale,
 )
 from oracles import (
     eig2_closed_form,
     eigh_descending,
     haar_unitary,
+    jacobi_sweep_2x2,
     one_body_rdm_by_summation,
     validate_unitary,
 )
@@ -219,21 +217,20 @@ def stack_mates(rng, n):
 
 
 def eigh_stacked(hs, tol=1e-10):
-    """(eigenvalues, unitary, degenerate, sweeps, rotations) of each h in hs,
-    from one _eigh_stack call on the prescaled matrices, scaled back."""
+    """(eigenvalues, unitary, degenerate) of each h in hs, from one
+    _eigh_stack call on the prescaled matrices, scaled back."""
     prepared = [_prescaled(h, tol) for h in hs]
     solved = _eigh_stack(np.array([a for a, _ in prepared]), tol)
-    return [(np.ldexp(eigenvalues, e), v, bool(degenerate), int(sweeps), int(rotations))
-            for (_, e), eigenvalues, v, degenerate, sweeps, rotations in zip(prepared, *solved)]
+    return [(np.ldexp(eigenvalues, e), v, bool(degenerate))
+            for (_, e), eigenvalues, v, degenerate in zip(prepared, *solved)]
 
 
 def assert_same_bits(got, want):
-    eigenvalues, unitary, degenerate, sweeps, rotations = got
+    eigenvalues, unitary, degenerate = got
     assert not want.eigenvalues.flags.writeable and not want.unitary.flags.writeable
     assert eigenvalues.tobytes() == want.eigenvalues.tobytes()
     assert unitary.tobytes() == want.unitary.tobytes()
     assert degenerate == want.degenerate
-    assert (sweeps, rotations) == (want.sweeps, want.rotations)
 
 
 class TestStack:
@@ -251,8 +248,8 @@ class TestStack:
 
     def test_closed_form_is_the_sweep(self, rng):
         # a 2x2 matrix takes its one rotation in closed form, with the bits
-        # and counts the sweeps give it, to the sign of every zero: complex,
-        # real, diagonal, degenerate, tiny-pivot and -0.0-diagonal matrices
+        # a Jacobi sweep gives it, to the sign of every zero: complex, real,
+        # diagonal, degenerate, tiny-pivot and -0.0-diagonal matrices
         hs = [random_hermitian(rng, 2) for _ in range(300)]
         hs += [h.real for h in hs] + [np.diag(rng.standard_normal(2)) for _ in range(50)]
         hs += [np.eye(2) * rng.standard_normal() + np.diag([p], 1) + np.diag([p], -1)
@@ -260,57 +257,26 @@ class TestStack:
         hs += [np.diag([-0.0, -0.0]), np.array([[-0.0, 0.5j], [-0.5j, -0.0]])]
         a = np.array([_prescaled(h, 1e-10)[0] for h in hs])
         got = _eigh_stack(a, 1e-10)
-        eigenvalues, v, sweeps, rotations = _solve_stack(a)
-        want = (*_ordered(eigenvalues, v, 1e-10), sweeps, rotations)
+        want = _ordered(*jacobi_sweep_2x2(a), 1e-10)
         for g, x in zip(got, want, strict=True):
             assert g.dtype == x.dtype and g.tobytes() == x.tobytes()
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_unconverged_sweeps_raise(self, rng, monkeypatch, n):
-        # one sweep allowed: a matrix with a pivot needs a second, which
-        # rotates nothing, to converge; a diagonal one does not
-        monkeypatch.setattr("hosvd3.smalllinalg._MAX_SWEEPS", 1)
-        assert hermitian_eig(np.diag(rng.standard_normal(n))).sweeps == 1
-        with pytest.raises(NumericalError, match="did not converge in 1 ") as exc:
-            hermitian_eig(random_hermitian(rng, n))
+    def test_unconverged_eigh_raises(self, rng, monkeypatch):
+        # LAPACK's failure to converge is a NumericalError in mode 1; a 2x2
+        # matrix is solved in closed form and never reaches eigh
+        calls = []
+
+        def eigh(a):
+            calls.append(a.shape)
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        hermitian_eig(random_hermitian(rng, 2))
+        assert calls == []
+        with pytest.raises(NumericalError, match="did not converge") as exc:
+            hermitian_eig(random_hermitian(rng, 3))
         assert exc.value.mode == 1
-
-
-class TestCounts:
-    """EigenDecomposition.sweeps (the last, rotation-free sweep included) and
-    .rotations; TestStack checks that a matrix gets the same counts in a
-    stack as alone."""
-
-    @pytest.mark.parametrize("n", [1, 3, 12])
-    def test_diagonal_takes_one_sweep_and_no_rotation(self, rng, n):
-        e = hermitian_eig(np.diag(rng.standard_normal(n)))
-        assert (e.sweeps, e.rotations) == (1, 0)
-
-    def test_one_pivot_takes_one_rotation(self):
-        e = hermitian_eig(np.array([[1.0, 0.5 - 0.25j], [0.5 + 0.25j, -1.0]]))
-        assert (e.sweeps, e.rotations) == (2, 1)
-
-    @pytest.mark.parametrize("n", [2, 5, 11, 12, 13, 16, 33])
-    def test_rotations_bounded_by_pairs_per_sweep(self, rng, n):
-        for _, h in differential_cases(rng, n):
-            e = hermitian_eig(h)
-            assert type(e.sweeps) is int and type(e.rotations) is int
-            assert 1 <= e.sweeps <= _MAX_SWEEPS
-            assert 0 <= e.rotations <= (e.sweeps - 1) * n * (n - 1) // 2
-
-
-class TestRoundRobin:
-    @pytest.mark.parametrize("n", range(1, 66))
-    def test_each_pair_once_per_sweep(self, n):
-        seen = []
-        steps = _round_robin(n)
-        assert len(steps) == n - 1 + n % 2
-        for ps, qs in steps:
-            assert len(ps) == len(qs) == n // 2
-            assert len(set(ps + qs)) == 2 * len(ps)  # disjoint within the step
-            assert all(p < q for p, q in zip(ps, qs))
-            seen.extend(zip(ps, qs))
-        assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+        assert calls == [(1, 3, 3)]
 
 
 class TestScaleAndLayout:
@@ -347,7 +313,7 @@ class TestScaleAndLayout:
 
     @pytest.mark.parametrize("n", [2, 8, 32])
     def test_layout_independent_bits(self, rng, n):
-        # elementwise sweeps only: no BLAS path whose bits follow the layout
+        # the closed form is elementwise, and LAPACK solves its own copy
         h = random_hermitian(rng, n)
         host = np.zeros((2 * n, 3 * n), dtype=complex)
         host[::2, ::3] = h
