@@ -120,34 +120,77 @@ def eig2_closed_form(h):
     return np.array([tr / 2.0 + disc, tr / 2.0 - disc])
 
 
-def jacobi_sweep_2x2(a):
-    """(eigenvalues (b, 2), eigenvector columns (b, 2, 2)) of a stack a of
-    exactly Hermitian 2x2 matrices, prescaled so that their largest part
-    lies in [0.5, 1), by one sweep of complex Jacobi rotations written as a
-    stacked sweep writes them, with no closed-form shortcut: a pivot above
-    1e-15 is rotated, the columns p, q of V = I are replaced by
-    c p - s phase q and s p + c phase q, and the diagonal gets
-    app - t |apq| and aqq + t |apq|; a smaller pivot is not rotated.  A
-    second sweep would find both pivots zero, so one is the whole solve."""
+def round_robin(n):
+    """One sweep of the round-robin tournament on n indices: a tuple of
+    steps, each a pair (ps, qs) of index tuples with ps[k] < qs[k].  The
+    pairs of a step are disjoint, and over the steps every pair p < q
+    appears exactly once.  For odd n the tournament has a dummy index n,
+    so each step leaves out the one index paired with it."""
+    m = n + n % 2
+    ring = list(range(1, m))
+    steps = []
+    for _ in range(m - 1):
+        seats = [0, *ring]
+        pairs = sorted(
+            (min(a, b), max(a, b))
+            for a, b in zip(seats[: m // 2], seats[: m // 2 - 1 : -1])
+            if max(a, b) < n
+        )
+        steps.append((tuple(p for p, _ in pairs), tuple(q for _, q in pairs)))
+        ring = ring[-1:] + ring[:-1]
+    return tuple(steps)
+
+
+def jacobi_eigh(a, max_sweeps=60):
+    """(eigenvalues (n,), eigenvector columns (n, n), sweeps, rotations) of
+    an exactly Hermitian matrix a, prescaled so that its largest part lies
+    in [0.5, 1), by cyclic complex Jacobi sweeps in :func:`round_robin`
+    order, with no LAPACK.  Each step rotates its disjoint pairs together: a
+    pivot above 1e-15 is zeroed, the columns p, q of [A; V] are replaced by
+    c p - s phase q and s p + c phase q, then the rows p, q of A by the
+    conjugate rotation, and the diagonal gets app - t |apq| and
+    aqq + t |apq|; a smaller pivot is not rotated.  Sweeps run until one
+    rotates nothing, at most max_sweeps times.  sweeps counts that last,
+    rotation-free sweep too (a diagonal matrix takes 1), and rotations the
+    pairs rotated; sweeps > max_sweeps means not converged."""
     a = np.asarray(a, dtype=np.complex128)
-    app, aqq, apq = a[:, 0, 0].real, a[:, 1, 1].real, a[:, 0, 1]
-    eigenvalues = np.stack((app, aqq), axis=1)
-    v = np.tile(np.eye(2, dtype=np.complex128), (len(a), 1, 1))
-    mag = np.hypot(apq.real, apq.imag)
-    big = mag > 1e-15
-    app, aqq, apq, mag = app[big], aqq[big], apq[big], mag[big]
-    d, m2 = aqq - app, 2.0 * mag
-    t = np.copysign(m2 / (np.abs(d) + np.hypot(d, m2)), d)
-    c = 1.0 / np.hypot(1.0, t)
-    s = t * c
-    phase = apq.real / mag - 1j * (apq.imag / mag)
-    sp, cp = (s * phase)[:, None], (c * phase)[:, None]
-    c, s = c[:, None], s[:, None]
-    wp, wq = v[big, :, 0], v[big, :, 1]
-    v[big, :, 0] = c * wp - sp * wq
-    v[big, :, 1] = s * wp + cp * wq
-    eigenvalues[big] = np.stack((app - t * mag, aqq + t * mag), axis=1)
-    return eigenvalues, v
+    n = len(a)
+    w = np.vstack((a, np.eye(n, dtype=np.complex128)))
+    sweeps, rotations = 1, 0
+    for _ in range(max_sweeps):
+        rotated = 0
+        for ps, qs in round_robin(n):
+            ps, qs = np.array(ps, dtype=np.intp), np.array(qs, dtype=np.intp)
+            apq = w[ps, qs]
+            mag = np.hypot(apq.real, apq.imag)
+            big = mag > 1e-15
+            if not big.any():
+                continue
+            ps, qs, apq, mag = ps[big], qs[big], apq[big], mag[big]
+            rotated += len(ps)
+            app, aqq = w[ps, ps].real, w[qs, qs].real
+            d, m2 = aqq - app, 2.0 * mag
+            t = np.copysign(m2 / (np.abs(d) + np.hypot(d, m2)), d)
+            c = 1.0 / np.hypot(1.0, t)
+            s = t * c
+            phase = apq.real / mag - 1j * (apq.imag / mag)
+            sp, cp = s * phase, c * phase
+            wp, wq = w[:, ps], w[:, qs]
+            w[:, ps] = c * wp - sp * wq
+            w[:, qs] = s * wp + cp * wq
+            c, s = c[:, None], s[:, None]
+            sp, cp = sp.conj()[:, None], cp.conj()[:, None]
+            ap, aq = w[ps], w[qs]
+            w[ps] = c * ap - sp * aq
+            w[qs] = s * ap + cp * aq
+            w[ps, ps] = app - t * mag
+            w[qs, qs] = aqq + t * mag
+            w[ps, qs] = w[qs, ps] = 0.0
+        if not rotated:
+            break
+        sweeps += 1
+        rotations += rotated
+    return w[:n].diagonal().real.copy(), w[n:].copy(), sweeps, rotations
 
 
 def eigh_descending(h):

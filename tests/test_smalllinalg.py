@@ -20,8 +20,9 @@ from oracles import (
     eig2_closed_form,
     eigh_descending,
     haar_unitary,
-    jacobi_sweep_2x2,
+    jacobi_eigh,
     one_body_rdm_by_summation,
+    round_robin,
     validate_unitary,
 )
 
@@ -174,7 +175,8 @@ def differential_cases(rng, n):
 
 
 class TestDifferential:
-    """hermitian_eig against numpy's LAPACK eigh."""
+    """hermitian_eig against numpy's LAPACK eigh and against the reference
+    Jacobi, which shares no code with LAPACK."""
 
     @pytest.mark.parametrize("n", DIFFERENTIAL_SIZES)
     def test_against_eigh(self, rng, n):
@@ -183,6 +185,9 @@ class TestDifferential:
             want = eigh_descending(h)
             top = np.abs(want).max()
             assert np.abs(e.eigenvalues - want).max() <= 1e-13 * top, label
+            a, scale = _prescaled(h, 1e-10)
+            jacobi = np.ldexp(np.sort(jacobi_eigh(a)[0])[::-1], scale)
+            assert np.abs(e.eigenvalues - jacobi).max() <= 1e-13 * top, label
             assert validate_unitary(e.unitary) <= 1e-12, label
             residual = h @ e.unitary - e.unitary * e.eigenvalues
             assert np.abs(residual).max() <= 1e-13 * top, label
@@ -257,26 +262,75 @@ class TestStack:
         hs += [np.diag([-0.0, -0.0]), np.array([[-0.0, 0.5j], [-0.5j, -0.0]])]
         a = np.array([_prescaled(h, 1e-10)[0] for h in hs])
         got = _eigh_stack(a, 1e-10)
-        want = _ordered(*jacobi_sweep_2x2(a), 1e-10)
+        solved = [jacobi_eigh(m) for m in a]
+        assert all(sweeps == 1 + rotations <= 2 for *_, sweeps, rotations in solved)
+        want = _ordered(np.array([e for e, *_ in solved]), np.array([v for _, v, *_ in solved]),
+                        1e-10)
         for g, x in zip(got, want, strict=True):
             assert g.dtype == x.dtype and g.tobytes() == x.tobytes()
 
-    def test_unconverged_eigh_raises(self, rng, monkeypatch):
-        # LAPACK's failure to converge is a NumericalError in mode 1; a 2x2
-        # matrix is solved in closed form and never reaches eigh
-        calls = []
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_unconverged_sweeps_raise(self, rng, monkeypatch, n):
+        # an eigh that gives up after one sweep of the reference Jacobi: a
+        # diagonal matrix converges in it, a matrix with a pivot needs a
+        # second, which rotates nothing.  LAPACK's failure to converge is a
+        # NumericalError in mode 1; a 2x2 matrix is solved in closed form
+        # and never reaches eigh
+        real, calls = np.linalg.eigh, []
 
         def eigh(a):
             calls.append(a.shape)
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            if any(jacobi_eigh(m, max_sweeps=1)[2] > 1 for m in a):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(a)
 
         monkeypatch.setattr(np.linalg, "eigh", eigh)
-        hermitian_eig(random_hermitian(rng, 2))
-        assert calls == []
+        hermitian_eig(np.diag(rng.standard_normal(n)))
+        if n == 2:
+            hermitian_eig(random_hermitian(rng, n))
+            assert calls == []
+            return
         with pytest.raises(NumericalError, match="did not converge") as exc:
-            hermitian_eig(random_hermitian(rng, 3))
+            hermitian_eig(random_hermitian(rng, n))
         assert exc.value.mode == 1
-        assert calls == [(1, 3, 3)]
+        assert calls == [(1, n, n), (1, n, n)]
+
+
+class TestCounts:
+    """The sweeps (the last, rotation-free sweep included) and rotations of
+    the reference Jacobi ``oracles.jacobi_eigh``, which the sweep-limited
+    eigensolvers of the numerical-failure tests count by."""
+
+    @pytest.mark.parametrize("n", [1, 3, 12])
+    def test_diagonal_takes_one_sweep_and_no_rotation(self, rng, n):
+        assert jacobi_eigh(np.diag(rng.uniform(-0.9, 0.9, n)))[2:] == (1, 0)
+
+    def test_one_pivot_takes_one_rotation(self):
+        assert jacobi_eigh(np.array([[0.5, 0.25 - 0.125j], [0.25 + 0.125j, -0.5]]))[2:] == (2, 1)
+
+    @pytest.mark.parametrize("n", [2, 5, 11, 12, 13, 16, 33])
+    def test_rotations_bounded_by_pairs_per_sweep(self, rng, n):
+        for label, h in differential_cases(rng, n):
+            a, _ = _prescaled(h, 1e-10)
+            eigenvalues, v, sweeps, rotations = jacobi_eigh(a)
+            assert type(sweeps) is int and type(rotations) is int, label
+            assert 1 <= sweeps <= 60, label
+            assert 0 <= rotations <= (sweeps - 1) * n * (n - 1) // 2, label
+            assert np.abs(a @ v - v * eigenvalues).max() <= 1e-13, label
+
+
+class TestRoundRobin:
+    @pytest.mark.parametrize("n", range(1, 66))
+    def test_each_pair_once_per_sweep(self, n):
+        seen = []
+        steps = round_robin(n)
+        assert len(steps) == n - 1 + n % 2
+        for ps, qs in steps:
+            assert len(ps) == len(qs) == n // 2
+            assert len(set(ps + qs)) == 2 * len(ps)  # disjoint within the step
+            assert all(p < q for p, q in zip(ps, qs))
+            seen.extend(zip(ps, qs))
+        assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
 
 
 class TestScaleAndLayout:
