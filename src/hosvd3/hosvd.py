@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ValidationError
+from .errors import DomainError, NumericalError
 from .smalllinalg import _eigh_stack, _gram_stack, _norms, _pow2_blocks, _tolerance, pow2_prescale
 from .tensor import ComplexTensor, _mode_rows, _stacked_transform, _unfoldings
 
@@ -58,11 +58,14 @@ def verify_all_orthogonality(core: ComplexTensor) -> float:
     conj(t_1jk) t_2jk of the one-body density matrices.  A vector (order 1)
     is not checked: its residual is 0.0.  A core with a non-finite entry
     raises ValidationError.  This is the kernel that :func:`hosvd` and
-    :func:`~hosvd3.qubit3.classify` read, on a stack of one core.
+    :func:`~hosvd3.qubit3.classify` read, on a stack of one core.  As in
+    :func:`hosvd`, it runs on the core scaled by an exact power of two (see
+    :func:`pow2_prescale`), and the value is scaled back: inf only where it
+    exceeds the float range, never NaN.
     """
-    if not np.isfinite(core.data).all():
-        raise ValidationError("entries must be finite")
-    return float(_all_orthogonality(core.data[None])[0])
+    x, e = pow2_prescale(core.data[None])
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(_all_orthogonality(x)[0], 2 * e))
 
 
 def _all_orthogonality(core: np.ndarray) -> np.ndarray:
@@ -130,9 +133,12 @@ def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:
 
     The work is done on t scaled by an exact power of two (see
     :func:`pow2_prescale`), and the core, spectra and all-orthogonality
-    residual are scaled back, so the result does not depend on the scale
-    of t: no Gram entry overflows or underflows.  A tol that is negative
-    or not finite raises ValidationError.
+    residual are scaled back, so no Gram entry overflows or underflows.
+    The reconstruction residual is relative to ||t||, but the
+    all-orthogonality residual is in absolute (||t||^2) units, so it
+    scales with t: for a Gaussian tensor it reads 0.0 at scale 2^-1000
+    and inf at 2^1000, inf only where it exceeds the float range.  A tol
+    that is negative or not finite raises ValidationError.
     """
     _tolerance("tol", tol)
     x, e = pow2_prescale(t.data[None])
@@ -151,7 +157,8 @@ def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:
                 raise NumericalError(f"eigensolver failed in mode {n}: {exc}", mode=n) from exc
         raise NumericalError(f"eigensolver failed: {stacked}") from stacked
     rec_residual = float(_norms(_stacked_transform(core, factors) - x)[0]) / total
-    ao_residual = float(np.ldexp(_all_orthogonality(core)[0], 2 * e))
+    with np.errstate(over="ignore"):
+        ao_residual = float(np.ldexp(_all_orthogonality(core)[0], 2 * e))
 
     return HosvdResult(
         factors=tuple(u[0] for u in factors),

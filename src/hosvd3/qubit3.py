@@ -57,16 +57,6 @@ _CASE_BITS = np.array([0, 1, 2, 0, 0, 4, 0, 0, 0])
 _TAG = np.array([tag for tag, _, _ in _SPECIAL_SUPPORT] + ["none"])
 _TAG_CASE = np.array([case for _, _, case in _SPECIAL_SUPPORT] + [""])
 _POWERS = 1 << np.arange(8)
-# Index tables of _identities, on the flat (M, 8) core (index 4(i1-1) +
-# 2(i2-1) + (i3-1) for t_{i1 i2 i3}) and on the (M, 3) sigma.  The plane
-# coefficients a, b, c are |t|^2 at row 0 of _PLANE minus |t|^2 at row 1,
-# and the companion form weighs s1 - s2, s2 - s3, s3 - s1 (_GAPS) by |t|^2
-# at row 2.  p, q, r are t112 t221, t121 t212, t122 t211 (_PHASE), and
-# _CYCLE gives their differences r - q, p - r, q - p.
-_PLANE = np.array([[1, 4, 2], [2, 1, 4], [6, 3, 5]])
-_GAPS = np.array([[0, 1, 2], [1, 2, 0]])
-_PHASE = np.array([[1, 2, 3], [6, 5, 4]])
-_CYCLE = np.array([[2, 0, 1], [1, 2, 0]])
 
 
 def _first_pattern_table() -> np.ndarray:
@@ -247,7 +237,8 @@ def _classify_rows(x: np.ndarray, tol: float, sigma_tol: float):
 def _identities(x: np.ndarray, core: np.ndarray, sigma: np.ndarray, tol: float) -> dict:
     """The identities of :class:`Classification`'s residuals, per row of
     states x, their cores (both (M, 2, 2, 2)) and sigma triples (M, 3), as
-    a dict of (M,) arrays in report order, from the plane identity on.
+    a dict of (M,) arrays in report order, from the plane identity on,
+    each written out term by term.
 
     Rows where the guard of the t111/t222 formulas holds read NaN there.
     NumericalError is raised where the plane coefficients do not cancel or
@@ -257,40 +248,37 @@ def _identities(x: np.ndarray, core: np.ndarray, sigma: np.ndarray, tol: float) 
     """
     flat = core.reshape(-1, 8)
     t111, t112, t121, t122, t211, t212, t221, t222 = flat.T
-    power = np.abs(flat) ** 2
+    power = np.abs(flat) ** 2  # |t|^2 at flat index 4(i1-1) + 2(i2-1) + (i3-1)
     total = power.sum(axis=1)
     # the plane a s1 + b s2 + c s3 = 0, and its companion form in t221,
     # t122 and t212
-    weights, gaps = power[:, _PLANE], sigma[:, _GAPS]
-    plane = weights[:, 0] - weights[:, 1]
-    a, b, c = plane.T
-    terms_a = plane * sigma
-    terms_b = weights[:, 2] * (gaps[:, 0] - gaps[:, 1])
-    form_a = terms_a[:, 0] + terms_a[:, 1] + terms_a[:, 2]
-    form_b = terms_b[:, 0] + terms_b[:, 1] + terms_b[:, 2]
+    a, b, c = power[:, 1] - power[:, 2], power[:, 4] - power[:, 1], power[:, 2] - power[:, 4]
+    s1, s2, s3 = sigma.T
+    form_a = a * s1 + b * s2 + c * s3
+    form_b = power[:, 6] * (s1 - s2) + power[:, 3] * (s2 - s3) + power[:, 5] * (s3 - s1)
     if np.any(np.abs(a + b + c) > 1e-12 * total):
         raise NumericalError(f"plane coefficients do not cancel: {(a + b + c).max()!r}")
     if np.any(np.abs(form_a - form_b) > 1e-12 * total * np.abs(sigma).max(axis=1)):
         i = np.argmax(np.abs(form_a - form_b))
         raise NumericalError(f"equivalent plane forms disagree: {form_a[i]!r} vs {form_b[i]!r}")
     # the cyclic quartic phase identity
-    factors = flat[:, _PHASE]
-    pqr = factors[:, 0] * factors[:, 1]
-    _, q, r = pqr.T
-    cycle = pqr[:, _CYCLE]
-    terms = pqr.conj() * (cycle[:, 0] - cycle[:, 1])
+    p, q, r = t112 * t221, t121 * t212, t122 * t211
     out = {"plane_identity": np.abs(form_a),
-           "phase_identity": np.abs(terms[:, 0] + terms[:, 1] + terms[:, 2]),
+           "phase_identity": np.abs(np.conj(p) * (r - q) + np.conj(q) * (p - r)
+                                    + np.conj(r) * (q - p)),
            "plane_a": a, "plane_b": b, "plane_c": c, "plane_coefficient_sum": a + b + c}
-    # every |2x2 minor| of each unfolding, [..., a, b] for columns a and b:
-    # the state's six per cut, and the core's one condition per cut, its
-    # minor of columns (1, 2) and (2, 1)
-    unf = _unfoldings(np.concatenate([x, core]), (1, 2, 3)).reshape(2, -1, 3, 2, 4)
+    # each cut's core condition p = q, p = r, q = r, the minor of columns
+    # (1, 2) and (2, 1) of the core's unfolding; the minors of B_CA and C_AB
+    # hold t211 t122, which numpy's complex product can round apart from r.
+    # Then every |2x2 minor| of each unfolding of the states, [..., a, b]
+    # for columns a and b.
+    r_cut = t211 * t122
+    unf = _unfoldings(x, (1, 2, 3))
     cross = unf[..., 0, :, None] * unf[..., 1, None, :]
     minors = np.abs(cross - cross.swapaxes(-1, -2))
-    for n, cut in enumerate(CUTS):
-        out[f"core_bisep_{cut}"] = minors[1, :, n, 1, 2]
-        out[f"minors_{cut}"] = minors[0, :, n].max(axis=(1, 2))
+    for n, (cut, core_minor) in enumerate(zip(CUTS, (p - q, r_cut - p, q - r_cut))):
+        out[f"core_bisep_{cut}"] = np.abs(core_minor)
+        out[f"minors_{cut}"] = minors[:, n].max(axis=(1, 2))
     # t111 and t222 eliminated from all-orthogonality, where the shared
     # denominator is not within tol * norm^2 of zero
     denom = t212 * np.conj(t211) - t122 * np.conj(t121)

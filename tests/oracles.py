@@ -241,10 +241,13 @@ def identities_by_formula(x, core, sigma, tol):
     """The core identities of classify's residuals, per row of states x,
     their cores (both (M, 2, 2, 2)) and sigma triples (M, 3), each value
     written out term by term, in the order of operations the kernel
-    ``qubit3._identities`` must keep: the reference its index tables are
-    checked against, bit for bit.  Rows where the guard of the t111/t222
-    formulas holds read NaN there; NumericalError is raised where the plane
-    coefficients do not cancel or the two plane forms disagree."""
+    ``qubit3._identities`` must keep: the reference it is checked against,
+    bit for bit.  The kernel takes each cut's core condition from the
+    phase products p, q, r; this takes it from the minors of its own
+    unfoldings of the core, so the check compares two routes.  Rows where
+    the guard of the t111/t222 formulas holds read NaN there;
+    NumericalError is raised where the plane coefficients do not cancel or
+    the two plane forms disagree."""
     flat = core.reshape(-1, 8)
     t111, t112, t121, t122, t211, t212, t221, t222 = flat.T
     power = np.abs(flat) ** 2

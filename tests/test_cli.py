@@ -89,6 +89,12 @@ class TestStateFileErrors:
         assert run(["decompose", str(path)]) == EXIT_INPUT
         assert run(["classify", str(path)]) == EXIT_INPUT
 
+    def test_order_zero(self, tmp_path, capsys):
+        path = tmp_path / "scalar.json"
+        path.write_text(json.dumps({"dims": [], "amplitudes": [[1.0, 0.0]]}))
+        assert run(["decompose", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: tensor order must be >= 1\n"
+
     def test_unwritable_output(self, tmp_path, ghz_file):
         missing_dir = tmp_path / "no" / "such" / "dir" / "out.json"
         assert run(["decompose", ghz_file, "--output", str(missing_dir)]) == EXIT_IO
@@ -210,6 +216,19 @@ class TestNumericalFailure:
         assert captured.out == ""
         assert captured.err.startswith(f"numerical error (mode {mode}): ")
 
+    def test_stack_fails_but_every_mode_alone_solves(self, tmp_path, monkeypatch, capsys):
+        # modes 1 and 2 of a 3x3x2 tensor are one stack of two 3x3 Grams;
+        # solved again one at a time, neither fails, so no mode is named
+        rng = np.random.Generator(np.random.Philox(23))
+        x = rng.standard_normal((3, 3, 2)) + 1j * rng.standard_normal((3, 3, 2))
+        state = write_state(tmp_path / "x.json", x, dims=x.shape)
+        # fails while the stack it is given (the last call) holds two matrices
+        calls = unconverged_eigh(monkeypatch, lambda m: calls[-1][0] > 1)
+        assert run(["decompose", state]) == EXIT_NUMERICAL
+        assert capsys.readouterr() == (
+            "", "numerical error: eigensolver failed: Eigenvalues did not converge\n")
+        assert calls == [(2, 3, 3), (1, 3, 3), (1, 3, 3)]
+
     def test_sample_failing_part_way(self, tmp_path, monkeypatch, capsys):
         # chunks of two states, and the batch stage fails on the second one
         monkeypatch.setattr(cli, "_SAMPLE_CHUNK", 2)
@@ -274,6 +293,16 @@ class TestDecompose:
         assert run(["decompose", path]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["spectra"][0]) == 3
+
+    def test_residual_past_the_float_range_is_quiet(self, tmp_path, rng, capsys):
+        # the all-orthogonality residual of a 3x4 Gaussian at 1e300 exceeds
+        # the float range; it reads inf, and no overflow warning reaches stderr
+        data = 1e300 * (rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)))
+        path = write_state(tmp_path / "big.json", data, dims=data.shape)
+        assert run(["decompose", path]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["residuals"]["all_orthogonality"] == math.inf
 
 
 class TestClassify:

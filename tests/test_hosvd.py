@@ -171,6 +171,21 @@ class TestAllOrthogonality:
         with pytest.raises(ValidationError, match="finite"):
             verify_all_orthogonality(t)
 
+    def test_large_entries_read_the_scaled_value(self, rng):
+        # core entries past about 1e154 once overflowed the Gram to inf - inf,
+        # NaN; the value itself, about 1e296 here, is finite
+        t = ComplexTensor(rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5)))
+        core = hosvd(t).core
+        got = verify_all_orthogonality(ComplexTensor(1e155 * core.data))
+        assert abs(got / 1e155 / 1e155 - verify_all_orthogonality(core)) <= 1e-13 * norm(t) ** 2
+        assert verify_all_orthogonality(ComplexTensor(1e300 * core.data)) == np.inf
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 4, 5), (3, 4, 5, 6), (16, 16), (7,)])
+    def test_is_the_residual_of_hosvd(self, rng, dims):
+        for _ in range(5):
+            r = hosvd(ComplexTensor(rng.standard_normal(dims) + 1j * rng.standard_normal(dims)))
+            assert verify_all_orthogonality(r.core) == r.residuals.all_orthogonality
+
     def test_vector_is_zero(self):
         assert verify_all_orthogonality(make_tensor([3], [3, 0, 4])) == 0.0
 
@@ -377,6 +392,14 @@ def test_power_of_two_scale_keeps_bits(rng):
             assert got.tobytes() == np.ldexp(want, k).tobytes()
         assert r.residuals.reconstruction == ref.residuals.reconstruction
         assert r.residuals.all_orthogonality == np.ldexp(ref.residuals.all_orthogonality, 2 * k)
+
+
+def test_all_orthogonality_is_absolute(rng):
+    # in ||t||^2 units: below the float range at 2^-1000, past it at 2^1000,
+    # where the scale-back once warned of overflow in ldexp
+    t = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
+    assert hosvd(ComplexTensor(np.ldexp(1.0, -1000) * t)).residuals.all_orthogonality == 0.0
+    assert hosvd(ComplexTensor(np.ldexp(1.0, 1000) * t)).residuals.all_orthogonality == np.inf
 
 
 def test_degenerate_modes_flagged(ghz_equal, b1_fixture):

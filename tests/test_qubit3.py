@@ -420,9 +420,10 @@ class TestGuardedCheck:
 
 
 class TestIdentityKernel:
-    """_identities reads its plane coefficients, plane forms and phase
-    identity through index tables, and must give every value the bytes of
-    the term-by-term formulas (oracles.identities_by_formula)."""
+    """_identities writes each identity term by term, and must give every
+    value the bytes of oracles.identities_by_formula, which reads the core
+    conditions of the cuts from unfoldings of the core where the kernel
+    reads them from the phase products."""
 
     @pytest.mark.parametrize("tol", [1e-10, 0.0])
     def test_matches_the_formulas_bit_for_bit(self, rng, tol):

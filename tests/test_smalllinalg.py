@@ -56,6 +56,11 @@ class TestGram:
         with pytest.raises(ValidationError, match="entries must be finite"):
             gram([[bad, 1.0]])
 
+    @pytest.mark.parametrize("bad", [[1.0, 2.0], [[[1.0]]], 3.0])
+    def test_non_matrix_rejected(self, bad):
+        with pytest.raises(ValidationError, match="gram expects a matrix"):
+            gram(bad)
+
     def test_psd_and_trace(self, rng):
         for _ in range(50):
             r, c = rng.integers(1, 6, size=2)

@@ -73,6 +73,21 @@ class TestMakeTensor:
         with pytest.raises(ShapeError, match="positive"):
             make_tensor([-2, -2], np.arange(4))
 
+    def test_order_zero_rejected(self):
+        with pytest.raises(ShapeError, match="tensor order must be >= 1"):
+            ComplexTensor(np.complex128(1.0))
+
+    @pytest.mark.parametrize("dims", [(0,), (2, 0, 2)])
+    def test_zero_dim_rejected(self, dims):
+        with pytest.raises(ShapeError, match="dimensions must be positive"):
+            ComplexTensor(np.zeros(dims))
+
+    @pytest.mark.parametrize("indices", [(1, 1), (1, 1, 1, 1)])
+    def test_wrong_number_of_indices(self, indices):
+        t = make_tensor([2, 2, 2], np.arange(8))
+        with pytest.raises(ShapeError, match=f"expected 3 indices, got {len(indices)}"):
+            t[indices]
+
     def test_numpy_integer_dims_accepted(self):
         t = make_tensor(np.array([2, 3]), np.arange(6))
         assert t.dims == (2, 3) and all(type(d) is int for d in t.dims)
