@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .smalllinalg import _eigh_stack, _gram_stack, _norms, _pow2_blocks, _tolerance, pow2_prescale
+from .smalllinalg import (
+    _eigh_stack, _gram_stack, _norms, _pow2_blocks, _pow2_restore, _tolerance, pow2_prescale,
+)
 from .tensor import ComplexTensor, _mode_rows, _stacked_transform, _unfoldings
 
 
@@ -64,8 +66,7 @@ def verify_all_orthogonality(core: ComplexTensor) -> float:
     exceeds the float range, never NaN.
     """
     x, e = pow2_prescale(core.data[None])
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(_all_orthogonality(x)[0], 2 * e))
+    return float(_pow2_restore(_all_orthogonality(x), 2 * e)[0])
 
 
 def _all_orthogonality(core: np.ndarray) -> np.ndarray:
@@ -134,8 +135,9 @@ def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:
     The work is done on t scaled by an exact power of two (see
     :func:`pow2_prescale`), and the core, spectra and all-orthogonality
     residual are scaled back, so no Gram entry overflows or underflows.
-    The reconstruction residual is relative to ||t||, but the
-    all-orthogonality residual is in absolute (||t||^2) units, so it
+    A core or spectrum entry past the float range (about 1.8e308) raises
+    DomainError.  The reconstruction residual is relative to ||t||, but
+    the all-orthogonality residual is in absolute (||t||^2) units, so it
     scales with t: for a Gaussian tensor it reads 0.0 at scale 2^-1000
     and inf at 2^1000, inf only where it exceeds the float range.  A tol
     that is negative or not finite raises ValidationError.
@@ -157,13 +159,16 @@ def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:
                 raise NumericalError(f"eigensolver failed in mode {n}: {exc}", mode=n) from exc
         raise NumericalError(f"eigensolver failed: {stacked}") from stacked
     rec_residual = float(_norms(_stacked_transform(core, factors) - x)[0]) / total
-    with np.errstate(over="ignore"):
-        ao_residual = float(np.ldexp(_all_orthogonality(core)[0], 2 * e))
+    ao_residual = float(_pow2_restore(_all_orthogonality(core), 2 * e)[0])
+    # a spectrum entry can overflow where every core entry is finite
+    restored = [_pow2_restore(a[0], e) for a in (core, *spectra)]
+    if not all(np.isfinite(a).all() for a in restored):
+        raise DomainError("HOSVD core or spectra exceed the float range (about 1.8e308)")
 
     return HosvdResult(
         factors=tuple(u[0] for u in factors),
-        core=ComplexTensor(np.ldexp(core[0].view(np.float64), e).view(np.complex128)),
-        spectra=tuple(np.ldexp(s[0], e) for s in spectra),
+        core=ComplexTensor(restored[0]),
+        spectra=tuple(restored[1:]),
         residuals=HosvdResiduals(rec_residual, ao_residual),
         degenerate_modes=frozenset((np.flatnonzero(degenerate[0]) + 1).tolist()),
     )

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ShapeError, ValidationError
 from .hosvd import _all_orthogonality, _hosvd_stack
-from .smalllinalg import _norms, _pow2_blocks, _tolerance, gram
+from .smalllinalg import _norms, _pow2_blocks, _threshold, _tolerance, gram
 from .tensor import ComplexTensor, _stacked_transform, _unfoldings, unfold
 
 CUTS = ("A_BC", "B_CA", "C_AB")
@@ -175,7 +175,7 @@ def _decide_special(core, separability, case, degenerate, tol: float):
     gauge-dependent, so the tag is reported with a gauge warning; otherwise
     it stands only when the case is the one the pattern requires."""
     flat = np.abs(core.reshape(-1, 8))
-    first = _FIRST_PATTERN[_bits(flat > tol * flat.max(axis=1, keepdims=True))]
+    first = _FIRST_PATTERN[_bits(flat > _threshold(tol, flat.max(axis=1, keepdims=True)))]
     kept = (separability == "genuine") & (degenerate | (case == _TAG_CASE[first]))
     special = _TAG[np.where(kept, first, len(_SPECIAL_SUPPORT))]
     return special, degenerate & (special != "none")
@@ -240,7 +240,8 @@ def _identities(x: np.ndarray, core: np.ndarray, sigma: np.ndarray, tol: float) 
     a dict of (M,) arrays in report order, from the plane identity on,
     each written out term by term.
 
-    Rows where the guard of the t111/t222 formulas holds read NaN there.
+    Rows where the guard of the t111/t222 formulas holds read NaN there:
+    a shared denominator within tol * norm^2 of zero, or subnormal.
     NumericalError is raised where the plane coefficients do not cancel or
     the two equivalent plane forms disagree, beyond 1e-12 of their scale.
     The values are evaluated as they stand, so rows should be of moderate
@@ -280,9 +281,11 @@ def _identities(x: np.ndarray, core: np.ndarray, sigma: np.ndarray, tol: float) 
         out[f"core_bisep_{cut}"] = np.abs(core_minor)
         out[f"minors_{cut}"] = minors[:, n].max(axis=(1, 2))
     # t111 and t222 eliminated from all-orthogonality, where the shared
-    # denominator is not within tol * norm^2 of zero
+    # denominator is not within tol * norm^2 of zero, nor subnormal: numpy
+    # divides by a complex number through its reciprocal, which overflows
+    # there (at tol 0, 0 / 5e-324 read NaN); |denom| <= norm^2 / 2
     denom = t212 * np.conj(t211) - t122 * np.conj(t121)
-    guarded = np.abs(denom) <= tol * total
+    guarded = np.abs(denom) <= np.maximum(_threshold(tol, total), np.finfo(np.float64).tiny)
     denom = np.where(guarded, 1.0, denom)
     t111_formula = -(np.conj(t221) * (q - r) + t112 * (power[:, 5] - power[:, 3])) / denom
     t222_formula = (np.conj(t112) * (q - r) + t221 * (power[:, 2] - power[:, 4])) / np.conj(denom)

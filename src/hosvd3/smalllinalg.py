@@ -18,6 +18,8 @@ The Gram (:func:`_gram_stack`), the Frobenius norm (:func:`_norms`) and
 the power-of-two prescale (:func:`_pow2_blocks`) are each written once,
 for stacks: :func:`gram` and :func:`pow2_prescale` run them on one matrix
 or array, the HOSVD on its stacked Grams, and ``normalize`` on its rows.
+Every result that must be scaled back after a prescale is scaled back
+by one rule, :func:`_pow2_restore`.
 """
 
 from __future__ import annotations
@@ -52,13 +54,15 @@ class EigenDecomposition:
 def gram(m) -> np.ndarray:
     """Gram matrix M @ M^dagger of a complex r x c matrix: r x r, Hermitian,
     PSD.  This is the stacked Gram of :func:`~hosvd3.hosvd.hosvd` on one
-    matrix.  Non-finite entries raise ValidationError."""
+    matrix, formed on M scaled by an exact power of two (see
+    :func:`pow2_prescale`) and scaled back, so no product on the way
+    overflows: an entry reads inf only where it exceeds the float range,
+    never NaN.  Non-finite entries raise ValidationError."""
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2:
         raise ValidationError("gram expects a matrix")
-    if not np.isfinite(m).all():
-        raise ValidationError("entries must be finite")
-    return _gram_stack(m)
+    a, e = pow2_prescale(m)
+    return _pow2_restore(_gram_stack(a), 2 * e)
 
 
 def _gram_stack(m: np.ndarray) -> np.ndarray:
@@ -84,15 +88,24 @@ def _tolerance(name: str, value: float) -> float:
     return value
 
 
+def _threshold(tol: float, scale):
+    """tol * scale, for a scale that bounds every quantity compared with
+    the product: any tol above 2 then decides as 2 does, so it is read as
+    2, and the product of a tolerance near the float maximum cannot
+    overflow."""
+    return min(tol, 2.0) * scale
+
+
 def pow2_prescale(x) -> tuple[np.ndarray, int]:
     """(x * 2^-e, e) for a complex array x, with e chosen so that the largest
     real or imaginary part of the result lies in [0.5, 1) (e = 0 when x is
     zero).  A part p with |p| >= 2^(e - 1022), which holds for zeros and for
     every part at least 2^-1021 times the largest, scales to a normal number
-    and so exactly: ldexp gives it back.  A smaller part scales into the
-    subnormal range, where it can lose low bits (2^-500 (1 + 2^-52) next to
-    2^600) or become 0 (2^-1000 next to 2^1000).  A Gram matrix of the
-    result cannot overflow, and its largest entries are far from underflow.
+    and so exactly: :func:`_pow2_restore` gives it back.  A smaller part
+    scales into the subnormal range, where it can lose low bits
+    (2^-500 (1 + 2^-52) next to 2^600) or become 0 (2^-1000 next to
+    2^1000).  A Gram matrix of the result cannot overflow, and its largest
+    entries are far from underflow.
     Non-finite entries raise ValidationError."""
     scaled, e, _ = _pow2_blocks(x, None)
     return scaled, e.item()
@@ -109,6 +122,15 @@ def _pow2_blocks(x, axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValidationError("entries must be finite")
     e = np.frexp(largest)[1]
     return np.ldexp(parts, -e).view(np.complex128), e, largest
+
+
+def _pow2_restore(x: np.ndarray, e) -> np.ndarray:
+    """x * 2^e for a real or complex array x, which undoes
+    :func:`pow2_prescale` (a Gram or a square takes 2e): exact wherever the
+    result is a normal number, inf past the float range, never NaN, and
+    with no overflow warning.  Every scale-back of a prescale is this one."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(x.view(np.float64), e).view(x.dtype)
 
 
 def _rotation(app, aqq, apq, mag):
@@ -155,7 +177,9 @@ def _ordered(eigenvalues: np.ndarray, v: np.ndarray, tol: float):
         pivots = columns[stack, np.arange(n), np.abs(columns).argmax(axis=2)]
         columns *= (pivots.conj() / np.abs(pivots))[:, :, None]
     gaps = eigenvalues[:, :-1] - eigenvalues[:, 1:]
-    degenerate = (gaps <= tol * np.abs(eigenvalues).sum(axis=1, keepdims=True)).any(axis=1)
+    # no gap exceeds sum(|eigenvalues|)
+    scale = _threshold(tol, np.abs(eigenvalues).sum(axis=1, keepdims=True))
+    degenerate = (gaps <= scale).any(axis=1)
     return eigenvalues, np.ascontiguousarray(columns.swapaxes(1, 2)), degenerate
 
 
@@ -203,7 +227,8 @@ def hermitian_eig(h, tol: float = 1e-10) -> EigenDecomposition:
     The matrix is first scaled by an exact power of two (see
     :func:`pow2_prescale`), which makes the result independent of scale:
     the eigenvalues of 2^k h are exactly 2^k times those of h, with the
-    same eigenvectors.  A 2x2 matrix takes at most one Jacobi rotation, in
+    same eigenvectors, and an eigenvalue past the float range reads inf,
+    never NaN.  A 2x2 matrix takes at most one Jacobi rotation, in
     closed form; other sizes are solved by numpy's LAPACK ``eigh``.
     Eigenvalues are returned descending.  Each eigenvector column is gauge
     fixed: its largest-magnitude entry (lowest row on ties) is made real
@@ -220,7 +245,7 @@ def hermitian_eig(h, tol: float = 1e-10) -> EigenDecomposition:
         eigenvalues, v, degenerate = _eigh_stack(a[None], tol)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}", mode=1) from exc
-    eigenvalues, v = np.ldexp(eigenvalues[0], e), v[0]
+    eigenvalues, v = _pow2_restore(eigenvalues[0], e), v[0]
     eigenvalues.setflags(write=False)
     v.setflags(write=False)
     return EigenDecomposition(eigenvalues=eigenvalues, unitary=v, degenerate=bool(degenerate[0]))

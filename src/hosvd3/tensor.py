@@ -37,12 +37,14 @@ from functools import cache
 import numpy as np
 
 from .errors import ShapeError
-from .smalllinalg import _norms, pow2_prescale
+from .smalllinalg import _norms, _pow2_restore, pow2_prescale
 
 
 @dataclass(frozen=True, eq=False)
 class ComplexTensor:
-    """Order-N dense complex tensor (N >= 1)."""
+    """Order-N dense complex tensor, 1 <= N <= 63: numpy's limit of 64
+    dimensions, less the stack axis that every kernel adds.  Any other
+    order raises ShapeError."""
 
     data: np.ndarray
 
@@ -50,6 +52,8 @@ class ComplexTensor:
         arr = np.array(self.data, dtype=np.complex128, order="C", copy=True)
         if arr.ndim < 1:
             raise ShapeError("tensor order must be >= 1")
+        if arr.ndim > 63:
+            raise ShapeError(f"tensor order must be at most 63, got {arr.ndim}")
         if any(d < 1 for d in arr.shape):
             raise ShapeError(f"dimensions must be positive, got {arr.shape}")
         arr.setflags(write=False)
@@ -80,7 +84,8 @@ class ComplexTensor:
 
 def _dims(dims) -> tuple[int, ...]:
     """dims as a tuple of positive ints.  Python and numpy integers pass;
-    bools, floats, strings and values below 1 raise ShapeError."""
+    bools, floats, strings, values below 1 and more than 63 dims (as in
+    ComplexTensor, but before any reshape) raise ShapeError."""
     dims = tuple(dims)
     try:  # bool is an int subclass, and True must not read as 1
         if any(isinstance(d, bool) for d in dims):
@@ -90,6 +95,8 @@ def _dims(dims) -> tuple[int, ...]:
         raise ShapeError(f"dims must be integers, got {dims!r}") from None
     if any(d < 1 for d in checked):
         raise ShapeError(f"dims must be positive, got {checked}")
+    if len(checked) > 63:
+        raise ShapeError(f"tensor order must be at most 63, got {len(checked)}")
     return checked
 
 
@@ -220,8 +227,8 @@ def _axis_table(order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Per mode n of a stack (M, *dims) of order-`order` tensors, three
     transposes: into the cyclic order, into the mode-row order, and back
     from a product of the mode rows, whose first tensor axis is mode n.
-    They depend on the order alone, and numpy's limit of 64 dimensions
-    bounds the cache."""
+    They depend on the order alone, and the order limit of ComplexTensor,
+    63, bounds the cache."""
     return tuple(((0, *(a + 1 for a in _cyclic_axes(order, n))),
                   (0, *(a + 1 for a in _row_axes(order, n))),
                   (0, *range(2, n + 1), 1, *range(n + 1, order + 1)))
@@ -235,5 +242,4 @@ def norm(t: ComplexTensor) -> float:
     itself exceeds the float range.  Non-finite entries raise
     ValidationError."""
     data, e = pow2_prescale(t.data)
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(_norms(data[None])[0], e))
+    return float(_pow2_restore(_norms(data[None]), e)[0])

@@ -277,7 +277,7 @@ def identities_by_formula(x, core, sigma, tol):
         out[f"core_bisep_{cut}"] = minors[1, :, n, 1, 2]
         out[f"minors_{cut}"] = minors[0, :, n].max(axis=(1, 2))
     denom = t212 * np.conj(t211) - t122 * np.conj(t121)
-    guarded = np.abs(denom) <= tol * total
+    guarded = np.abs(denom) <= np.maximum(min(tol, 2.0) * total, np.finfo(np.float64).tiny)
     denom = np.where(guarded, 1.0, denom)
     t111_formula = -(np.conj(t221) * (q - r) + t112 * (power[:, 5] - power[:, 3])) / denom
     t222_formula = (np.conj(t112) * (q - r) + t221 * (power[:, 2] - power[:, 4])) / np.conj(denom)

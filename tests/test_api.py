@@ -78,8 +78,9 @@ def test_no_dead_module_names():
 
 
 def test_one_home_per_layout_rule():
-    # the power-of-two prescale rule (frexp) is written in smalllinalg.py
-    # only, and no module transforms with np.dot: every n-mode product is
+    # the power-of-two prescale rule (frexp) and its scale-back (ldexp,
+    # under errstate) are written in smalllinalg.py only, and no module
+    # transforms with np.dot: every n-mode product is
     # tensor's stacked kernel.  No module takes np.vdot or np.linalg.norm:
     # every inner product and norm is a stacked kernel too.  The axis orders
     # (cyclic and mode-row) and the table cached per tensor order that holds
@@ -87,15 +88,15 @@ def test_one_home_per_layout_rule():
     # are called in smalllinalg.py only, where every eigenproblem goes
     # through one entry, _eigh_stack.
     src = pathlib.Path(hosvd3.__file__).parent
-    frexp, dot, vdot, linalg_norm, solvers = [], [], [], [], []
+    scale, dot, vdot, linalg_norm, solvers = [], [], [], [], []
     layout = {name: set() for name in ("_cyclic_axes", "_row_axes", "_axis_table")}
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             name = (node.attr if isinstance(node, ast.Attribute)
                     else node.id if isinstance(node, ast.Name)
                     else node.name if isinstance(node, ast.alias) else None)
-            if name == "frexp":
-                frexp.append(path.name)
+            if name in ("frexp", "ldexp", "errstate"):
+                scale.append(path.name)
             if name in layout:
                 layout[name].add(path.name)
             if (name == "dot" and isinstance(node, ast.Attribute)
@@ -108,7 +109,7 @@ def test_one_home_per_layout_rule():
                 linalg_norm.append(path.name)
             if name in ("eigh", "eigvalsh", "eig", "svd", "qr"):
                 solvers.append(path.name)
-    assert set(frexp) == {"smalllinalg.py"}, frexp
+    assert set(scale) == {"smalllinalg.py"}, scale
     assert not dot, dot
     assert not vdot, vdot
     assert not linalg_norm, linalg_norm

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -7,6 +8,9 @@ import pathlib
 import stat
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -303,6 +307,25 @@ class TestDecompose:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert json.loads(captured.out)["residuals"]["all_orthogonality"] == math.inf
+
+    def test_core_past_the_float_range_is_an_input_error(self, tmp_path, capsys):
+        # the core's one nonzero entry, about 4e308, read Infinity in the
+        # report, with overflow warnings from the scale-back
+        path = write_state(tmp_path / "big.json", np.full(8, 1e308 + 1e308j))
+        assert run(["decompose", path]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "float range" in captured.err
+
+    @pytest.mark.parametrize("order", [64, 65])
+    def test_order_past_63_is_an_input_error(self, tmp_path, capsys, order):
+        # order 64 raised numpy's IndexError, order 65 its ValueError
+        path = write_state(tmp_path / "long.json", [1.0], dims=[1] * order)
+        assert run(["decompose", path]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: tensor order must be at most 63, got {order}\n"
 
 
 class TestClassify:
@@ -757,3 +780,95 @@ class TestAtomicOutput:
         assert os.readlink(link) == os.devnull
         assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ghz.json", "null.json"]
+
+
+# amplitude parts from the smallest subnormal to 1.7e308, of both signs:
+# the exponent uniform part by part, or one exponent for the whole file
+PARTS = st.one_of(
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1023)),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1.7e308, -1.7e308]),
+)
+BAD_PARTS = st.sampled_from([math.nan, math.inf, -math.inf, True, False, "1.0", None, [1.0]])
+BAD_DIMS = st.sampled_from([0, -1, True, 1.5, "2", None])
+TOLS = st.one_of(st.sampled_from([0.0, 5e-324, 1e-10, 1e-8, 1.7e308]), st.floats(0.0, 1.0),
+                 st.floats(0.0), st.floats())
+NO_LABEL = object()
+
+
+@st.composite
+def state_documents(draw):
+    """A state file's document: orders 1-64 of small size (dims [2, 2, 2]
+    half the time), amplitudes from 5e-324 to 1.7e308, and now and then a
+    bad dim, a bad amplitude token, a wrong count or a label that is not a
+    string."""
+    if draw(st.booleans()):
+        dims = [2, 2, 2]
+    else:
+        dims = [1] * draw(st.integers(1, 64))
+        for at in draw(st.lists(st.integers(0, len(dims) - 1), max_size=3)):
+            dims[at] = draw(st.integers(2, 3))
+    size = math.prod(dims)
+    if draw(st.integers(0, 15)) == 0:
+        dims[draw(st.integers(0, len(dims) - 1))] = draw(BAD_DIMS)
+    if draw(st.integers(0, 15)) == 0:
+        size = draw(st.integers(0, size + 1))
+    scale = draw(st.one_of(st.none(), st.integers(-1074, 1023)))
+    if scale is None:
+        parts = draw(st.lists(PARTS, min_size=2 * size, max_size=2 * size))
+    else:
+        parts = [math.ldexp(p, scale) for p in draw(
+            st.lists(st.floats(-1.99, 1.99), min_size=2 * size, max_size=2 * size))]
+    if parts and draw(st.integers(0, 7)) == 0:
+        parts[draw(st.integers(0, len(parts) - 1))] = draw(BAD_PARTS)
+    doc = {"dims": dims, "amplitudes": [parts[i:i + 2] for i in range(0, len(parts), 2)]}
+    label = draw(st.one_of(st.just(NO_LABEL), st.text(max_size=6)))
+    if draw(st.integers(0, 15)) == 0:
+        label = draw(st.one_of(st.none(), st.integers()))
+    if label is not NO_LABEL:
+        doc["label"] = label
+    return doc
+
+
+def non_finite_floats(obj, path=()):
+    """(path, value) of each NaN and infinite float in a parsed JSON document."""
+    if isinstance(obj, float):
+        return [] if math.isfinite(obj) else [(path, obj)]
+    if isinstance(obj, (dict, list)):
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        return [f for key, value in items for f in non_finite_floats(value, path + (key,))]
+    return []
+
+
+class TestInputContract:
+    """Every state file either gives a report or fails at the boundary: exit
+    0, 2 or 3, one line on stderr on failure and none on success, no
+    warning, no NaN in a report, and no Infinity outside its residuals (the
+    all-orthogonality residual is absolute, and may exceed the float range)."""
+
+    @staticmethod
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = run(argv)
+        lines = err.getvalue().splitlines()
+        if code == EXIT_OK:
+            assert lines == []
+            bad = non_finite_floats(json.loads(out.getvalue()))
+            assert all(path[0] == "residuals" and value == math.inf for path, value in bad), bad
+        else:
+            assert code in (EXIT_INPUT, EXIT_NUMERICAL)
+            assert out.getvalue() == ""
+            assert len(lines) == 1, lines
+            assert lines[0].startswith(("error: ", "numerical error")), lines
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=state_documents(), tol=TOLS, sigma_tol=TOLS)
+    def test_every_state_file_meets_the_contract(self, doc, tol, sigma_tol):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "state.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            self.check(["decompose", path, f"--tol={tol!r}"])
+            if doc["dims"] == [2, 2, 2]:
+                self.check(["classify", path, f"--tol={tol!r}", f"--sigma-tol={sigma_tol!r}"])

@@ -402,6 +402,29 @@ def test_all_orthogonality_is_absolute(rng):
     assert hosvd(ComplexTensor(np.ldexp(1.0, 1000) * t)).residuals.all_orthogonality == np.inf
 
 
+def even_parity(value):
+    # entries at the even-parity indices only: all-orthogonal as it is, so
+    # the core is the tensor, and each slice norm is sqrt(2) |value|
+    t = np.zeros((2, 2, 2), dtype=complex)
+    for index in ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)):
+        t[index] = value
+    return ComplexTensor(t)
+
+
+@pytest.mark.parametrize("t", [
+    # the core's one nonzero entry, ||t|| ~ 4e308, is past the float range
+    make_tensor([2, 2, 2], [1e308 + 1e308j] * 8),
+    # every core entry is finite, but every spectrum entry is 2.1e308
+    even_parity(1.5e308),
+], ids=["core", "spectra"])
+def test_core_or_spectra_past_the_float_range_raise(t):
+    # they read inf, with an overflow warning from the scale-back
+    with pytest.raises(DomainError, match="exceed the float range"):
+        hosvd(t)
+    ordinary = hosvd(ComplexTensor(t.data / 4))
+    assert all(np.isfinite(s).all() for s in ordinary.spectra)
+
+
 def test_degenerate_modes_flagged(ghz_equal, b1_fixture):
     assert hosvd(ghz_equal).degenerate_modes == frozenset({1, 2, 3})
     assert hosvd(b1_fixture).degenerate_modes == frozenset({1, 2, 3})

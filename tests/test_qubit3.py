@@ -395,7 +395,14 @@ class TestPhaseIdentity:
 
 class TestGuardedCheck:
     """The t111/t222 formulas read NaN where their shared denominator is
-    within tol * norm^2 of zero."""
+    within tol * norm^2 of zero, or subnormal."""
+
+    def test_subnormal_denominator_is_guarded_at_tol_zero(self):
+        # the denominator is -5e-324: numpy's complex division overflowed
+        # on its reciprocal, with a warning, and read 0 / -5e-324 as NaN
+        s = normalize(amplitudes(a211=2.4703282292062333e292j, a212=1j, a222=1e308j))
+        r = classify(s, tol=0.0).residuals
+        assert "t111_formula" not in r and "t222_formula" not in r
 
     def test_ghz_absent(self, ghz_86):
         r = core_identities(ghz_86)
@@ -973,3 +980,18 @@ class TestTolerances:
         assert classify(ghz_86, tol=0.0, sigma_tol=0.0).special == "ghz"
         assert classify_batch(philox_haar(4, 1), tol=0.0, sigma_tol=0.0).sigma.shape == (4, 3)
         assert polytope_membership((0.75, 0.75, 0.5), tol=0.0).member
+
+    def test_largest_float_decides_as_two(self):
+        # tol times a norm of about 1 overflowed, with a warning, in the
+        # support test and the t111/t222 guard (pytest makes it an error)
+        states = [normalize(amplitudes(a211=1j, a222=1.75j)),
+                  *(normalize(row) for row in philox_haar(20, 5))]
+        for s in states:
+            want = classify(s, tol=2.0)
+            for tol in (8.98846567431158e307, 1.7976931348623157e308):
+                got = classify(s, tol=tol)
+                assert vars(got) == vars(want)
+        for tol in (2.0, 1.7976931348623157e308):
+            batch = classify_batch(philox_haar(20, 5), tol=tol)
+            assert (batch.separability == "fully_separable").all()
+            assert (batch.special == "none").all()

@@ -11,6 +11,7 @@ from hosvd3 import (
 )
 from hosvd3.smalllinalg import (
     _eigh_stack,
+    _gram_stack,
     _norms,
     _ordered,
     _prescaled,
@@ -73,6 +74,22 @@ class TestGram:
                 1.0, evals.sum()
             )
 
+    def test_past_the_float_range_reads_inf_not_nan(self, rng):
+        # the entries, about 1e321, are past the float range but not
+        # undefined; the unscaled product read NaN and warned of overflow
+        # (pytest turns any warning into an error here)
+        m = 1e160 * (rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)))
+        g = gram(m)
+        assert not np.isnan(g.view(np.float64)).any()
+        assert (g.diagonal().real == np.inf).all() and (g.diagonal().imag == 0.0).all()
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-3, 1.0, 3.0, 1e100])
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 4), (3, 5), (8, 8), (16, 3)])
+    def test_bits_of_the_stacked_gram(self, rng, shape, scale):
+        # the prescale and its scale-back are exact for ordinary matrices
+        m = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        assert gram(m).tobytes() == _gram_stack(m).tobytes()
+
 
 class TestHermitianEig:
     def test_already_diagonal(self):
@@ -130,6 +147,12 @@ class TestHermitianEig:
     def test_degenerate_flag_relative_to_trace(self):
         assert not hermitian_eig(np.diag([1e-6, 0.5e-6])).degenerate
         assert hermitian_eig(np.diag([0.5e6, 0.5e6 + 1e-6])).degenerate
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tol_near_the_float_maximum_flags_every_gap(self, n):
+        # tol times the eigenvalue sum, here above 1, overflowed with a warning
+        for tol in (2.0, 8.98846567431158e307, 1.7976931348623157e308):
+            assert hermitian_eig(np.diag([1.9, 1.8, 1.7][:n]), tol=tol).degenerate
 
     @pytest.mark.parametrize("tol", [-1.0, np.nan, -np.inf, np.inf])
     def test_bad_tol_rejected(self, tol):
@@ -348,6 +371,13 @@ class TestScaleAndLayout:
         assert e.eigenvalues.tobytes() == np.ldexp(ref.eigenvalues, k).tobytes()
         assert e.unitary.tobytes() == ref.unitary.tobytes()
         assert e.degenerate == ref.degenerate
+
+    def test_eigenvalue_past_the_float_range_reads_inf(self):
+        # 2.7e308 is past the float range; the scale-back warned of overflow
+        # in ldexp (pytest turns any warning into an error here)
+        e = hermitian_eig([[1.7e308, 1e308], [1e308, 1.7e308]])
+        assert e.eigenvalues[0] == np.inf
+        assert e.eigenvalues[1] == pytest.approx(7e307, rel=1e-15)
 
     def test_non_finite_rejected(self):
         for bad in (np.nan, np.inf):

@@ -77,6 +77,20 @@ class TestMakeTensor:
         with pytest.raises(ShapeError, match="tensor order must be >= 1"):
             ComplexTensor(np.complex128(1.0))
 
+    def test_order_63_is_the_limit(self):
+        # every stack kernel adds an axis to numpy's 64; order 64 raised
+        # numpy's IndexError in unfold and norm, and 65 a ValueError in
+        # make_tensor's reshape
+        t = make_tensor([1] * 63, [2.0])
+        assert norm(t) == 2.0 and unfold(t, 63).shape == (1, 1)
+        with pytest.raises(ShapeError, match="at most 63, got 64"):
+            ComplexTensor(np.ones((1,) * 64))
+        for order in (64, 65):
+            with pytest.raises(ShapeError, match=f"at most 63, got {order}"):
+                make_tensor([1] * order, [1.0])
+            with pytest.raises(ShapeError, match=f"at most 63, got {order}"):
+                refold([[1.0]], 1, [1] * order)
+
     @pytest.mark.parametrize("dims", [(0,), (2, 0, 2)])
     def test_zero_dim_rejected(self, dims):
         with pytest.raises(ShapeError, match="dimensions must be positive"):
