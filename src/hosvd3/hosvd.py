@@ -19,7 +19,7 @@ from .errors import DomainError, NumericalError
 from .smalllinalg import (
     _eigh_stack, _gram_stack, _norms, _pow2_blocks, _pow2_restore, _tolerance, pow2_prescale,
 )
-from .tensor import ComplexTensor, _mode_rows, _stacked_transform, _unfoldings
+from .tensor import ComplexTensor, _mode_rows, _stacked_transform, _unfolding
 
 
 @dataclass(frozen=True)
@@ -70,25 +70,26 @@ def verify_all_orthogonality(core: ComplexTensor) -> float:
 
 
 def _all_orthogonality(core: np.ndarray) -> np.ndarray:
-    """verify_all_orthogonality (M,) of each core of a stack (M, *dims): per
-    mode size d >= 2, the largest off-diagonal modulus of the _gram_stack of
-    the _unfoldings in those modes; 0.0 without such modes, and for vectors."""
-    dims = core.shape[1:]
+    """verify_all_orthogonality (M,) of each core of a stack (M, *dims): mode
+    by mode, the largest off-diagonal modulus of the _gram_stack of that
+    mode's _unfolding; 0.0 for vectors, whose Gram is not checked."""
     worst = np.zeros(core.shape[0])
-    for d in dict.fromkeys(d for d in dims if d > 1 and len(dims) > 1):
-        g = _gram_stack(_unfoldings(core, tuple(n + 1 for n, k in enumerate(dims) if k == d)))
-        g = g.reshape(*g.shape[:2], d * d)
-        g[..., ::d + 1] = 0.0  # the diagonal, below every off-diagonal modulus
-        worst = np.maximum(worst, np.abs(g).max(axis=(1, 2)))
+    if core.ndim == 2:
+        return worst
+    for n, d in enumerate(core.shape[1:], start=1):
+        g = _gram_stack(_unfolding(core, n)).reshape(-1, d * d)
+        g[:, ::d + 1] = 0.0  # the diagonal, below every off-diagonal modulus
+        worst = np.maximum(worst, np.abs(g).max(axis=1))
     return worst
 
 
 def _mode_grams(x: np.ndarray, modes: tuple[int, ...]) -> np.ndarray:
-    """The Grams of the unfoldings of a stack x (M, *dims) in the given
-    1-based modes, all of one size d, each prescaled by _pow2_blocks: one
-    stack (M * len(modes), d, d), tensor by tensor, mode by mode."""
+    """The Grams of a stack x (M, *dims) in the given 1-based modes, all of
+    one size d, each prescaled by _pow2_blocks: one stack (len(modes) * M,
+    d, d), mode by mode, tensor by tensor.  Each Gram is formed from its
+    mode's own _unfolding, so one unfolding is held at a time."""
     d = x.shape[modes[0]]
-    a, _, _ = _pow2_blocks(_gram_stack(_unfoldings(x, modes)), (2, 3))
+    a, _, _ = _pow2_blocks(np.array([_gram_stack(_unfolding(x, n)) for n in modes]), (2, 3))
     return a.reshape(-1, d, d)
 
 
@@ -96,21 +97,22 @@ def _hosvd_stack(x: np.ndarray, tol: float):
     """(core, factors, spectra, degenerate): the HOSVD of each tensor of a
     stack x (M, *dims) with parts at most 1 in magnitude, the core
     C-ordered, factors and spectra per mode, flags (M, N).  The Grams of
-    one size are one _mode_grams stack, solved by one _eigh_stack call,
-    whose LinAlgError is left to the caller; the spectra are the core's
-    slice norms.  A tensor gets the same bits alone as in any stack."""
+    one size, each from its own mode's unfolding, are one _mode_grams
+    stack, solved by one _eigh_stack call, whose LinAlgError is left to
+    the caller; the spectra are the core's slice norms.  A tensor gets the
+    same bits alone as in any stack."""
     m, dims, order = x.shape[0], x.shape[1:], x.ndim - 1
     factors, adjoints = [None] * order, [None] * order
     degenerate = np.empty((m, order), dtype=bool)
     for d in dict.fromkeys(dims):
         modes = [n for n in range(order) if dims[n] == d]
         _, v, flags = _eigh_stack(_mode_grams(x, tuple(n + 1 for n in modes)), tol)
-        v = v.reshape(m, len(modes), d, d)
+        v = v.reshape(len(modes), m, d, d)
         v.setflags(write=False)
         vh = v.conj().swapaxes(2, 3)
         for j, n in enumerate(modes):
-            factors[n], adjoints[n] = v[:, j], vh[:, j]
-            degenerate[:, n] = flags[j::len(modes)]
+            factors[n], adjoints[n] = v[j], vh[j]
+            degenerate[:, n] = flags[j * m:(j + 1) * m]
     # C order first: the sums of the slice norms follow the memory layout
     core = np.ascontiguousarray(_stacked_transform(x, adjoints))
     power = np.abs(core) ** 2

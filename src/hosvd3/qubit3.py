@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError, NumericalError, ShapeError, ValidationError
 from .hosvd import _all_orthogonality, _hosvd_stack
 from .smalllinalg import _norms, _pow2_blocks, _threshold, _tolerance, gram
-from .tensor import ComplexTensor, _stacked_transform, _unfoldings, unfold
+from .tensor import ComplexTensor, _stacked_transform, _unfolding, unfold
 
 CUTS = ("A_BC", "B_CA", "C_AB")
 
@@ -46,12 +46,11 @@ _SPECIAL_SUPPORT = (
 _SEPARABILITY = np.array(["genuine", "biseparable_A_BC", "biseparable_B_CA", "fully_separable",
                           "biseparable_C_AB", "fully_separable", "fully_separable",
                           "fully_separable"])
-# Case: bits 0, 1, 2 are the equalities s1 = s2, s1 = s3, s2 = s3, which sit
-# at flat positions 1, 2 and 5 of the 3x3 table of |s_i - s_j|.  Three, or
-# two that force the third within 2*sigma_tol, are case 1.
+# Case: bits 0, 1, 2 are the equalities s1 = s2, s1 = s3, s2 = s3, read
+# from the three gaps |s1 - s2|, |s1 - s3| and |s2 - s3|.  Three, or two
+# that force the third within 2*sigma_tol, are case 1.
 _CASE = np.array(["case3", "case2_12", "case2_13", "case1", "case2_23", "case1", "case1",
                   "case1"])
-_CASE_BITS = np.array([0, 1, 2, 0, 0, 4, 0, 0, 0])
 # Special tags: per core support (bit i for flat index i), the position in
 # _SPECIAL_SUPPORT of the first pattern that contains it, or that of "none".
 _TAG = np.array([tag for tag, _, _ in _SPECIAL_SUPPORT] + ["none"])
@@ -163,8 +162,8 @@ def _separability(sigma: np.ndarray, tol: float) -> np.ndarray:
 def _decide_case(sigma: np.ndarray, sigma_tol: float) -> np.ndarray:
     """The sigma-equality case of each row of an (M, 3) sigma array, from the
     pairwise comparisons |s_i - s_j| <= sigma_tol."""
-    gaps = np.abs(sigma[:, :, None] - sigma[:, None, :]).reshape(-1, 9)
-    return _CASE[(gaps <= sigma_tol).dot(_CASE_BITS)]
+    gaps = np.abs(sigma[:, [0, 0, 1]] - sigma[:, [1, 2, 2]])
+    return _CASE[_bits(gaps <= sigma_tol)]
 
 
 def _decide_special(core, separability, case, degenerate, tol: float):
@@ -271,15 +270,14 @@ def _identities(x: np.ndarray, core: np.ndarray, sigma: np.ndarray, tol: float) 
     # each cut's core condition p = q, p = r, q = r, the minor of columns
     # (1, 2) and (2, 1) of the core's unfolding; the minors of B_CA and C_AB
     # hold t211 t122, which numpy's complex product can round apart from r.
-    # Then every |2x2 minor| of each unfolding of the states, [..., a, b]
-    # for columns a and b.
+    # Then every |2x2 minor| of each unfolding of the states, [:, a, b] for
+    # columns a and b, one mode at a time.
     r_cut = t211 * t122
-    unf = _unfoldings(x, (1, 2, 3))
-    cross = unf[..., 0, :, None] * unf[..., 1, None, :]
-    minors = np.abs(cross - cross.swapaxes(-1, -2))
-    for n, (cut, core_minor) in enumerate(zip(CUTS, (p - q, r_cut - p, q - r_cut))):
+    for n, (cut, core_minor) in enumerate(zip(CUTS, (p - q, r_cut - p, q - r_cut)), start=1):
+        unf = _unfolding(x, n)
+        cross = unf[:, 0, :, None] * unf[:, 1, None, :]
         out[f"core_bisep_{cut}"] = np.abs(core_minor)
-        out[f"minors_{cut}"] = minors[:, n].max(axis=(1, 2))
+        out[f"minors_{cut}"] = np.abs(cross - cross.swapaxes(1, 2)).max(axis=(1, 2))
     # t111 and t222 eliminated from all-orthogonality, where the shared
     # denominator is not within tol * norm^2 of zero, nor subnormal: numpy
     # divides by a complex number through its reciprocal, which overflows

@@ -14,13 +14,13 @@ the column obtained by ranking the remaining indices in the cyclic order
     col = (i_{n+1}-1) I_{n+2}...I_N I_1...I_{n-1} + ... + (i_N-1) I_1...I_{n-1}
           + (i_1-1) I_2...I_{n-1} + ... + i_{n-1}
 
-Each layout step is written once, for a stack (M, *dims) of tensors:
-_unfoldings (several modes of one size at once), _mode_rows (row i = the
-mode-n slice i, flattened) and _stacked_transform (a size-1 mode scaled
-elementwise); :func:`unfold` and :func:`multilinear_transform` run them on
-a stack of one tensor.  Their transposes depend on the tensor order alone
-and come from one table cached per order, _axis_table; their shapes and
-counts come from numpy's own shapes.
+Each layout step is written once, for a stack (M, *dims) of tensors and
+one mode at a time: _unfolding (the cyclic unfolding), _mode_rows (row i =
+the mode-n slice i, flattened) and _stacked_transform (a size-1 mode
+scaled elementwise); :func:`unfold` and :func:`multilinear_transform` run
+them on a stack of one tensor.  Their transposes depend on the tensor order
+alone and come from one table cached per order, _axis_table; their shapes
+come from numpy's own shapes.
 
 All operations are pure: inputs are never mutated and results never alias
 caller storage.
@@ -148,8 +148,9 @@ def _row_axes(order: int, mode: int) -> tuple[int, ...]:
 def unfold(t: ComplexTensor, mode: int) -> np.ndarray:
     """Mode-n unfolding with the cyclic column ordering (see module docstring):
     a read-only complex ndarray of shape (dims[mode - 1], size / dims[mode - 1]).
-    This is the stacks' unfolding kernel on a stack of one tensor."""
-    m = _unfoldings(t.data[None], (_mode(mode, t.order),))[0, 0]
+    This is the stacks' unfolding kernel on a stack of one tensor, copied,
+    since the kernel's mode-1 unfolding is a view of t."""
+    m = _unfolding(t.data[None], _mode(mode, t.order))[0].copy()
     m.setflags(write=False)
     return m
 
@@ -188,18 +189,12 @@ def multilinear_transform(t: ComplexTensor, mats) -> ComplexTensor:
     return ComplexTensor(_stacked_transform(t.data[None], [m[None] for m in mats])[0])
 
 
-def _unfoldings(x: np.ndarray, modes: tuple[int, ...]) -> np.ndarray:
-    """The unfoldings (M, len(modes), d, size / d) of a stack x (M, *dims) in
-    1-based modes of one size d, each copied once into its place in the
-    result."""
-    m, d, size = x.shape[0], x.shape[modes[0]], math.prod(x.shape[1:])
-    table = _axis_table(x.ndim - 1)
-    out = np.empty((m, len(modes), size), dtype=x.dtype)
-    for j, n in enumerate(modes):
-        cyclic = x.transpose(table[n - 1][0])
-        # splitting the contiguous last axis is a view, so this writes into out
-        out[:, j].reshape(cyclic.shape)[...] = cyclic
-    return out.reshape(m, len(modes), d, size // d)
+def _unfolding(x: np.ndarray, mode: int) -> np.ndarray:
+    """The mode-n unfoldings (M, d, size / d) of a stack x (M, *dims), in the
+    cyclic column order of the module docstring: a view of x where numpy can
+    reshape without a copy, as it always can in mode 1."""
+    cyclic = x.transpose(_axis_table(x.ndim - 1)[mode - 1][0])
+    return cyclic.reshape(cyclic.shape[:2] + (math.prod(cyclic.shape[2:]),))
 
 
 def _mode_rows(x: np.ndarray, mode: int) -> np.ndarray:

@@ -84,11 +84,13 @@ def test_one_home_per_layout_rule():
     # tensor's stacked kernel.  No module takes np.vdot or np.linalg.norm:
     # every inner product and norm is a stacked kernel too.  The axis orders
     # (cyclic and mode-row) and the table cached per tensor order that holds
-    # their transposes are read in tensor.py only.  numpy's LAPACK solvers
+    # their transposes are read in tensor.py only, and so are numpy's axis
+    # reorderings (transpose, moveaxis, einsum, tensordot); swapaxes on a
+    # stack of matrices is allowed everywhere.  numpy's LAPACK solvers
     # are called in smalllinalg.py only, where every eigenproblem goes
     # through one entry, _eigh_stack.
     src = pathlib.Path(hosvd3.__file__).parent
-    scale, dot, vdot, linalg_norm, solvers = [], [], [], [], []
+    scale, dot, vdot, linalg_norm, solvers, reorders = [], [], [], [], [], []
     layout = {name: set() for name in ("_cyclic_axes", "_row_axes", "_axis_table")}
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -109,9 +111,12 @@ def test_one_home_per_layout_rule():
                 linalg_norm.append(path.name)
             if name in ("eigh", "eigvalsh", "eig", "svd", "qr"):
                 solvers.append(path.name)
+            if name in ("transpose", "moveaxis", "einsum", "tensordot"):
+                reorders.append(path.name)
     assert set(scale) == {"smalllinalg.py"}, scale
     assert not dot, dot
     assert not vdot, vdot
     assert not linalg_norm, linalg_norm
     assert set(solvers) == {"smalllinalg.py"}, solvers
+    assert set(reorders) == {"tensor.py"}, reorders
     assert all(homes == {"tensor.py"} for homes in layout.values()), layout

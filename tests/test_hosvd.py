@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,7 +137,8 @@ class TestAllOrthogonality:
         assert verify_all_orthogonality(t) == pytest.approx(max(sums), abs=1e-15)
 
     @pytest.mark.parametrize(
-        "dims", [(2, 2, 2), (3, 4, 5), (3, 4, 5, 6), (8, 8, 8), (16, 16, 16), (32, 32)]
+        "dims", [(2, 2, 2), (3, 4, 5), (3, 4, 5, 6), (8, 8, 8), (16, 16, 16), (32, 32),
+                 (3, 1, 3), (2, 5, 2, 5)]
     )
     def test_equals_subtensor_definition_bit_for_bit(self, rng, dims):
         # the bits of the mode Grams, one unfolding at a time
@@ -273,6 +276,20 @@ def test_stack_gives_each_tensor_its_bits(seed, dims, count):
         assert [f.tobytes() for f in factors] == [f.tobytes() for f in alone[1]]
         assert [s.tobytes() for s in spectra] == [s.tobytes() for s in alone[2]]
         assert degenerate.tobytes() == alone[3].tobytes()
+
+
+@pytest.mark.parametrize("dims", [(32, 32, 32), (16, 16, 16, 16), (4,) * 8])
+def test_peak_memory_is_bounded_by_the_tensor(rng, dims):
+    # with one mode's unfolding (and its conjugate in the Gram) held at a
+    # time, the traced peak stays near 5 copies of the tensor at any order
+    t = ComplexTensor(rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
+    tracemalloc.start()
+    try:
+        hosvd(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * t.data.nbytes, peak / t.data.nbytes
 
 
 class TestInvariants:

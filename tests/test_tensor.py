@@ -15,7 +15,7 @@ from hosvd3 import (
     refold,
     unfold,
 )
-from hosvd3.tensor import _mode_rows, _stacked_transform, _unfoldings
+from hosvd3.tensor import _mode_rows, _stacked_transform, _unfolding
 from oracles import (
     haar_state,
     haar_unitary,
@@ -291,20 +291,21 @@ class TestLayoutPlans:
         for dims in layout_shapes():
             for m in (0, 1, 3):
                 x = rng.standard_normal((m, *dims)) + 1j * rng.standard_normal((m, *dims))
-                expected = [[unfolding_by_formula(x[k], n) for n in range(1, len(dims) + 1)]
-                            for k in range(m)]
-                for d in set(dims):
-                    modes = tuple(n for n in range(1, len(dims) + 1) if dims[n - 1] == d)
-                    for order in (modes, modes[::-1]):
-                        u = _unfoldings(x, order)
-                        assert u.shape == (m, len(order), d, math.prod(dims) // d)
-                        for k in range(m):
-                            for j, n in enumerate(order):
-                                assert u[k, j].tobytes() == expected[k][n - 1].tobytes()
-                for k in range(m):
-                    t = ComplexTensor(x[k])
-                    for n in range(1, len(dims) + 1):
-                        assert unfold(t, n).tobytes() == expected[k][n - 1].tobytes()
+                for n in range(1, len(dims) + 1):
+                    u = _unfolding(x, n)
+                    assert u.shape == (m, dims[n - 1], math.prod(dims) // dims[n - 1])
+                    for k in range(m):
+                        expected = unfolding_by_formula(x[k], n).tobytes()
+                        assert u[k].tobytes() == expected
+                        assert unfold(ComplexTensor(x[k]), n).tobytes() == expected
+
+    def test_unfold_shares_no_memory_with_the_tensor(self, rng):
+        # the kernel's mode-1 unfolding is a view of its stack, so unfold copies
+        for dims in layout_shapes():
+            t = random_tensor(rng, dims)
+            assert np.shares_memory(_unfolding(t.data[None], 1), t.data)
+            for n in range(1, t.order + 1):
+                assert not np.shares_memory(unfold(t, n), t.data)
 
     def test_mode_rows_are_each_tensors_slices(self, rng):
         # row i of mode n is the slice at index i of mode n, flattened
