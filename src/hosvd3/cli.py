@@ -15,10 +15,9 @@ import math
 import os
 import stat
 import sys
-import tempfile
 from collections.abc import Iterator
 from functools import cache
-from itertools import chain, count
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -166,26 +165,21 @@ def _json_text(obj, level: int = 0) -> str:
 
 
 def _emit(chunks: Iterator[str], output) -> None:
-    """Write the text a command yields to stdout, or replace the file output
-    with it atomically.  The first chunk is taken before anything is
+    """Write the text a command yields to stdout, or atomically replace the
+    file output with it.  The first chunk is taken before anything is
     opened, so a command that rejects its flags or input leaves output
-    alone.  `sample` and `polytope-mesh` yield each row as they make it, and
-    each chunk is written as it comes: on stdout, a run that fails part way
-    leaves the rows already written, and the exit code reports the failure.
+    alone.  Later chunks are written as they come: on stdout, a run that
+    fails part way leaves what it wrote, and the exit code reports it.
 
-    A file output is replaced atomically: the text goes to a temporary file
-    beside output, or beside the file it points to when output is a symlink
-    (the link stays), which gets the mode open(output, "w") leaves (that of
-    the file it replaces, or 0o666 & ~umask for a new one) and then takes
-    that file's place.  On any failure the temporary file is removed and
-    output is left as it was.
-    An output that exists and is not a regular file, such as /dev/null, is
-    written in place, chunk by chunk, like stdout.
-
-    Since a regular file is replaced, not rewritten, a hard link to it keeps
-    the old text and the new file belongs to the running user.  Nothing is
-    fsynced: readers see the old or the new text, never a mix, but the
-    replacement may not survive a crash."""
+    A regular or missing output (for a symlink, the file it points to; the
+    link stays) is written to a temporary file beside it, opened with
+    O_EXCL: a new file gets 0o666 less the umask, as open(output, "w")
+    gives it, and a replaced file's mode is set by fchmod before the first
+    byte.  os.replace then puts it in output's place; on any failure it is
+    removed and output is left as it was.  Anything else that exists, such
+    as /dev/null, is written in place.  POSIX only.  A hard link to a
+    replaced file keeps the old text, and nothing is fsynced: readers see
+    the old or the new text, never a mix, but not across a crash."""
     chunks = chain([next(chunks)], chunks)
     if output is None:
         sys.stdout.writelines(chunks)
@@ -198,23 +192,22 @@ def _emit(chunks: Iterator[str], output) -> None:
             target = os.path.realpath(output)
             mode = os.stat(target).st_mode
     except FileNotFoundError:
-        umask = os.umask(0o022)  # the umask can be read only by setting it
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    else:
-        if not stat.S_ISREG(mode):
-            # replacing a device or a pipe would put a regular file in its place
-            with open(target, "w", encoding="utf-8", newline="") as fh:
-                fh.writelines(chunks)
-            return
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".hosvd3-")
+        mode = None
+    if mode is None or stat.S_ISREG(mode):
+        tmp = os.path.join(os.path.dirname(target), f".hosvd3-{os.urandom(8).hex()}")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666 if mode is None else 0o600)
+    else:  # replacing a device or a pipe would put a regular file in its place
+        tmp, fd = None, os.open(target, os.O_WRONLY | os.O_TRUNC)
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
+            if tmp is not None and mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
             fh.writelines(chunks)
-        os.chmod(tmp, stat.S_IMODE(mode))
-        os.replace(tmp, target)
+        if tmp is not None:
+            os.replace(tmp, target)
     except BaseException:
-        os.remove(tmp)
+        if tmp is not None:
+            os.remove(tmp)
         raise
 
 
@@ -290,11 +283,9 @@ def cmd_sample(args) -> Iterator[str]:
         cls = classify_batch(amps, tol=tol, sigma_tol=sigma_tol)
         residuals = _polytope_residuals(*cls.sigma.T).values()
         violations += int(np.count_nonzero(~np.all([r <= tol for r in residuals], axis=0)))
-        for i, (s1, s2, s3), separability, case, special in zip(
-            count(start), cls.sigma.tolist(), cls.separability.tolist(),
-            cls.case.tolist(), cls.special.tolist(),
-        ):
-            yield f"{i},{s1:.12g},{s2:.12g},{s3:.12g},{separability},{case},{special}\n"
+        rows = zip(range(start, start + len(amps)), *cls.sigma.T.tolist(),
+                   cls.separability.tolist(), cls.case.tolist(), cls.special.tolist())
+        yield ("%d,%.12g,%.12g,%.12g,%s,%s,%s\n" * len(amps)) % tuple(chain.from_iterable(rows))
     yield f"# polytope_violations={violations}\n"
 
 

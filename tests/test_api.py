@@ -88,9 +88,12 @@ def test_one_home_per_layout_rule():
     # reorderings (transpose, moveaxis, einsum, tensordot); swapaxes on a
     # stack of matrices is allowed everywhere.  numpy's LAPACK solvers
     # are called in smalllinalg.py only, where every eigenproblem goes
-    # through one entry, _eigh_stack.
+    # through one entry, _eigh_stack.  cli._emit opens every file output
+    # with os.open, so a temporary file takes its mode from the umask or
+    # from fchmod: no module sets the umask, makes a temporary file through
+    # tempfile or chmods by path.
     src = pathlib.Path(hosvd3.__file__).parent
-    scale, dot, vdot, linalg_norm, solvers, reorders = [], [], [], [], [], []
+    scale, dot, vdot, linalg_norm, solvers, reorders, writer = [], [], [], [], [], [], []
     layout = {name: set() for name in ("_cyclic_axes", "_row_axes", "_axis_table")}
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -113,10 +116,13 @@ def test_one_home_per_layout_rule():
                 solvers.append(path.name)
             if name in ("transpose", "moveaxis", "einsum", "tensordot"):
                 reorders.append(path.name)
+            if name in ("tempfile", "mkstemp", "umask", "chmod"):
+                writer.append(f"{path.name}:{name}")
     assert set(scale) == {"smalllinalg.py"}, scale
     assert not dot, dot
     assert not vdot, vdot
     assert not linalg_norm, linalg_norm
     assert set(solvers) == {"smalllinalg.py"}, solvers
     assert set(reorders) == {"tensor.py"}, reorders
+    assert not writer, writer
     assert all(homes == {"tensor.py"} for homes in layout.values()), layout

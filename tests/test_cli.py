@@ -696,7 +696,7 @@ class TestRunKeepsNoState:
 
 
 class TestAtomicOutput:
-    @pytest.mark.parametrize("step", ["chmod", "replace"])
+    @pytest.mark.parametrize("step", ["open", "fchmod", "replace"])
     def test_failed_write_leaves_output_alone(self, tmp_path, ghz_file, monkeypatch, capsys, step):
         out = tmp_path / "out.json"
         out.write_text("previous report")
@@ -737,6 +737,22 @@ class TestAtomicOutput:
         modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode)
                  for name in ("new.json", "by_open.json", "kept.json")]
         assert modes == [0o640, 0o640, 0o604]
+
+    def test_umask_is_left_alone(self, tmp_path, ghz_file, monkeypatch):
+        # run() is called in-process, and setting the umask even to read it
+        # gives a file that another thread creates meanwhile the wrong mode
+        (tmp_path / "kept.json").write_text("previous report")
+        (tmp_path / "linked.json").write_text("previous report")
+        (tmp_path / "link.json").symlink_to(tmp_path / "linked.json")
+
+        def fail(*args, **kwargs):
+            raise OSError("umask set")
+
+        monkeypatch.setattr(cli.os, "umask", fail)
+        for name in ("new.json", "kept.json", "link.json"):
+            assert run(["decompose", ghz_file, "--output", str(tmp_path / name)]) == EXIT_OK
+            assert json.loads((tmp_path / name).read_text())["command"] == "decompose"
+        assert (tmp_path / "link.json").is_symlink()
 
     def test_symlink_keeps_its_link(self, tmp_path, ghz_file):
         (tmp_path / "real").mkdir()
