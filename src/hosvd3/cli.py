@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, NumericalError, ShapeError, ValidationError
 from .hosvd import hosvd
 from .qubit3 import (
-    _polytope_residuals,
+    _polytope,
     _unit_rows,
     classify,
     classify_batch,
@@ -281,8 +281,7 @@ def cmd_sample(args) -> Iterator[str]:
         # classify_batch normalizes each row once more, as normalize() does,
         # so a row is the record classify(normalize(row)) gives
         cls = classify_batch(amps, tol=tol, sigma_tol=sigma_tol)
-        residuals = _polytope_residuals(*cls.sigma.T).values()
-        violations += int(np.count_nonzero(~np.all([r <= tol for r in residuals], axis=0)))
+        violations += int(np.count_nonzero(~_polytope(*cls.sigma.T, tol)[0]))
         rows = zip(range(start, start + len(amps)), *cls.sigma.T.tolist(),
                    cls.separability.tolist(), cls.case.tolist(), cls.special.tolist())
         yield ("%d,%.12g,%.12g,%.12g,%s,%s,%s\n" * len(amps)) % tuple(chain.from_iterable(rows))

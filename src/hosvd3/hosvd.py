@@ -83,6 +83,12 @@ def _all_orthogonality(core: np.ndarray) -> np.ndarray:
     return worst
 
 
+def _residuals(x: np.ndarray, core: np.ndarray, factors) -> tuple[np.ndarray, np.ndarray]:
+    """(||(U(1) x ... x U(N)) core - x|| / ||x||, _all_orthogonality(core)),
+    each (M,), of a stack x (M, *dims) and its _hosvd_stack core and factors."""
+    return _norms(_stacked_transform(core, factors) - x) / _norms(x), _all_orthogonality(core)
+
+
 def _mode_grams(x: np.ndarray, modes: tuple[int, ...]) -> np.ndarray:
     """The Grams of a stack x (M, *dims) in the given 1-based modes, all of
     one size d, each prescaled by _pow2_blocks: one stack (len(modes) * M,
@@ -142,12 +148,12 @@ def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:
     the all-orthogonality residual is in absolute (||t||^2) units, so it
     scales with t: for a Gaussian tensor it reads 0.0 at scale 2^-1000
     and inf at 2^1000, inf only where it exceeds the float range.  A tol
-    that is negative or not finite raises ValidationError.
+    that is a bool, not a real number, negative or not finite raises
+    ValidationError.
     """
-    _tolerance("tol", tol)
+    tol = _tolerance("tol", tol)
     x, e = pow2_prescale(t.data[None])
-    total = float(_norms(x)[0])
-    if total == 0.0:
+    if not x.any():
         raise DomainError("HOSVD of the zero tensor is undefined")
 
     try:
@@ -160,8 +166,7 @@ def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"eigensolver failed in mode {n}: {exc}", mode=n) from exc
         raise NumericalError(f"eigensolver failed: {stacked}") from stacked
-    rec_residual = float(_norms(_stacked_transform(core, factors) - x)[0]) / total
-    ao_residual = float(_pow2_restore(_all_orthogonality(core), 2 * e)[0])
+    rec, ao = _residuals(x, core, factors)
     # a spectrum entry can overflow where every core entry is finite
     restored = [_pow2_restore(a[0], e) for a in (core, *spectra)]
     if not all(np.isfinite(a).all() for a in restored):
@@ -171,6 +176,6 @@ def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:
         factors=tuple(u[0] for u in factors),
         core=ComplexTensor(restored[0]),
         spectra=tuple(restored[1:]),
-        residuals=HosvdResiduals(rec_residual, ao_residual),
+        residuals=HosvdResiduals(float(rec[0]), float(_pow2_restore(ao, 2 * e)[0])),
         degenerate_modes=frozenset((np.flatnonzero(degenerate[0]) + 1).tolist()),
     )

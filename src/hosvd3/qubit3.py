@@ -9,22 +9,24 @@ sigma1(n)^2 is the top eigenvalue of that qubit's reduced density matrix;
 the triple of these lives in the polytope  1/2 <= s_i <= 1,
 s_i + s_j - s_k <= 1.  The three-qubit HOSVD is hosvd's own stacked
 pipeline, run on a batch of states: :func:`classify_batch` runs it on many
-states, :func:`classify` on a batch of one, where it also evaluates the
-core identities with one array kernel and reports them in its
-``residuals``.  Each state gets the core and factors ``hosvd`` gives it.
+states, :func:`classify` on a batch of one, where it also reports the core
+identities in its ``residuals``.  Each state gets the core, factors and
+residuals that ``hosvd`` gives it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, ShapeError, ValidationError
-from .hosvd import _all_orthogonality, _hosvd_stack
+from .hosvd import _hosvd_stack, _residuals
 from .smalllinalg import _norms, _pow2_blocks, _threshold, _tolerance, gram
-from .tensor import ComplexTensor, _stacked_transform, _unfolding, unfold
+from .tensor import ComplexTensor, _unfolding, unfold
 
 CUTS = ("A_BC", "B_CA", "C_AB")
 
@@ -91,7 +93,7 @@ def _check_state(s: ComplexTensor) -> None:
         raise ShapeError(f"need a 2x2x2 state, got dims {s.dims}")
     total = _norms(s.data[None])[0]
     if not abs(total - 1.0) <= 1e-10:
-        raise ValidationError(f"state is not normalized (norm {total!r}); use normalize()")
+        raise ValidationError(f"state is not normalized (norm {float(total)!r}); use normalize()")
 
 
 def normalize(amplitudes) -> ThreeQubitState:
@@ -221,8 +223,8 @@ def classify_batch(amplitudes, tol: float = 1e-10, sigma_tol: float = 1e-8) -> B
 def _classify_rows(x: np.ndarray, tol: float, sigma_tol: float):
     # classify_batch of unit-norm states x (M, 2, 2, 2), with the cores and
     # factors U(n) (three (M, 2, 2)) hosvd gives each state, bit for bit
-    _tolerance("tol", tol)
-    _tolerance("sigma_tol", sigma_tol)
+    tol = _tolerance("tol", tol)
+    sigma_tol = _tolerance("sigma_tol", sigma_tol)
     core, factors, spectra, degenerate = _hosvd_stack(x, tol)
     sigma = np.square(np.stack([s[:, 0] for s in spectra], axis=1))
     separability = _separability(sigma, tol)
@@ -309,8 +311,8 @@ def polytope_membership(sigma, tol: float = 1e-10) -> PolytopeMembership:
     ``classify(s).sigma_triple``, against the five constraint families;
     residuals > 0 measure violation.  A sigma that is not three numbers
     raises ShapeError, a non-finite entry ValidationError, and so does a
-    tol that is negative or not finite."""
-    _tolerance("tol", tol)
+    tol that is a bool, not a real number, negative or not finite."""
+    tol = _tolerance("tol", tol)
     if np.shape(sigma) != (3,):
         raise ShapeError(f"sigma must be a triple (s1, s2, s3), got {sigma!r}")
     try:
@@ -319,14 +321,12 @@ def polytope_membership(sigma, tol: float = 1e-10) -> PolytopeMembership:
         raise ValidationError(f"sigma must hold numbers, got {sigma!r}") from None
     if not all(math.isfinite(v) for v in (s1, s2, s3)):
         raise ValidationError(f"sigma entries must be finite, got {sigma!r}")
-    residuals = _polytope_residuals(s1, s2, s3)
-    member = all(v <= tol for v in residuals.values())
-    return PolytopeMembership(member, residuals)
+    return PolytopeMembership(*_polytope(s1, s2, s3, tol))
 
 
-def _polytope_residuals(s1, s2, s3) -> dict:
-    # the signed residual of each constraint, of floats or of arrays alike
-    return {
+def _polytope(s1, s2, s3, tol: float):
+    # (member, residuals) of one triple or of (M,) rows: member is every residual <= tol
+    residuals = {
         "s1+s2-s3<=1": s1 + s2 - s3 - 1.0,
         "s1+s3-s2<=1": s1 + s3 - s2 - 1.0,
         "s2+s3-s1<=1": s2 + s3 - s1 - 1.0,
@@ -337,6 +337,7 @@ def _polytope_residuals(s1, s2, s3) -> dict:
         "s2<=1": s2 - 1.0,
         "s3<=1": s3 - 1.0,
     }
+    return reduce(and_, [r <= tol for r in residuals.values()]), residuals
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,27 +361,23 @@ def classify(
     """Classify a normalized three-qubit state.
 
     Runs :func:`classify_batch`'s HOSVD and decisions on the batch of one
-    state, which decide, in order: separability (one-body
-    purity at `tol`), the sigma-equality case (pairwise comparisons at
-    `sigma_tol`), and the special-state tag (core support patterns; only
-    genuine states carry one).  With degenerate mode spectra the core is
-    gauge-dependent, so a support-based tag is reported with
-    ``gauge_warning=True`` instead of being trusted against the case.
-    The residuals are the reconstruction error and all-orthogonality of
-    that decomposition, reported and not held against `tol`, and the core
-    identities, evaluated at its sigma triple.  A tensor that is not
-    2x2x2 raises ShapeError, one whose norm is not 1 within 1e-10
-    ValidationError, as :class:`ThreeQubitState` does.
+    state, which decide, in order: separability (one-body purity at `tol`),
+    the sigma-equality case (pairwise comparisons at `sigma_tol`), and the
+    special-state tag (core support patterns; only genuine states carry
+    one).  With degenerate mode spectra the core is gauge-dependent, so a
+    support-based tag is reported with ``gauge_warning=True`` instead of
+    being trusted against the case.  The residuals are the two that
+    :func:`~hosvd3.hosvd.hosvd` reports for s, with the same bits, and the
+    core identities at its sigma triple; none is held against `tol`.  A
+    tensor that is not 2x2x2 raises ShapeError, one whose norm is not 1
+    within 1e-10 ValidationError, as :class:`ThreeQubitState` does.
     """
     _check_state(s)
     x = s.data[None]
     row, core, factors = _classify_rows(x, tol, sigma_tol)
-    # relative, since s has unit norm
-    residuals = {"reconstruction": float(_norms(_stacked_transform(core, factors) - x)[0]),
-                 "all_orthogonality": float(_all_orthogonality(core)[0])}
-    for name, value in _identities(x, core, row.sigma, tol).items():
-        if not math.isnan(value[0]):
-            residuals[name] = float(value[0])
+    rec, ao = _residuals(x, core, factors)
+    out = {"reconstruction": rec, "all_orthogonality": ao, **_identities(x, core, row.sigma, tol)}
+    residuals = {name: float(v[0]) for name, v in out.items() if not math.isnan(v[0])}
     return Classification(
         separability=str(row.separability[0]),
         case=str(row.case[0]),

@@ -25,6 +25,7 @@ by one rule, :func:`_pow2_restore`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,12 +81,13 @@ def _norms(z: np.ndarray) -> np.ndarray:
     return np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0]
 
 
-def _tolerance(name: str, value: float) -> float:
-    """value, when it is finite and >= 0; ValidationError naming it otherwise
-    (NaN included).  The tolerances of every entry point go through this."""
-    if not 0.0 <= value < math.inf:
+def _tolerance(name: str, value) -> float:
+    """value as a float, when it is a real number (not a bool), finite and
+    >= 0; ValidationError naming it otherwise (NaN included).  The
+    tolerances of every entry point go through this."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
         raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
-    return value
+    return float(value)
 
 
 def _threshold(tol: float, scale):
@@ -235,9 +237,9 @@ def hermitian_eig(h, tol: float = 1e-10) -> EigenDecomposition:
     and nonnegative, so identical input bits give identical output bits.
 
     This is the solver of :func:`~hosvd3.hosvd.hosvd` on a stack of one: a
-    matrix gets the same bits in its stacks as here.  A negative or
-    non-finite tol raises ValidationError, and a LAPACK failure to converge
-    NumericalError with mode 1.
+    matrix gets the same bits in its stacks as here.  A tol that is a bool,
+    not a real number, negative or not finite raises ValidationError, and a
+    LAPACK failure to converge NumericalError with mode 1.
     """
     tol = _tolerance("tol", tol)
     a, e = _prescaled(h, tol)

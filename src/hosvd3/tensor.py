@@ -84,10 +84,11 @@ class ComplexTensor:
 
 def _dims(dims) -> tuple[int, ...]:
     """dims as a tuple of positive ints.  Python and numpy integers pass;
-    bools, floats, strings, values below 1 and more than 63 dims (as in
-    ComplexTensor, but before any reshape) raise ShapeError."""
-    dims = tuple(dims)
+    a value that is not a sequence, bools, floats, strings, values below 1
+    and more than 63 dims (as in ComplexTensor, but before any reshape)
+    raise ShapeError."""
     try:  # bool is an int subclass, and True must not read as 1
+        dims = tuple(dims)
         if any(isinstance(d, bool) for d in dims):
             raise TypeError
         checked = tuple(map(operator.index, dims))

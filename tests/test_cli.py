@@ -428,6 +428,18 @@ class TestSample:
         assert run(["sample", "--count", "1", "--seed", "7", "--output", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_violations_are_the_membership_rule(self, tmp_path, monkeypatch):
+        # sample counts the rows that qubit3's one membership rule rejects
+        def reject_every_row(s1, s2, s3, tol):
+            member, residuals = polytope_rule(s1, s2, s3, tol)
+            return np.zeros_like(member), residuals
+
+        polytope_rule = cli._polytope
+        monkeypatch.setattr(cli, "_polytope", reject_every_row)
+        out = tmp_path / "s.csv"
+        assert run(["sample", "--count", "5", "--seed", "7", "--output", str(out)]) == EXIT_OK
+        assert out.read_text().splitlines()[-1] == "# polytope_violations=5"
+
     def test_csv_layout_and_membership(self, tmp_path):
         out = tmp_path / "s.csv"
         assert run(["sample", "--count", "40", "--seed", "3", "--output", str(out)]) == EXIT_OK

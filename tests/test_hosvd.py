@@ -364,8 +364,10 @@ def test_nan_rejected_before_eigensolve():
         hosvd(ComplexTensor(data))
 
 
-@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf, "x", None, 1j, True, np.True_])
 def test_bad_tol_rejected(tol):
+    # a string or complex tol raised a bare TypeError from the comparison,
+    # and True was read as 1
     with pytest.raises(ValidationError, match="tol must be finite and >= 0"):
         hosvd(make_tensor([2, 2], [1, 0, 0, 1]), tol=tol)
 

@@ -32,6 +32,7 @@ from hosvd3.qubit3 import (
     _decide_case,
     _decide_special,
     _identities,
+    _polytope,
     _separability,
     _unit_rows,
 )
@@ -105,6 +106,13 @@ class TestNormalize:
     def test_unnormalized_constructor_rejected(self):
         with pytest.raises(ValidationError):
             ThreeQubitState(amplitudes(a111=2))
+
+    def test_unnormalized_message_prints_a_plain_float(self):
+        # numpy 2 printed the norm as np.float64(2.8284271247461903)
+        with pytest.raises(ValidationError) as exc:
+            ThreeQubitState(np.ones(8))
+        assert str(exc.value) == ("state is not normalized (norm 2.8284271247461903);"
+                                  " use normalize()")
 
     def test_nan_constructor_rejected(self):
         # rejected as non-finite, not sent on to normalize() as unnormalized
@@ -509,6 +517,23 @@ class TestClassify:
             want = verify_all_orthogonality(ComplexTensor(core))
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
+    def test_residuals_are_those_of_hosvd(self, request, rng):
+        # one route: a state gets hosvd's residual bits from classify, as the
+        # CLI normalizes it, from amplitudes at any scale; the reconstruction
+        # is relative to the state's own norm, which is 1 only to a few ulps
+        fixtures = [request.getfixturevalue(name)
+                    for name in ("ghz_86", "w_state", "s1_fixture", "b1_fixture", "bisep_cab")]
+        rows = [haar_state(rng) for _ in range(40)]
+        rows += [multilinear_transform(f, [haar_unitary(rng) for _ in range(3)]).data
+                 for f in fixtures for _ in range(8)]
+        for amps in rows:
+            for scale in np.logspace(-100, 100, 9):
+                s = normalize(amps * scale)
+                got, want = classify(s).residuals, hosvd(s).residuals
+                assert type(got["reconstruction"]) is float
+                assert repr(got["reconstruction"]) == repr(want.reconstruction)
+                assert repr(got["all_orthogonality"]) == repr(want.all_orthogonality)
+
     def test_special_case_consistency(self, rng):
         # invariant scoped to non-degenerate classifications
         for _ in range(50):
@@ -731,6 +756,25 @@ class TestPolytope:
         m = polytope_membership(np.array([0.75, 0.75, 0.5]))
         assert m.member and all(type(v) is float for v in m.residuals.values())
 
+    @pytest.mark.parametrize("tol", [0.0, 2.0 ** -53, 1e-10])
+    def test_rows_decide_as_membership(self, tol):
+        # one rule: each coordinate of a point on every facet and bound moved
+        # by -1, 0 and +1 ulp, as rows and one triple at a time
+        points = [(0.875, 0.875, 0.75), (0.875, 0.75, 0.875), (0.75, 0.875, 0.875),
+                  (0.5, 0.625, 0.625), (0.625, 0.5, 0.625), (0.625, 0.625, 0.5),
+                  (1.0, 0.75, 0.75), (0.75, 1.0, 0.75), (0.75, 0.75, 1.0), (1.0, 1.0, 1.0)]
+        ulps = [lambda v: np.nextafter(v, -np.inf), lambda v: v, lambda v: np.nextafter(v, np.inf)]
+        rows = np.array([[f(v) for f, v in zip(moves, p)]
+                         for p in points for moves in itertools.product(ulps, repeat=3)])
+        member, residuals = _polytope(*rows.T, tol)
+        assert member.shape == (len(rows),)
+        for i, row in enumerate(rows):
+            m = polytope_membership(row, tol=tol)
+            assert bool(member[i]) is m.member
+            assert {k: v[i] for k, v in residuals.items()} == m.residuals
+        if tol == 0.0:
+            assert member.any() and not member.all()
+
     def test_sampled_states_inside(self, rng):
         for _ in range(200):
             sigma = classify(haar_3q(rng)).sigma_triple
@@ -950,11 +994,14 @@ class TestInputValidation:
         assert classify(ComplexTensor(amps)).special == "ghz"
 
 
-BAD_TOLERANCES = [-1.0, -1e-300, np.nan, np.inf, -np.inf]
+# a string or complex tol raised a bare TypeError from the comparison, and
+# True was read as 1
+BAD_TOLERANCES = [-1.0, -1e-300, np.nan, np.inf, -np.inf, "x", None, 1j, [1e-10], True, False,
+                  np.True_]
 
 
 class TestTolerances:
-    """Every tolerance must be finite and >= 0, as the CLI flags must be."""
+    """Every tolerance must be a real number, finite and >= 0, as the CLI flags must be."""
 
     @pytest.mark.parametrize("bad", BAD_TOLERANCES)
     def test_classify(self, ghz_86, bad):
@@ -975,6 +1022,12 @@ class TestTolerances:
     def test_polytope_membership(self, bad):
         with pytest.raises(ValidationError, match="^tol must be finite and >= 0"):
             polytope_membership((0.75, 0.75, 0.5), tol=bad)
+
+    def test_ints_and_numpy_floats_accepted(self, ghz_86):
+        want = classify(ghz_86, tol=0.0, sigma_tol=1e-8)
+        got = classify(ghz_86, tol=0, sigma_tol=np.float64(1e-8))
+        assert repr(dataclasses.asdict(got)) == repr(dataclasses.asdict(want))
+        assert polytope_membership((1.0, 0.75, 0.75), tol=np.float32(0)).member
 
     def test_zero_accepted(self, ghz_86):
         assert classify(ghz_86, tol=0.0, sigma_tol=0.0).special == "ghz"

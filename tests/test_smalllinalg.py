@@ -15,6 +15,7 @@ from hosvd3.smalllinalg import (
     _norms,
     _ordered,
     _prescaled,
+    _tolerance,
     pow2_prescale,
 )
 from oracles import (
@@ -154,11 +155,17 @@ class TestHermitianEig:
         for tol in (2.0, 8.98846567431158e307, 1.7976931348623157e308):
             assert hermitian_eig(np.diag([1.9, 1.8, 1.7][:n]), tol=tol).degenerate
 
-    @pytest.mark.parametrize("tol", [-1.0, np.nan, -np.inf, np.inf])
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, -np.inf, np.inf, "x", None, 1j, True])
     def test_bad_tol_rejected(self, tol):
         # not read as a hermiticity slack: "not Hermitian within -1" misleads
         with pytest.raises(ValidationError, match="tol must be finite and >= 0"):
             hermitian_eig(np.eye(2), tol=tol)
+
+    @pytest.mark.parametrize("tol", [0, 3, np.float64(1e-10), np.float32(0.5), np.int8(2)])
+    def test_real_tolerances_pass_as_floats(self, tol):
+        got = _tolerance("tol", tol)
+        assert type(got) is float and got == float(tol)
+        hermitian_eig(np.eye(2), tol=tol)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValidationError):

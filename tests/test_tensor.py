@@ -68,6 +68,12 @@ class TestMakeTensor:
         with pytest.raises(ShapeError, match="integers"):
             make_tensor([True, 4], np.arange(4))
 
+    @pytest.mark.parametrize("dims", [5, None, 2.0])
+    def test_dims_that_are_not_a_sequence_rejected(self, dims):
+        # tuple(dims) raised a bare TypeError: 'int' object is not iterable
+        with pytest.raises(ShapeError, match="integers"):
+            make_tensor(dims, np.arange(4))
+
     def test_negative_dims_rejected_before_reshape(self):
         # numpy's reshape would otherwise fail on them with its own message
         with pytest.raises(ShapeError, match="positive"):
@@ -279,6 +285,10 @@ class TestRefold:
     def test_float_dim_rejected(self):
         with pytest.raises(ShapeError, match="integers"):
             refold(np.zeros((2, 2)), 1, [2.9, 2])
+
+    def test_dims_that_are_not_a_sequence_rejected(self):
+        with pytest.raises(ShapeError, match="integers"):
+            refold(np.zeros((1, 4)), 1, 4)
 
 
 class TestLayoutPlans:
