@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import stat
 import sys
@@ -47,52 +46,46 @@ GENERATOR_NAME = "philox4x64"
 _SAMPLE_CHUNK = 256
 
 
-class InputError(ValueError):
-    """Input file or flag value is unusable."""
-
-
 def read_state_file(path):
-    """Parse a JSON state file into (dims, flat complex amplitudes, label)."""
+    """Parse a JSON state file into (tensor, label).  The reader checks the
+    file format (UTF-8 JSON, an object with 'dims' and 'amplitudes', [re, im]
+    pairs of finite numbers, not true or false, and a string label), with
+    ValidationError.  The tensor rules are make_tensor's, whose ShapeError
+    is raised again with the path in front: every error names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         # ValueError covers bad JSON, bytes that are not UTF-8 and integers
         # past int's digit limit; RecursionError, arrays nested too deep
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise InputError(f"{path}: top level must be an object")
+        raise ValidationError(f"{path}: top level must be an object")
     try:
         dims = doc["dims"]
         pairs = doc["amplitudes"]
     except KeyError as exc:
-        raise InputError(f"{path}: need 'dims' and 'amplitudes' fields") from exc
-    # bool is a subclass of int, and JSON true must not read as 1
-    if not isinstance(dims, list) or any(type(d) is not int for d in dims):
-        raise InputError(f"{path}: dims must be a list of integers, got {dims!r}")
-    if any(d < 1 for d in dims):
-        raise InputError(f"{path}: dims must be positive, got {dims}")
+        raise ValidationError(f"{path}: need 'dims' and 'amplitudes' fields") from exc
     try:
         amps = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: amplitudes must be [re, im] pairs") from exc
+        raise ValidationError(f"{path}: amplitudes must be [re, im] pairs") from exc
     except OverflowError as exc:  # an integer too large for a float
-        raise InputError(f"{path}: amplitudes must be finite") from exc
+        raise ValidationError(f"{path}: amplitudes must be finite") from exc
+    # bool is a subclass of int, and JSON true must not read as 1
     if bool in set(map(type, chain.from_iterable(pairs))):
-        raise InputError(f"{path}: amplitudes must be numbers, not true or false")
-    if amps.size != math.prod(dims):
-        raise InputError(
-            f"{path}: got {amps.size} amplitudes for dims {dims} "
-            f"(expected {math.prod(dims)})"
-        )
+        raise ValidationError(f"{path}: amplitudes must be numbers, not true or false")
     if not np.all(np.isfinite(amps.view(np.float64))):
-        raise InputError(f"{path}: amplitudes must be finite")
+        raise ValidationError(f"{path}: amplitudes must be finite")
     label = doc.get("label", "")
     if not isinstance(label, str):
-        raise InputError(f"{path}: label must be a string")
-    return dims, amps, label
+        raise ValidationError(f"{path}: label must be a string")
+    try:
+        return make_tensor(dims, amps), label
+    except ShapeError as exc:
+        raise ShapeError(f"{path}: {exc}") from exc
 
 
 def haar_random_amplitudes(rng, count: int) -> np.ndarray:
@@ -213,12 +206,12 @@ def _emit(chunks: Iterator[str], output) -> None:
 
 def cmd_decompose(args) -> Iterator[str]:
     tol = _tolerance("--tol", args.tol)
-    dims, amps, label = read_state_file(args.input)
-    result = hosvd(make_tensor(dims, amps), tol=tol)
+    tensor, label = read_state_file(args.input)
+    result = hosvd(tensor, tol=tol)
     doc = {
         "command": "decompose",
         "label": label,
-        "dims": dims,
+        "dims": list(tensor.dims),
         "tol": tol,
         "factors": result.factors,
         "core": result.core.data.ravel(),
@@ -235,10 +228,11 @@ def cmd_decompose(args) -> Iterator[str]:
 def cmd_classify(args) -> Iterator[str]:
     tol = _tolerance("--tol", args.tol)
     sigma_tol = _tolerance("--sigma-tol", args.sigma_tol)
-    dims, amps, label = read_state_file(args.input)
-    if dims != [2, 2, 2]:
-        raise InputError(f"classify needs dims [2, 2, 2], got {dims}")
-    state = normalize(amps)
+    tensor, label = read_state_file(args.input)
+    if tensor.dims != (2, 2, 2):
+        raise ValidationError(
+            f"{args.input}: classify needs dims [2, 2, 2], got {list(tensor.dims)}")
+    state = normalize(tensor.data)
     cls = classify(state, tol=tol, sigma_tol=sigma_tol)
     membership = polytope_membership(cls.sigma_triple, tol=tol)
     doc = {
@@ -268,9 +262,9 @@ def cmd_sample(args) -> Iterator[str]:
     tol = _tolerance("--tol", args.tol)
     sigma_tol = _tolerance("--sigma-tol", args.sigma_tol)
     if args.count < 1:
-        raise InputError(f"--count must be >= 1, got {args.count}")
+        raise ValidationError(f"--count must be >= 1, got {args.count}")
     if args.seed < 0:
-        raise InputError(f"--seed must be >= 0, got {args.seed}")
+        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.Generator(np.random.Philox(args.seed))
     yield (f"# generator={GENERATOR_NAME} seed={args.seed} count={args.count}"
            f" tol={tol:g} sigma_tol={sigma_tol:g}\n"
@@ -306,7 +300,7 @@ def _facet_triangles(resolution: int):
 
 def cmd_polytope_mesh(args) -> Iterator[str]:
     if args.resolution < 2:
-        raise InputError(f"--resolution must be >= 2, got {args.resolution}")
+        raise ValidationError(f"--resolution must be >= 2, got {args.resolution}")
     res = args.resolution
     yield f"# polytope mesh resolution={res}\nsection,element,vertex,s1,s2,s3\n"
 
@@ -390,10 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    """Run one command line (sys.argv[1:] for None) and return its exit
+    code, printing one line on stderr on failure: 2 for a ShapeError,
+    DomainError or ValidationError (a state-file error names the file), 3
+    for a NumericalError, 4 for an OSError of the output."""
     args = build_parser().parse_args(argv)
     try:
         _emit(args.func(args), args.output)
-    except (InputError, ShapeError, DomainError, ValidationError) as exc:
+    except (ShapeError, DomainError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NumericalError as exc:

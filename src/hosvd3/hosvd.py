@@ -19,7 +19,7 @@ from .errors import DomainError, NumericalError
 from .smalllinalg import (
     _eigh_stack, _gram_stack, _norms, _pow2_blocks, _pow2_restore, _tolerance, pow2_prescale,
 )
-from .tensor import ComplexTensor, _mode_rows, _stacked_transform, _unfolding
+from .tensor import ComplexTensor, _mode_rows, _require_tensor, _stacked_transform, _unfolding
 
 
 @dataclass(frozen=True)
@@ -58,14 +58,15 @@ def verify_all_orthogonality(core: ComplexTensor) -> float:
 
     For a 2x2x2 core this evaluates the three off-diagonal sums
     conj(t_1jk) t_2jk of the one-body density matrices.  A vector (order 1)
-    is not checked: its residual is 0.0.  A core with a non-finite entry
-    raises ValidationError.  This is the kernel that :func:`hosvd` and
-    :func:`~hosvd3.qubit3.classify` read, on a stack of one core.  As in
+    is not checked: its residual is 0.0.  A core with a non-finite entry,
+    or one that is not a ComplexTensor, raises ValidationError.  This is
+    the kernel that :func:`hosvd` and :func:`~hosvd3.qubit3.classify`
+    read, on a stack of one core.  As in
     :func:`hosvd`, it runs on the core scaled by an exact power of two (see
     :func:`pow2_prescale`), and the value is scaled back: inf only where it
     exceeds the float range, never NaN.
     """
-    x, e = pow2_prescale(core.data[None])
+    x, e = pow2_prescale(_require_tensor(core).data[None])
     return float(_pow2_restore(_all_orthogonality(x), 2 * e)[0])
 
 
@@ -147,12 +148,12 @@ def hosvd(t: ComplexTensor, tol: float = 1e-10) -> HosvdResult:
     DomainError.  The reconstruction residual is relative to ||t||, but
     the all-orthogonality residual is in absolute (||t||^2) units, so it
     scales with t: for a Gaussian tensor it reads 0.0 at scale 2^-1000
-    and inf at 2^1000, inf only where it exceeds the float range.  A tol
-    that is a bool, not a real number, negative or not finite raises
-    ValidationError.
+    and inf at 2^1000, inf only where it exceeds the float range.  A t
+    that is not a ComplexTensor, and a tol that is a bool, not a real
+    number, negative or not finite, raise ValidationError.
     """
     tol = _tolerance("tol", tol)
-    x, e = pow2_prescale(t.data[None])
+    x, e = pow2_prescale(_require_tensor(t).data[None])
     if not x.any():
         raise DomainError("HOSVD of the zero tensor is undefined")
 

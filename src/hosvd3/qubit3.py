@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ShapeError, ValidationError
 from .hosvd import _hosvd_stack, _residuals
-from .smalllinalg import _norms, _pow2_blocks, _threshold, _tolerance, gram
-from .tensor import ComplexTensor, _unfolding, unfold
+from .smalllinalg import _complex_array, _norms, _pow2_blocks, _threshold, _tolerance, gram
+from .tensor import ComplexTensor, _require_tensor, _unfolding, unfold
 
 CUTS = ("A_BC", "B_CA", "C_AB")
 
@@ -78,7 +78,7 @@ class ThreeQubitState(ComplexTensor):
     1-based, as ``s[i1, i2, i3]``, and pass it wherever a tensor goes."""
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.complex128)
+        arr = _complex_array("data", self.data)
         if arr.size != 8:
             raise ShapeError(f"need 8 amplitudes, got {arr.size}")
         if not np.isfinite(arr).all():
@@ -89,7 +89,7 @@ class ThreeQubitState(ComplexTensor):
 
 
 def _check_state(s: ComplexTensor) -> None:
-    if s.dims != (2, 2, 2):
+    if _require_tensor(s).dims != (2, 2, 2):
         raise ShapeError(f"need a 2x2x2 state, got dims {s.dims}")
     total = _norms(s.data[None])[0]
     if not abs(total - 1.0) <= 1e-10:
@@ -101,8 +101,9 @@ def normalize(amplitudes) -> ThreeQubitState:
     :func:`classify_batch` normalizes each of its rows (see
     :func:`_unit_rows`): no overflow or underflow, and inputs that differ by
     an exact factor 2^k give the same bits.  Other factors can move the
-    last bits; so can normalizing a unit-norm state again."""
-    amps = np.asarray(amplitudes, dtype=np.complex128)
+    last bits; so can normalizing a unit-norm state again.  Amplitudes
+    that are not numbers raise ValidationError."""
+    amps = _complex_array("amplitudes", amplitudes)
     if amps.size != 8:
         raise ShapeError(f"need 8 amplitudes, got {amps.size}")
     return ThreeQubitState(_unit_rows(amps.reshape(1, 8))[0])
@@ -183,7 +184,7 @@ def _decide_special(core, separability, case, degenerate, tol: float):
 
 
 def _batch(amplitudes) -> np.ndarray:
-    a = np.asarray(amplitudes, dtype=np.complex128)
+    a = _complex_array("amplitudes", amplitudes)
     if a.ndim == 2 and a.shape[1] == 8 or a.shape[1:] == (2, 2, 2):
         return _unit_rows(a.reshape(-1, 8))
     raise ShapeError(f"need an (M, 8) or (M, 2, 2, 2) batch of states, got shape {a.shape}")
@@ -213,9 +214,10 @@ def classify_batch(amplitudes, tol: float = 1e-10, sigma_tol: float = 1e-8) -> B
     pipeline, with at most one Jacobi rotation per 2x2 Gram matrix, and
     the same decisions.
     The core identities and residuals of :class:`Classification` are not
-    computed.  A row that is zero raises DomainError, a non-finite entry
-    ValidationError.  Memory grows with M (a few KiB per state), so split
-    large runs into batches, as ``hosvd3 sample`` does.
+    computed.  A row that is zero raises DomainError, an entry that is not
+    a number, or not finite, ValidationError.  Memory grows with M (a few
+    KiB per state), so split large runs into batches, as ``hosvd3 sample``
+    does.
     """
     return _classify_rows(_batch(amplitudes), tol, sigma_tol)[0]
 
@@ -370,7 +372,8 @@ def classify(
     :func:`~hosvd3.hosvd.hosvd` reports for s, with the same bits, and the
     core identities at its sigma triple; none is held against `tol`.  A
     tensor that is not 2x2x2 raises ShapeError, one whose norm is not 1
-    within 1e-10 ValidationError, as :class:`ThreeQubitState` does.
+    within 1e-10 ValidationError, as :class:`ThreeQubitState` does, and an
+    s that is not a ComplexTensor ValidationError.
     """
     _check_state(s)
     x = s.data[None]

@@ -58,8 +58,9 @@ def gram(m) -> np.ndarray:
     matrix, formed on M scaled by an exact power of two (see
     :func:`pow2_prescale`) and scaled back, so no product on the way
     overflows: an entry reads inf only where it exceeds the float range,
-    never NaN.  Non-finite entries raise ValidationError."""
-    m = np.asarray(m, dtype=np.complex128)
+    never NaN.  Entries that are not numbers, or not finite, raise
+    ValidationError."""
+    m = _complex_array("m", m)
     if m.ndim != 2:
         raise ValidationError("gram expects a matrix")
     a, e = pow2_prescale(m)
@@ -88,6 +89,17 @@ def _tolerance(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
         raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
     return float(value)
+
+
+def _complex_array(name: str, value) -> np.ndarray:
+    """value as a complex128 ndarray (value itself where it is one), or
+    ValidationError naming it where numpy cannot convert it, such as a
+    string that is not a number.  The arrays every entry point takes from
+    its caller go through this."""
+    try:
+        return np.asarray(value, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} must be complex numbers: {exc}") from exc
 
 
 def _threshold(tol: float, scale):
@@ -151,7 +163,7 @@ def _rotation(app, aqq, apq, mag):
 
 def _prescaled(h, tol: float) -> tuple[np.ndarray, int]:
     # (2^-e h made exactly Hermitian, e) for a validated h
-    h = np.asarray(h, dtype=np.complex128)
+    h = _complex_array("h", h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValidationError("eigendecomposition expects a square matrix")
     a, e = pow2_prescale(h)
@@ -237,9 +249,10 @@ def hermitian_eig(h, tol: float = 1e-10) -> EigenDecomposition:
     and nonnegative, so identical input bits give identical output bits.
 
     This is the solver of :func:`~hosvd3.hosvd.hosvd` on a stack of one: a
-    matrix gets the same bits in its stacks as here.  A tol that is a bool,
-    not a real number, negative or not finite raises ValidationError, and a
-    LAPACK failure to converge NumericalError with mode 1.
+    matrix gets the same bits in its stacks as here.  An h whose entries
+    are not numbers, and a tol that is a bool, not a real number, negative
+    or not finite, raise ValidationError, and a LAPACK failure to converge
+    NumericalError with mode 1.
     """
     tol = _tolerance("tol", tol)
     a, e = _prescaled(h, tol)

@@ -36,20 +36,21 @@ from functools import cache
 
 import numpy as np
 
-from .errors import ShapeError
-from .smalllinalg import _norms, _pow2_restore, pow2_prescale
+from .errors import ShapeError, ValidationError
+from .smalllinalg import _complex_array, _norms, _pow2_restore, pow2_prescale
 
 
 @dataclass(frozen=True, eq=False)
 class ComplexTensor:
     """Order-N dense complex tensor, 1 <= N <= 63: numpy's limit of 64
     dimensions, less the stack axis that every kernel adds.  Any other
-    order raises ShapeError."""
+    order raises ShapeError, and data that is not numbers
+    ValidationError."""
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=np.complex128, order="C", copy=True)
+        arr = np.array(_complex_array("data", self.data), order="C", copy=True)
         if arr.ndim < 1:
             raise ShapeError("tensor order must be >= 1")
         if arr.ndim > 63:
@@ -82,6 +83,15 @@ class ComplexTensor:
         return complex(self.data[tuple(i - 1 for i in indices)])
 
 
+def _require_tensor(t) -> ComplexTensor:
+    """t, where it is a ComplexTensor (a subclass such as ThreeQubitState
+    included), or ValidationError naming the type it got.  Every function
+    that takes a tensor checks it here, before it reads t.data."""
+    if not isinstance(t, ComplexTensor):
+        raise ValidationError(f"expected a ComplexTensor, got {type(t).__name__}")
+    return t
+
+
 def _dims(dims) -> tuple[int, ...]:
     """dims as a tuple of positive ints.  Python and numpy integers pass;
     a value that is not a sequence, bools, floats, strings, values below 1
@@ -109,10 +119,10 @@ def make_tensor(dims, elements) -> ComplexTensor:
     dims : sequence of positive int (bools, floats and strings raise
         ShapeError)
     elements : array-like of complex, length prod(dims), C order
-        (last index varies fastest).
+        (last index varies fastest); non-numbers raise ValidationError.
     """
     dims = _dims(dims)
-    flat = np.asarray(elements, dtype=np.complex128).ravel()
+    flat = _complex_array("elements", elements).ravel()
     expected = math.prod(dims)
     if flat.size != expected:
         raise ShapeError(
@@ -151,6 +161,7 @@ def unfold(t: ComplexTensor, mode: int) -> np.ndarray:
     a read-only complex ndarray of shape (dims[mode - 1], size / dims[mode - 1]).
     This is the stacks' unfolding kernel on a stack of one tensor, copied,
     since the kernel's mode-1 unfolding is a view of t."""
+    t = _require_tensor(t)
     m = _unfolding(t.data[None], _mode(mode, t.order))[0].copy()
     m.setflags(write=False)
     return m
@@ -161,7 +172,7 @@ def refold(m, mode: int, dims) -> ComplexTensor:
     unfolding is m; exact (no arithmetic) round trip."""
     dims = _dims(dims)
     mode = _mode(mode, len(dims))
-    m = np.asarray(m, dtype=np.complex128)
+    m = _complex_array("m", m)
     perm = _cyclic_axes(len(dims), mode)
     permuted_dims = tuple(dims[a] for a in perm)
     if m.shape != (dims[mode - 1], math.prod(permuted_dims[1:])):
@@ -181,7 +192,8 @@ def multilinear_transform(t: ComplexTensor, mats) -> ComplexTensor:
     transform :func:`_stacked_transform` on a stack of one tensor, so a
     size-1 mode is scaled elementwise.
     """
-    mats = [np.asarray(m, dtype=np.complex128) for m in mats]
+    t = _require_tensor(t)
+    mats = [_complex_array("mats", m) for m in mats]
     if len(mats) != t.order:
         raise ShapeError(f"expected {t.order} matrices, got {len(mats)}")
     for n, (m, d) in enumerate(zip(mats, t.dims), start=1):
@@ -236,6 +248,6 @@ def norm(t: ComplexTensor) -> float:
     (see :func:`~hosvd3.smalllinalg.pow2_prescale`) and scaled back, so no
     square on the way overflows or underflows; inf only where the norm
     itself exceeds the float range.  Non-finite entries raise
-    ValidationError."""
-    data, e = pow2_prescale(t.data)
+    ValidationError, and so does a t that is not a ComplexTensor."""
+    data, e = pow2_prescale(_require_tensor(t).data)
     return float(_pow2_restore(_norms(data[None]), e)[0])

@@ -2,7 +2,11 @@ import ast
 import inspect
 import pathlib
 
+import numpy as np
+import pytest
+
 import hosvd3
+from hosvd3 import ValidationError
 
 PUBLIC = {
     "ComplexTensor", "make_tensor", "unfold", "refold", "multilinear_transform", "norm",
@@ -126,3 +130,54 @@ def test_one_home_per_layout_rule():
     assert set(reorders) == {"tensor.py"}, reorders
     assert not writer, writer
     assert all(homes == {"tensor.py"} for homes in layout.values()), layout
+
+
+# each entry point that converts an array of its caller, with the name of
+# the argument its error names; numpy's bare "ValueError: complex() arg is
+# a malformed string" came out of all of them
+NON_NUMERIC = [
+    (lambda: hosvd3.ComplexTensor(["a", "b"]), "data"),
+    (lambda: hosvd3.make_tensor([2, 2], "abcd"), "elements"),
+    (lambda: hosvd3.refold([["a", "b"]], 1, [1, 2]), "m"),
+    (lambda: hosvd3.multilinear_transform(hosvd3.make_tensor([2], [1, 0]), ["abcd"]), "mats"),
+    (lambda: hosvd3.gram("ab"), "m"),
+    (lambda: hosvd3.hermitian_eig("ab"), "h"),
+    (lambda: hosvd3.ThreeQubitState("abcdefgh"), "data"),
+    (lambda: hosvd3.normalize("abcdefgh"), "amplitudes"),
+    (lambda: hosvd3.classify_batch([["a"] * 8]), "amplitudes"),
+]
+
+
+@pytest.mark.parametrize("call, name", NON_NUMERIC, ids=[
+    "ComplexTensor", "make_tensor", "refold", "multilinear_transform", "gram", "hermitian_eig",
+    "ThreeQubitState", "normalize", "classify_batch"])
+def test_non_numeric_input_is_a_validation_error(call, name):
+    with pytest.raises(ValidationError, match=f"^{name} must be complex numbers: "):
+        call()
+
+
+# every function that takes a tensor: on an ndarray, three raised TypeError
+# from its buffer, four AttributeError, and norm returned a number
+TENSOR_TAKERS = [
+    lambda t: hosvd3.hosvd(t),
+    lambda t: hosvd3.verify_all_orthogonality(t),
+    lambda t: hosvd3.unfold(t, 1),
+    lambda t: hosvd3.multilinear_transform(t, [np.eye(2)] * 3),
+    lambda t: hosvd3.norm(t),
+    lambda t: hosvd3.classify(t),
+    lambda t: hosvd3.one_body_rdms(t),
+    lambda t: hosvd3.two_body_rdms(t),
+]
+
+
+@pytest.mark.parametrize("call", TENSOR_TAKERS, ids=[
+    "hosvd", "verify_all_orthogonality", "unfold", "multilinear_transform", "norm", "classify",
+    "one_body_rdms", "two_body_rdms"])
+def test_tensor_arguments_must_be_complex_tensors(call):
+    ghz = np.zeros((2, 2, 2))
+    ghz[0, 0, 0] = ghz[1, 1, 1] = 0.5 ** 0.5
+    for bad, name in ((ghz, "ndarray"), (ghz.tolist(), "list")):
+        with pytest.raises(ValidationError, match=f"^expected a ComplexTensor, got {name}$"):
+            call(bad)
+    # a subclass is a tensor
+    call(hosvd3.normalize([1, 0, 0, 0, 0, 0, 0, 1]))

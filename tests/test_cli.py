@@ -97,7 +97,7 @@ class TestStateFileErrors:
         path = tmp_path / "scalar.json"
         path.write_text(json.dumps({"dims": [], "amplitudes": [[1.0, 0.0]]}))
         assert run(["decompose", str(path)]) == EXIT_INPUT
-        assert capsys.readouterr().err == "error: tensor order must be >= 1\n"
+        assert capsys.readouterr().err == f"error: {path}: tensor order must be >= 1\n"
 
     def test_unwritable_output(self, tmp_path, ghz_file):
         missing_dir = tmp_path / "no" / "such" / "dir" / "out.json"
@@ -120,7 +120,7 @@ class TestStateFileErrors:
         path = tmp_path / "dims.json"
         path.write_text(json.dumps({"dims": dims, "amplitudes": [[1.0, 0.0]] * 8}))
         assert run(["decompose", str(path)]) == EXIT_INPUT
-        assert "dims must be a list of integers" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {path}: dims must be integers, got ")
 
     EIGHT = b', "amplitudes": [' + b", ".join([b"[0.5, 0]"] * 8) + b"]"
 
@@ -147,13 +147,25 @@ class TestStateFileErrors:
                      "amplitudes must be finite", id="nan"),
         pytest.param(b'{"dims": [2, 2, 2]' + EIGHT + b', "label": 7}',
                      "label must be a string", id="label-not-string"),
+        # the tensor rules, which make_tensor raises and the reader names
+        # the file for, and classify's own dims rule
+        pytest.param(b'{"dims": [], "amplitudes": [[1, 0]]}', "tensor order must be >= 1",
+                     id="order-zero"),
+        pytest.param(b'{"dims": [' + b", ".join([b"1"] * 64) + b'], "amplitudes": [[1, 0]]}',
+                     "tensor order must be at most 63, got 64", id="order-64"),
+        pytest.param(b'{"dims": [2, 2, 2], "amplitudes": [[0.5, 0]]}',
+                     "got 1 elements for dims (2, 2, 2) (expected 8)", id="wrong-count"),
+        pytest.param(b'{"dims": [2, 2, 3], "amplitudes": [' + b", ".join([b"[0.5, 0]"] * 12)
+                     + b"]}", "classify needs dims [2, 2, 2], got [2, 2, 3]", id="2x2x3"),
     ])
     def test_malformed_state_file(self, tmp_path, capsys, content, message):
+        # every state-file error is one line that names the file
         path = tmp_path / "bad.json"
         path.write_bytes(content)
         assert run(["classify", str(path)]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert str(path) in err and err.count("\n") == 1
 
 
 def unconverged_eigh(monkeypatch, fails=lambda m: True):
@@ -325,7 +337,7 @@ class TestDecompose:
         assert run(["decompose", path]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: tensor order must be at most 63, got {order}\n"
+        assert captured.err == f"error: {path}: tensor order must be at most 63, got {order}\n"
 
 
 class TestClassify:
