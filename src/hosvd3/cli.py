@@ -29,7 +29,6 @@ from .qubit3 import (
     classify,
     classify_batch,
     normalize,
-    polytope_membership,
 )
 from .smalllinalg import _tolerance
 from .tensor import make_tensor
@@ -234,7 +233,7 @@ def cmd_classify(args) -> Iterator[str]:
             f"{args.input}: classify needs dims [2, 2, 2], got {list(tensor.dims)}")
     state = normalize(tensor.data)
     cls = classify(state, tol=tol, sigma_tol=sigma_tol)
-    membership = polytope_membership(cls.sigma_triple, tol=tol)
+    member, facet_residuals = _polytope(*cls.sigma_triple, tol)
     doc = {
         "command": "classify",
         "label": label,
@@ -250,8 +249,8 @@ def cmd_classify(args) -> Iterator[str]:
             "point": list(cls.sigma_triple),
             # clipped to [1/2, 1] for plotting; "point" keeps the raw values
             "clamped": [min(1.0, max(0.5, v)) for v in cls.sigma_triple],
-            "member": membership.member,
-            "facet_residuals": membership.residuals,
+            "member": member,
+            "facet_residuals": facet_residuals,
         },
         "residuals": cls.residuals,
     }

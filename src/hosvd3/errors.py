@@ -14,8 +14,8 @@ class ValidationError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical procedure failed: LAPACK's eigensolver did not converge,
-    or identity forms disagree beyond rounding.
+    """LAPACK's eigensolver did not converge.  That is its one cause, so
+    only hosvd and hermitian_eig, which call the eigensolver, raise it.
 
     Carries the tensor mode it occurred in (``mode is None`` otherwise):
     from :func:`~hosvd3.hosvd.hosvd` the lowest mode whose Gram matrix the

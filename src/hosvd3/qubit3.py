@@ -17,13 +17,15 @@ residuals that ``hosvd`` gives it.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ShapeError, ValidationError
+from .errors import DomainError, ShapeError, ValidationError
 from .hosvd import _hosvd_stack, _residuals
 from .smalllinalg import _complex_array, _norms, _pow2_blocks, _threshold, _tolerance, gram
 from .tensor import ComplexTensor, _require_tensor, _unfolding, unfold
@@ -245,8 +247,6 @@ def _identities(x: np.ndarray, core: np.ndarray, sigma: np.ndarray, tol: float) 
 
     Rows where the guard of the t111/t222 formulas holds read NaN there:
     a shared denominator within tol * norm^2 of zero, or subnormal.
-    NumericalError is raised where the plane coefficients do not cancel or
-    the two equivalent plane forms disagree, beyond 1e-12 of their scale.
     The values are evaluated as they stand, so rows should be of moderate
     scale, as unit-norm states are.
     """
@@ -254,17 +254,10 @@ def _identities(x: np.ndarray, core: np.ndarray, sigma: np.ndarray, tol: float) 
     t111, t112, t121, t122, t211, t212, t221, t222 = flat.T
     power = np.abs(flat) ** 2  # |t|^2 at flat index 4(i1-1) + 2(i2-1) + (i3-1)
     total = power.sum(axis=1)
-    # the plane a s1 + b s2 + c s3 = 0, and its companion form in t221,
-    # t122 and t212
+    # the plane a s1 + b s2 + c s3 = 0
     a, b, c = power[:, 1] - power[:, 2], power[:, 4] - power[:, 1], power[:, 2] - power[:, 4]
     s1, s2, s3 = sigma.T
     form_a = a * s1 + b * s2 + c * s3
-    form_b = power[:, 6] * (s1 - s2) + power[:, 3] * (s2 - s3) + power[:, 5] * (s3 - s1)
-    if np.any(np.abs(a + b + c) > 1e-12 * total):
-        raise NumericalError(f"plane coefficients do not cancel: {(a + b + c).max()!r}")
-    if np.any(np.abs(form_a - form_b) > 1e-12 * total * np.abs(sigma).max(axis=1)):
-        i = np.argmax(np.abs(form_a - form_b))
-        raise NumericalError(f"equivalent plane forms disagree: {form_a[i]!r} vs {form_b[i]!r}")
     # the cyclic quartic phase identity
     p, q, r = t112 * t221, t121 * t212, t122 * t211
     out = {"plane_identity": np.abs(form_a),
@@ -311,19 +304,20 @@ class PolytopeMembership:
 def polytope_membership(sigma, tol: float = 1e-10) -> PolytopeMembership:
     """Check a triple (s1, s2, s3) of largest one-body eigenvalues, such as
     ``classify(s).sigma_triple``, against the five constraint families;
-    residuals > 0 measure violation.  A sigma that is not three numbers
-    raises ShapeError, a non-finite entry ValidationError, and so does a
-    tol that is a bool, not a real number, negative or not finite."""
+    residuals > 0 measure violation.  A sigma that is not a triple raises
+    ShapeError.  An entry that is a bool, not a real number (a string that
+    reads as one included) or not finite raises ValidationError, and so
+    does a tol that is a bool, not a real number, negative or not finite."""
     tol = _tolerance("tol", tol)
     if np.shape(sigma) != (3,):
         raise ShapeError(f"sigma must be a triple (s1, s2, s3), got {sigma!r}")
-    try:
-        s1, s2, s3 = map(float, sigma)
-    except (TypeError, ValueError):
-        raise ValidationError(f"sigma must hold numbers, got {sigma!r}") from None
-    if not all(math.isfinite(v) for v in (s1, s2, s3)):
+    # bool is an int subclass, and True must not read as 1
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in sigma):
+        raise ValidationError(f"sigma must hold real numbers, got {sigma!r}")
+    # an int compares exactly, so one past the float range fails here too
+    if not all(abs(v) <= sys.float_info.max for v in sigma):
         raise ValidationError(f"sigma entries must be finite, got {sigma!r}")
-    return PolytopeMembership(*_polytope(s1, s2, s3, tol))
+    return PolytopeMembership(*_polytope(*map(float, sigma), tol))
 
 
 def _polytope(s1, s2, s3, tol: float):

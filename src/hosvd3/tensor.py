@@ -70,16 +70,17 @@ class ComplexTensor:
 
     def __getitem__(self, indices):
         """Element access with 1-based integer indices, e.g. ``t[1, 2, 2]``;
-        bools, floats and other non-integers raise ValueError."""
+        bools, floats and other non-integers, and indices out of range,
+        raise ValidationError."""
         if np.ndim(indices) == 0:
             indices = (indices,)
         if len(indices) != self.order:
             raise ShapeError(f"expected {self.order} indices, got {len(indices)}")
         for i, (idx, d) in enumerate(zip(indices, self.dims), start=1):
             if isinstance(idx, bool) or not isinstance(idx, numbers.Integral):
-                raise ValueError(f"index {idx!r} in mode {i} is not an integer")
+                raise ValidationError(f"index {idx!r} in mode {i} is not an integer")
             if not 1 <= idx <= d:
-                raise ValueError(f"index {idx} out of range 1..{d} in mode {i}")
+                raise ValidationError(f"index {idx} out of range 1..{d} in mode {i}")
         return complex(self.data[tuple(i - 1 for i in indices)])
 
 
@@ -133,15 +134,15 @@ def make_tensor(dims, elements) -> ComplexTensor:
 
 def _mode(mode, order: int) -> int:
     """mode as an int in 1..order.  Python and numpy integers pass; bools,
-    floats and values out of range raise ValueError."""
+    floats and values out of range raise ValidationError."""
     try:  # bool is an int subclass, and True must not read as 1
         if isinstance(mode, bool):
             raise TypeError
         checked = operator.index(mode)
     except TypeError:
-        raise ValueError(f"mode must be an integer in 1..{order}, got {mode!r}") from None
+        raise ValidationError(f"mode must be an integer in 1..{order}, got {mode!r}") from None
     if not 1 <= checked <= order:
-        raise ValueError(f"mode {checked} out of range 1..{order}")
+        raise ValidationError(f"mode {checked} out of range 1..{order}")
     return checked
 
 

@@ -29,11 +29,15 @@ def transform_by_summation(mats, data):
 
 
 def transform_by_tensordot(mats, data):
-    """The multilinear transform as numpy composes it: contract each matrix
-    into its axis, then move the new axis back into place."""
+    """The multilinear transform by the rule the kernel documents: a 1x1
+    matrix multiplies each entry, with no BLAS call; every other matrix is
+    contracted into its axis by numpy's tensordot, and the new axis moved
+    back into place.  tensordot would hand a 1x1 factor to BLAS, whose dot
+    and axpy round by the kernel OpenBLAS picks for the CPU."""
     out = data
     for axis, m in enumerate(mats):
-        out = np.moveaxis(np.tensordot(m, out, axes=([1], [axis])), 0, axis)
+        out = (m[0, 0] * out if m.shape == (1, 1) else
+               np.moveaxis(np.tensordot(m, out, axes=([1], [axis])), 0, axis))
     return np.ascontiguousarray(out)
 
 

@@ -132,6 +132,17 @@ def test_one_home_per_layout_rule():
     assert all(homes == {"tensor.py"} for homes in layout.values()), layout
 
 
+def test_numerical_error_has_one_cause():
+    # NumericalError means LAPACK did not converge: only hosvd and
+    # hermitian_eig, which call it, construct one
+    src = pathlib.Path(hosvd3.__file__).parent
+    raisers = {path.name for path in src.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "NumericalError"}
+    assert raisers == {"hosvd.py", "smalllinalg.py"}, raisers
+
+
 # each entry point that converts an array of its caller, with the name of
 # the argument its error names; numpy's bare "ValueError: complex() arg is
 # a malformed string" came out of all of them

@@ -11,7 +11,6 @@ from hosvd3 import (
     BatchClassification,
     ComplexTensor,
     DomainError,
-    NumericalError,
     ShapeError,
     ThreeQubitState,
     ValidationError,
@@ -70,8 +69,8 @@ def biproduct_state(rng, cut):
 def identities(x, core, sigma=(0.0, 0.0, 0.0), tol=1e-10):
     """The identities classify reports in its residuals, from the one kernel
     that evaluates them: of the state x (the minors) and of its core (the
-    rest), at the sigma triple, as floats.  At sigma 0 both plane forms
-    read 0."""
+    rest), at the sigma triple, as floats.  At sigma 0 the plane identity
+    reads 0."""
     out = _identities(x.data[None], core.data[None], np.array([sigma], dtype=float), tol)
     return {name: float(value[0]) for name, value in out.items()}
 
@@ -168,7 +167,7 @@ class TestThreeQubitState:
 
     @pytest.mark.parametrize("indices", [(0, 1, 1), (0, 0, 0), (3, 1, 1), (1, 2, 3)])
     def test_amplitude_index_out_of_range(self, w_state, indices):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="out of range"):
             w_state[indices]
 
     @pytest.mark.parametrize("indices", [(1.5, 1, 1), (True, 1, 1), (1, 2.0, 1), (1, 1, "2")])
@@ -357,13 +356,6 @@ class TestPlaneIdentity:
         for _ in range(300):
             worst = max(worst, core_identities(haar_3q(rng))["plane_identity"])
         assert worst <= 1e-11
-
-    def test_forms_disagree_off_the_plane(self):
-        # a triple that is not the core's: the companion form, in t221, t122
-        # and t212, reads 0 while the first does not
-        s = normalize(amplitudes(a111=0.8, a112=0.6))
-        with pytest.raises(NumericalError):
-            identities(s, s, (0.1, 0.9, 0.5))
 
     def test_coefficients_sum_to_zero(self, rng):
         r = core_identities(haar_3q(rng))
@@ -747,7 +739,9 @@ class TestPolytope:
             polytope_membership(sigma)
 
     @pytest.mark.parametrize("sigma", [(0.75, np.nan, 0.75), (np.inf, 0.5, 0.5),
-                                       (0.5, 0.5, -np.inf), ("a", "b", "c"), (0.5, 0.5, 1j)])
+                                       (0.5, 0.5, -np.inf), ("a", "b", "c"), (0.5, 0.5, 1j),
+                                       ("0.75", "0.75", "0.5"), (True, True, True),
+                                       (np.True_, 1.0, 1.0), (10 ** 400, 1, 1)])
     def test_membership_needs_finite_numbers(self, sigma):
         with pytest.raises(ValidationError):
             polytope_membership(sigma)
