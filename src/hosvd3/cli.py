@@ -17,7 +17,6 @@ import sys
 from collections.abc import Iterator
 from functools import cache
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -108,8 +107,6 @@ def _block(items, level: int, brackets: str = "[]") -> str:
 def _array_text(values: np.ndarray, level: int) -> str:
     # values nested as [re, im] pairs: every float is written in one pass, each
     # last-axis row with two joins, and only the outer axes nest through _block
-    if not values.size:  # no floats, so the nested lists are the whole text
-        return _json_text(values.tolist(), level)
     texts = list(map(repr, values.ravel().view(np.float64).tolist()))
     if not np.isfinite(values).all():
         texts = list(map(_NONFINITE.get, texts, texts))
@@ -125,35 +122,20 @@ def _array_text(values: np.ndarray, level: int) -> str:
     return rows[0]
 
 
-def _json_text(obj, level: int = 0) -> str:
-    """obj as json.dumps(obj, indent=2) writes it, where a complex ndarray
-    stands for its nested [re, im] pairs of Python floats.  A dict key that
-    is not a str, and a value of any other type, raise TypeError."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        text = float.__repr__(obj)
-        return _NONFINITE.get(text, text)
-    if isinstance(obj, np.ndarray) and obj.dtype.kind == "c" and obj.ndim:
-        return _array_text(obj, level)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        return _block((_json_text(v, level + 1) for v in obj), level)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        return _block((f"{encode_basestring_ascii(k)}: {_json_text(v, level + 1)}"
-                       for k, v in obj.items()), level, "{}")
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+def _json_text(doc: dict) -> str:
+    """The decompose report as json.dumps(doc, indent=2) writes it, where a
+    complex ndarray, alone or in a tuple, stands for its nested [re, im]
+    pairs of Python floats.  json writes the keys and every other value."""
+    items = []
+    for key, value in doc.items():
+        if isinstance(value, np.ndarray):
+            text = _array_text(value, 1)
+        elif isinstance(value, tuple):
+            text = _block([_array_text(a, 2) for a in value], 1)
+        else:  # a JSON string never holds a raw newline, so only the layout moves
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        items.append(f"{json.dumps(key)}: {text}")
+    return _block(items, 0, "{}")
 
 
 def _emit(chunks: Iterator[str], output) -> None:
@@ -254,7 +236,7 @@ def cmd_classify(args) -> Iterator[str]:
         },
         "residuals": cls.residuals,
     }
-    yield _json_text(doc) + "\n"
+    yield json.dumps(doc, indent=2) + "\n"
 
 
 def cmd_sample(args) -> Iterator[str]:
@@ -266,7 +248,7 @@ def cmd_sample(args) -> Iterator[str]:
         raise ValidationError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.Generator(np.random.Philox(args.seed))
     yield (f"# generator={GENERATOR_NAME} seed={args.seed} count={args.count}"
-           f" tol={tol:g} sigma_tol={sigma_tol:g}\n"
+           f" tol={tol!r} sigma_tol={sigma_tol!r}\n"
            "id,s1,s2,s3,separability,case,special\n")
     violations = 0
     for start in range(0, args.count, _SAMPLE_CHUNK):
@@ -386,7 +368,8 @@ def run(argv=None) -> int:
     """Run one command line (sys.argv[1:] for None) and return its exit
     code, printing one line on stderr on failure: 2 for a ShapeError,
     DomainError or ValidationError (a state-file error names the file), 3
-    for a NumericalError, 4 for an OSError of the output."""
+    for a NumericalError, 4 for an OSError of the output.  A bad flag
+    raises argparse's SystemExit(2) instead, after the usage on stderr."""
     args = build_parser().parse_args(argv)
     try:
         _emit(args.func(args), args.output)

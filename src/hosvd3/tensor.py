@@ -51,12 +51,7 @@ class ComplexTensor:
 
     def __post_init__(self):
         arr = np.array(_complex_array("data", self.data), order="C", copy=True)
-        if arr.ndim < 1:
-            raise ShapeError("tensor order must be >= 1")
-        if arr.ndim > 63:
-            raise ShapeError(f"tensor order must be at most 63, got {arr.ndim}")
-        if any(d < 1 for d in arr.shape):
-            raise ShapeError(f"dimensions must be positive, got {arr.shape}")
+        _dims(arr.shape)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -94,10 +89,10 @@ def _require_tensor(t) -> ComplexTensor:
 
 
 def _dims(dims) -> tuple[int, ...]:
-    """dims as a tuple of positive ints.  Python and numpy integers pass;
-    a value that is not a sequence, bools, floats, strings, values below 1
-    and more than 63 dims (as in ComplexTensor, but before any reshape)
-    raise ShapeError."""
+    """dims as a tuple of positive ints: the one rule for a tensor's order
+    and dims, which ComplexTensor applies to its shape too.  Python and
+    numpy integers pass; a value that is not a sequence, bools, floats,
+    strings, values below 1, no dims and more than 63 raise ShapeError."""
     try:  # bool is an int subclass, and True must not read as 1
         dims = tuple(dims)
         if any(isinstance(d, bool) for d in dims):
@@ -107,6 +102,8 @@ def _dims(dims) -> tuple[int, ...]:
         raise ShapeError(f"dims must be integers, got {dims!r}") from None
     if any(d < 1 for d in checked):
         raise ShapeError(f"dims must be positive, got {checked}")
+    if not checked:
+        raise ShapeError("tensor order must be >= 1")
     if len(checked) > 63:
         raise ShapeError(f"tensor order must be at most 63, got {len(checked)}")
     return checked

@@ -95,9 +95,10 @@ def test_one_home_per_layout_rule():
     # through one entry, _eigh_stack.  cli._emit opens every file output
     # with os.open, so a temporary file takes its mode from the umask or
     # from fchmod: no module sets the umask, makes a temporary file through
-    # tempfile or chmods by path.
+    # tempfile or chmods by path.  json's own rules (string escaping, float
+    # text) are json's: no module imports from json.encoder.
     src = pathlib.Path(hosvd3.__file__).parent
-    scale, dot, vdot, linalg_norm, solvers, reorders, writer = [], [], [], [], [], [], []
+    scale, dot, vdot, linalg_norm, solvers, reorders, writer, encoder = ([] for _ in range(8))
     layout = {name: set() for name in ("_cyclic_axes", "_row_axes", "_axis_table")}
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -122,6 +123,9 @@ def test_one_home_per_layout_rule():
                 reorders.append(path.name)
             if name in ("tempfile", "mkstemp", "umask", "chmod"):
                 writer.append(f"{path.name}:{name}")
+            if (isinstance(node, ast.ImportFrom) and node.module == "json.encoder"
+                    or isinstance(node, ast.alias) and name == "json.encoder"):
+                encoder.append(path.name)
     assert set(scale) == {"smalllinalg.py"}, scale
     assert not dot, dot
     assert not vdot, vdot
@@ -129,6 +133,7 @@ def test_one_home_per_layout_rule():
     assert set(solvers) == {"smalllinalg.py"}, solvers
     assert set(reorders) == {"tensor.py"}, reorders
     assert not writer, writer
+    assert not encoder, encoder
     assert all(homes == {"tensor.py"} for homes in layout.values()), layout
 
 

@@ -82,6 +82,11 @@ class TestMakeTensor:
     def test_order_zero_rejected(self):
         with pytest.raises(ShapeError, match="tensor order must be >= 1"):
             ComplexTensor(np.complex128(1.0))
+        # no dims is an order error before the element count or the mode
+        with pytest.raises(ShapeError, match="tensor order must be >= 1"):
+            make_tensor([], [1.0, 2.0])
+        with pytest.raises(ShapeError, match="tensor order must be >= 1"):
+            refold([[1.0]], 1, [])
 
     def test_order_63_is_the_limit(self):
         # every stack kernel adds an axis to numpy's 64; order 64 raised
@@ -99,7 +104,7 @@ class TestMakeTensor:
 
     @pytest.mark.parametrize("dims", [(0,), (2, 0, 2)])
     def test_zero_dim_rejected(self, dims):
-        with pytest.raises(ShapeError, match="dimensions must be positive"):
+        with pytest.raises(ShapeError, match="dims must be positive"):
             ComplexTensor(np.zeros(dims))
 
     @pytest.mark.parametrize("indices", [(1, 1), (1, 1, 1, 1)])
